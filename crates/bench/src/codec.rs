@@ -21,8 +21,8 @@
 //! The bin *asserts* the acceptance gates before writing: every FPC/FTC
 //! scan-baseline row must decode corrupted words at least
 //! [`SPEEDUP_GATE`]× slower than its kernel decoder, the bit-sliced
-//! batch rows must beat the scalar kernels by [`BATCH_GATE`]× on the
-//! linear schemes (parity, Hamming, bus-invert), and the batch and
+//! batch rows must beat the scalar kernels by [`BATCH_GATE`]× on every
+//! scheme but the lookup-table CAC codes (FTC, FPC), and the batch and
 //! scalar Monte-Carlo engines must return byte-identical estimates at
 //! 1 and 8 threads over an odd trial count.
 
@@ -53,8 +53,7 @@ pub const WORDS: usize = 2_048;
 /// every FPC/FTC baseline row must show.
 pub const SPEEDUP_GATE: f64 = 5.0;
 /// Minimum corrupted-word decode speedup (scalar time / batch time) the
-/// bit-sliced batch path must show on the gated linear schemes (parity,
-/// Hamming, bus-invert) — the ISSUE 10 acceptance gate.
+/// bit-sliced batch path must show on the [`BATCH_GATED`] schemes.
 pub const BATCH_GATE: f64 = 10.0;
 /// Trials of the embedded Monte-Carlo batch-vs-scalar equivalence check:
 /// odd on purpose, leaving a remainder shard that itself ends mid-block.
@@ -337,11 +336,16 @@ pub fn batch_speedups(rows: &[Row]) -> Vec<(String, f64)> {
         .collect()
 }
 
-/// Whether `label` is one of the linear schemes the [`BATCH_GATE`]
-/// applies to (parity, Hamming, and the bus-invert family).
+/// The schemes the [`BATCH_GATE`] applies to, as rendered in
+/// `BENCH_codec.json`: the linear codes, the bus-invert family, the
+/// seven joint codes and BCH-DEC. FTC and FPC decode through per-word
+/// table lookups and stay ungated.
+pub const BATCH_GATED: &str = "Parity/Hamming/BI/HammingX/BIH/FTC+HC/BSC/DAP/DAPX/DAPBI/BCH-DEC";
+
+/// Whether `label` is one of the [`BATCH_GATED`] schemes.
 #[must_use]
 pub fn batch_gated(label: &str) -> bool {
-    label == "Parity" || label == "Hamming" || label.starts_with("BI(")
+    label.starts_with("BI(") || BATCH_GATED.split('/').any(|s| s == label)
 }
 
 /// The embedded Monte-Carlo equivalence check: batch and scalar sharded
@@ -399,7 +403,7 @@ pub fn render_json(
     let _ = writeln!(
         json,
         "  \"batch_gate\": {{\"threshold\": {BATCH_GATE}, \"passed\": {batch_gate_passed}, \
-         \"schemes\": \"Parity/Hamming/BI\", \"measured_in\": \"BENCH_codec_timing.json\"}},"
+         \"schemes\": \"{BATCH_GATED}\", \"measured_in\": \"BENCH_codec_timing.json\"}},"
     );
     let _ = writeln!(
         json,
@@ -541,7 +545,7 @@ pub fn main_with_args(args: &[String]) -> i32 {
     }
     assert!(
         batch_gate_passed,
-        "batch gate failed: parity/Hamming/BI corrupted-decode rows must be \
+        "batch gate failed: the {BATCH_GATED} corrupted-decode rows must be \
          >= {BATCH_GATE}x faster on the bit-sliced path ({batch:?})"
     );
 

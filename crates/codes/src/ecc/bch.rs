@@ -84,6 +84,12 @@ impl BchDec {
         &self.field
     }
 
+    /// The generator polynomial `g(x) = m₁(x)·m₃(x)` as a bitmask with the
+    /// leading term included.
+    pub(crate) fn generator(&self) -> u64 {
+        self.generator
+    }
+
     /// Syndromes `S1 = c(α)` and `S3 = c(α³)` of a received word.
     fn syndromes(&self, cw: Word) -> (u16, u16) {
         let mut s1 = 0u16;

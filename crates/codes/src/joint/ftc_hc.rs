@@ -43,24 +43,13 @@ impl FtcHc {
         let ftc = ForbiddenTransitionCode::new(k);
         let code_wires = ftc.info_wires();
         let hamming = Hamming::new(code_wires.len());
-        let m = hamming.parity_bits();
-        // Boundary shield, then parity wires separated by shields.
-        let mut parity_wires = Vec::with_capacity(m);
-        let mut wire = ftc.wires() + 1;
-        for j in 0..m {
-            if j > 0 {
-                wire += 1;
-            }
-            parity_wires.push(wire);
-            wire += 1;
-        }
-        assert!(wire <= socbus_model::word::MAX_WIDTH, "bus too wide");
+        let (parity_wires, wires) = parity_layout(ftc.wires(), hamming.parity_bits());
         FtcHc {
             ftc,
             hamming,
             code_wires,
             parity_wires,
-            wires: wire,
+            wires,
         }
     }
 
@@ -69,6 +58,21 @@ impl FtcHc {
     pub fn parity_bits(&self) -> usize {
         self.hamming.parity_bits()
     }
+}
+
+/// FTC+HC's parity placement after an FTC region of `ftc_wires` wires:
+/// the bus wire of each of the `m` Hamming parity bits (a boundary
+/// shield, then parity wires separated by shields) and the total wire
+/// count.
+///
+/// # Panics
+///
+/// Panics if the coded bus exceeds the word limit.
+pub(crate) fn parity_layout(ftc_wires: usize, m: usize) -> (Vec<usize>, usize) {
+    let parity_wires: Vec<usize> = (0..m).map(|j| ftc_wires + 1 + 2 * j).collect();
+    let wires = ftc_wires + 2 * m;
+    assert!(wires <= socbus_model::word::MAX_WIDTH, "bus too wide");
+    (parity_wires, wires)
 }
 
 impl BusCode for FtcHc {

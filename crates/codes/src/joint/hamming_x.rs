@@ -38,27 +38,11 @@ impl HammingX {
     #[must_use]
     pub fn new(k: usize) -> Self {
         let inner = Hamming::new(k);
-        let m = inner.parity_bits();
-        // Singleton first, then pairs, each group preceded by a shield.
-        let mut parity_wire = Vec::with_capacity(m);
-        let mut wire = k;
-        let mut placed = 0;
-        while placed < m {
-            let group = if placed == 0 { 1 } else { 2.min(m - placed) };
-            if placed > 0 {
-                wire += 1; // shield before this group
-            }
-            for _ in 0..group {
-                parity_wire.push(wire);
-                wire += 1;
-                placed += 1;
-            }
-        }
-        assert!(wire <= socbus_model::word::MAX_WIDTH, "bus too wide");
+        let (parity_wire, wires) = parity_layout(k, inner.parity_bits());
         HammingX {
             inner,
             parity_wire,
-            wires: wire,
+            wires,
         }
     }
 
@@ -77,6 +61,32 @@ impl HammingX {
     fn k(&self) -> usize {
         self.inner.data_bits()
     }
+}
+
+/// HammingX's wire layout for `k` data bits and `m` parity bits: the bus
+/// wire of each parity bit and the total wire count. A singleton parity
+/// wire sits next to the data, then shield-separated pairs.
+///
+/// # Panics
+///
+/// Panics if the coded bus exceeds the word limit.
+pub(crate) fn parity_layout(k: usize, m: usize) -> (Vec<usize>, usize) {
+    let mut parity_wire = Vec::with_capacity(m);
+    let mut wire = k;
+    let mut placed = 0;
+    while placed < m {
+        let group = if placed == 0 { 1 } else { 2.min(m - placed) };
+        if placed > 0 {
+            wire += 1; // shield before this group
+        }
+        for _ in 0..group {
+            parity_wire.push(wire);
+            wire += 1;
+            placed += 1;
+        }
+    }
+    assert!(wire <= socbus_model::word::MAX_WIDTH, "bus too wide");
+    (parity_wire, wire)
 }
 
 impl BusCode for HammingX {

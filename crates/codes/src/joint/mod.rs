@@ -25,3 +25,6 @@ pub use dapbi::Dapbi;
 pub use dapx::Dapx;
 pub use ftc_hc::FtcHc;
 pub use hamming_x::HammingX;
+
+pub(crate) use ftc_hc::parity_layout as ftc_hc_parity_layout;
+pub(crate) use hamming_x::parity_layout as hamming_x_parity_layout;

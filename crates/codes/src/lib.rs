@@ -53,9 +53,7 @@ pub mod sabotage;
 pub mod theory;
 pub mod traits;
 
-pub use batch::{
-    batch_build, batch_is_native, BatchCode, BatchScalar, BlockStatus, WordBlock, BLOCK_WORDS,
-};
+pub use batch::{batch_build, batch_is_native, BatchCode, BlockStatus, WordBlock, BLOCK_WORDS};
 pub use cac::{
     Duplication, ForbiddenPatternCode, ForbiddenTransitionCode, HalfShielding, Shielding,
 };

@@ -15,7 +15,9 @@
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use socbus_codes::{batch_build, batch_is_native, Scheme, WordBlock, BLOCK_WORDS};
+use socbus_codes::{
+    batch_build, batch_is_native, BusCode, DecodeStatus, Scheme, WordBlock, BLOCK_WORDS,
+};
 use socbus_model::Word;
 
 /// A deterministic pseudo-random word of the given width (full 256-bit
@@ -117,8 +119,8 @@ fn catalog_batch_equals_scalar_at_k8() {
     }
 }
 
-/// The native bit-sliced schemes across widths, including limb-crossing
-/// and >128-wire buses where `Word::bits()` would refuse.
+/// The bit-sliced kernels across widths, including
+/// limb-crossing and >128-wire buses where `Word::bits()` would refuse.
 #[test]
 fn native_schemes_batch_equals_scalar_across_widths() {
     let mut rng = StdRng::seed_from_u64(0xBA7D);
@@ -133,6 +135,15 @@ fn native_schemes_batch_equals_scalar_across_widths() {
         (Scheme::BusInvert(1), vec![1, 8, 32, 64]),
         (Scheme::BusInvert(4), vec![4, 9, 32]),
         (Scheme::Ftc, vec![1, 2, 3, 4, 7, 12, 16]),
+        (Scheme::HammingX, vec![1, 4, 16, 32, 57]),
+        (Scheme::Bih, vec![1, 4, 16, 32, 56]),
+        (Scheme::FtcHc, vec![1, 3, 4, 16, 32]),
+        // BSC/DAPX/DAPBI at 63 and 64 bits: 127-131 wires.
+        (Scheme::Bsc, vec![1, 2, 31, 63, 64]),
+        (Scheme::Dapx, vec![1, 2, 31, 63, 64]),
+        (Scheme::Dapbi, vec![1, 2, 31, 63, 64]),
+        (Scheme::BchDec, vec![1, 4, 7, 16, 32, 64, 120]),
+        (Scheme::Sabotaged, vec![1, 4, 32]),
     ];
     for (scheme, widths) in cases {
         for k in widths {
@@ -145,7 +156,9 @@ fn native_schemes_batch_equals_scalar_across_widths() {
 
 /// Exhaustive over every possible received bus word for the small-width
 /// checked decoders: batch `decode_checked` must match scalar on all
-/// `2^wires` inputs, not just random ones.
+/// `2^wires` inputs, not just random ones. Each input is decoded in both
+/// word phases (the second pass starts one word later), which covers
+/// both of BSC's parity placements.
 #[test]
 fn checked_decode_is_exhaustively_equivalent_at_small_widths() {
     for (scheme, k) in [
@@ -156,30 +169,121 @@ fn checked_decode_is_exhaustively_equivalent_at_small_widths() {
         (Scheme::Shielding, 4),
         (Scheme::Duplication, 4),
         (Scheme::Ftc, 3),
+        (Scheme::HammingX, 4),
+        (Scheme::Bih, 4),
+        (Scheme::Bsc, 3),
+        (Scheme::Dapx, 3),
+        (Scheme::Dapbi, 3),
+        (Scheme::FtcHc, 3),
+        (Scheme::BchDec, 4),
     ] {
-        let mut scalar = scheme.build(k);
-        let mut batch = batch_build(scheme, k);
-        let all: Vec<Word> = Word::enumerate_all(scalar.wires()).collect();
-        for chunk in all.chunks(BLOCK_WORDS) {
-            let block = WordBlock::from_words(chunk);
-            let (out, status) = batch.decode_checked(&block);
-            let out_words = out.to_words();
-            for (j, &bus) in chunk.iter().enumerate() {
-                let (s_data, s_status) = scalar.decode_checked(bus);
-                assert_eq!(out_words[j], s_data, "{} k={k} bus={bus}", scheme.name());
-                assert_eq!(
-                    status.status(j),
-                    s_status,
-                    "{} k={k} bus={bus}",
-                    scheme.name()
-                );
+        for offset in [0, 1] {
+            let mut scalar = scheme.build(k);
+            let mut batch = batch_build(scheme, k);
+            let mut all: Vec<Word> = Word::enumerate_all(scalar.wires()).collect();
+            all.splice(
+                0..0,
+                std::iter::repeat_n(Word::zero(scalar.wires()), offset),
+            );
+            for chunk in all.chunks(BLOCK_WORDS) {
+                let block = WordBlock::from_words(chunk);
+                let (out, status) = batch.decode_checked(&block);
+                let out_words = out.to_words();
+                for (j, &bus) in chunk.iter().enumerate() {
+                    let (s_data, s_status) = scalar.decode_checked(bus);
+                    assert_eq!(out_words[j], s_data, "{} k={k} bus={bus}", scheme.name());
+                    assert_eq!(
+                        status.status(j),
+                        s_status,
+                        "{} k={k} bus={bus}",
+                        scheme.name()
+                    );
+                }
             }
         }
     }
 }
 
-/// Stateful codecs must agree on the *state trajectory* too: after any
-/// shared prefix of blocks, reset must restore both to the zero state.
+/// The BCH words the planes cannot decode go through the scalar codec:
+/// a double error, `S1 = 0` with `S3 != 0`, and a single-error syndrome
+/// `(αᵖ, α³ᵖ)` at a shortened position `p >= n`. Each named case is
+/// found by search over the 12-wire BCH(4) bus, checked to hit its
+/// scalar branch, and decoded in a block next to clean words.
+#[test]
+fn bch_residual_branches_match_scalar() {
+    let k = 4;
+    let mut scalar = Scheme::BchDec.build(k);
+    let code = socbus_codes::BchDec::new(k);
+    let field = code.field();
+    let (n, r) = (code.wires(), code.parity_bits());
+    let order = field.order();
+    // Wire w sits at polynomial position r + w (data) or w - k (parity).
+    let syndromes = |e: &[usize]| {
+        e.iter().fold((0u16, 0u16), |(s1, s3), &w| {
+            let p = if w < k { r + w } else { w - k };
+            (s1 ^ field.alpha_pow(p), s3 ^ field.alpha_pow(3 * p))
+        })
+    };
+    let data = Word::from_bits(0b1011, k);
+    let cw = scalar.encode(data);
+    let flipped = |e: &[usize]| e.iter().fold(cw, |w, &i| w.with_bit(i, !w.bit(i)));
+    let mut patterns: Vec<Vec<usize>> = Vec::new();
+    for a in 0..n {
+        for b in a + 1..n {
+            patterns.push(vec![a, b]);
+            for c in b + 1..n {
+                patterns.push(vec![a, b, c]);
+                for d in c + 1..n {
+                    patterns.push(vec![a, b, c, d]);
+                }
+            }
+        }
+    }
+    let double = vec![2, 9];
+    let s1_zero = patterns
+        .iter()
+        .find(|e| {
+            let (s1, s3) = syndromes(e);
+            s1 == 0 && s3 != 0
+        })
+        .expect("an S1 = 0, S3 != 0 pattern")
+        .clone();
+    let shortened = patterns
+        .iter()
+        .find(|e| {
+            let (s1, s3) = syndromes(e);
+            (n..order).any(|p| s1 == field.alpha_pow(p) && s3 == field.alpha_pow(3 * p))
+        })
+        .expect("a single-error syndrome at a shortened position")
+        .clone();
+    let cases = [
+        (double, DecodeStatus::Corrected),
+        (s1_zero, DecodeStatus::Detected),
+        (shortened, DecodeStatus::Detected),
+    ];
+    for (e, expect) in &cases {
+        assert_eq!(
+            scalar.decode_checked(flipped(e)).1,
+            *expect,
+            "pattern {e:?}"
+        );
+    }
+    // Clean, single-error and residual words interleaved in one block.
+    let mut words = vec![cw, cw.with_bit(0, !cw.bit(0))];
+    words.extend(cases.iter().map(|(e, _)| flipped(e)));
+    words.push(cw);
+    let mut batch = batch_build(Scheme::BchDec, k);
+    let (out, status) = batch.decode_checked(&WordBlock::from_words(&words));
+    for (j, &w) in words.iter().enumerate() {
+        let (s_data, s_status) = scalar.decode_checked(w);
+        assert_eq!(out.word(j), s_data, "word {j}");
+        assert_eq!(status.status(j), s_status, "word {j}");
+    }
+}
+
+/// Stateful codecs must agree on the *state trajectory* too: across odd
+/// partial blocks (which flip BSC's starting phase from block to block),
+/// and after a reset, which must restore both to the zero state.
 #[test]
 fn stateful_reset_matches_scalar() {
     let mut rng = StdRng::seed_from_u64(0xBA7E);
@@ -192,10 +296,17 @@ fn stateful_reset_matches_scalar() {
         let k = 8;
         let mut batch = batch_build(scheme, k);
         let mut scalar = scheme.build(k);
-        let warmup: Vec<Word> = (0..17).map(|_| random_word(&mut rng, k)).collect();
-        let _ = batch.encode(&WordBlock::from_words(&warmup));
-        for &w in &warmup {
-            let _ = scalar.encode(w);
+        let mut batch_dec = batch_build(scheme, k);
+        let mut scalar_dec = scheme.build(k);
+        for len in [17, 3, 33, 1, 64] {
+            let words: Vec<Word> = (0..len).map(|_| random_word(&mut rng, k)).collect();
+            let b = batch.encode(&WordBlock::from_words(&words));
+            let s: Vec<Word> = words.iter().map(|&w| scalar.encode(w)).collect();
+            assert_eq!(b.to_words(), s, "{} block of {len}", scheme.name());
+            let d = batch_dec.decode(&b);
+            let sd: Vec<Word> = s.iter().map(|&w| scalar_dec.decode(w)).collect();
+            assert_eq!(d.to_words(), sd, "{} decode block of {len}", scheme.name());
+            assert_eq!(sd, words, "{} roundtrip", scheme.name());
         }
         batch.reset();
         scalar.reset();

@@ -1,0 +1,114 @@
+//! Tier-1 contract for the bit-sliced batch codecs: every batch kernel is
+//! its scalar codec, word for word.
+//!
+//! The Monte-Carlo and rare-event engines run on `socbus_codes::batch`
+//! blocks and promise the scalar estimates byte for byte. That promise
+//! rests on each kernel matching the scalar codec on `encode`, `decode`
+//! and `decode_checked` (data and per-word status), with stateful codecs
+//! carrying their state across block boundaries. The exhaustive suite in
+//! `crates/codes/tests/batch_equiv.rs` goes deeper; this file keeps a
+//! fast slice of it in the root package so a broken kernel fails
+//! `cargo test`.
+
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
+use socbus::channel::montecarlo::{word_error_rate, word_error_rate_scalar};
+use socbus::codes::{batch_build, BatchCode, BusCode, Scheme, WordBlock};
+use socbus::model::Word;
+
+/// Every catalog scheme plus the planted-fault `Sabotaged`, buildable at
+/// `k` data bits.
+fn schemes(k: usize) -> Vec<Scheme> {
+    let mut all = Scheme::catalog();
+    all.push(Scheme::Sabotaged);
+    all.retain(|s| !matches!(s, Scheme::BusInvert(i) if *i > k));
+    all
+}
+
+fn random_word(rng: &mut StdRng, width: usize) -> Word {
+    let mut w = Word::zero(width);
+    for i in 0..width {
+        w.set_bit(i, rng.gen::<bool>());
+    }
+    w
+}
+
+/// One scheme's encoder, decoder and checked decoder, as batch and as
+/// scalar codecs, each keeping its own state.
+struct Codecs {
+    batch: [Box<dyn BatchCode>; 3],
+    scalar: [Box<dyn BusCode>; 3],
+}
+
+impl Codecs {
+    fn new(scheme: Scheme, k: usize) -> Self {
+        Codecs {
+            batch: std::array::from_fn(|_| batch_build(scheme, k)),
+            scalar: std::array::from_fn(|_| scheme.build(k)),
+        }
+    }
+
+    /// Encodes, corrupts (flip probability `noise` per wire) and decodes
+    /// `words` as one block on the batch codecs and word by word on the
+    /// scalar codecs, asserting the two agree everywhere.
+    fn check(&mut self, words: &[Word], noise: f64, rng: &mut StdRng) {
+        let name = self.scalar[0].name();
+        let [b_enc, b_dec, b_chk] = &mut self.batch;
+        let [s_enc, s_dec, s_chk] = &mut self.scalar;
+        let coded = b_enc.encode(&WordBlock::from_words(words));
+        let sent: Vec<Word> = words.iter().map(|&w| s_enc.encode(w)).collect();
+        assert_eq!(coded.to_words(), sent, "{name}: encode");
+        let received: Vec<Word> = sent
+            .iter()
+            .map(|&w| {
+                (0..w.width()).fold(w, |acc, i| {
+                    if rng.gen::<f64>() < noise {
+                        acc.with_bit(i, !acc.bit(i))
+                    } else {
+                        acc
+                    }
+                })
+            })
+            .collect();
+        let block = WordBlock::from_words(&received);
+        let out = b_dec.decode(&block).to_words();
+        let (chk, status) = b_chk.decode_checked(&block);
+        let chk = chk.to_words();
+        for (j, &w) in received.iter().enumerate() {
+            assert_eq!(out[j], s_dec.decode(w), "{name}: decode word {j}");
+            let (data, s) = s_chk.decode_checked(w);
+            assert_eq!(chk[j], data, "{name}: decode_checked word {j}");
+            assert_eq!(status.status(j), s, "{name}: status of word {j}");
+        }
+    }
+}
+
+/// Full, 1-word and 33-word blocks, then a full block again, on the same
+/// codec instances: the state crosses three block boundaries, one of
+/// them after an odd-length block.
+#[test]
+fn every_batch_kernel_equals_its_scalar_codec() {
+    let mut rng = StdRng::seed_from_u64(0xC0_47AC7);
+    for k in [4, 16, 32] {
+        for scheme in schemes(k) {
+            for noise in [0.0, 0.05] {
+                let mut codecs = Codecs::new(scheme, k);
+                for len in [64, 1, 33, 64] {
+                    let words: Vec<Word> = (0..len).map(|_| random_word(&mut rng, k)).collect();
+                    codecs.check(&words, noise, &mut rng);
+                }
+            }
+        }
+    }
+}
+
+/// The batch Monte-Carlo engine reproduces the scalar one exactly, over a
+/// trial count that ends one word into a block.
+#[test]
+fn batch_monte_carlo_equals_scalar() {
+    for scheme in schemes(8) {
+        let batch = word_error_rate(scheme, 8, 1e-2, 4_097, 0xB10C);
+        let scalar = word_error_rate_scalar(scheme, 8, 1e-2, 4_097, 0xB10C);
+        assert_eq!(batch, scalar, "{}", scheme.name());
+    }
+}
