@@ -43,7 +43,7 @@
 //! [`CycleReport`] of every transfer and NI event so external monitors
 //! (the chaos harness) can audit each cycle.
 
-use std::collections::{BTreeMap, HashSet, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -433,6 +433,57 @@ struct Outstanding {
     deadline: u64,
 }
 
+/// One flow's NI state, kept in a single record so an injection or an
+/// accept touches one place.
+#[derive(Clone, Debug, Default)]
+struct Flow {
+    /// The sequence number the next injection gets.
+    next_seq: u64,
+    /// Delivery statistics; a flow with deliveries appears in
+    /// [`MeshReport::flows`].
+    stats: FlowStats,
+    /// The accepted set as a bitset over `0..next_seq`: bits 0..64 here,
+    /// since most flows never need more, …
+    low: u64,
+    /// … and one word per further 64 sequence numbers, appended as
+    /// injection reaches them, so every assigned `seq` has its bit.
+    high: Vec<u64>,
+}
+
+impl Flow {
+    /// Assigns the next sequence number.
+    fn assign(&mut self) -> u64 {
+        let seq = self.next_seq;
+        self.next_seq += 1;
+        if seq >= 64 && seq.is_multiple_of(64) {
+            self.high.push(0);
+        }
+        seq
+    }
+
+    /// Marks an assigned `seq` accepted; `false` if it already was.
+    fn accept(&mut self, seq: u64) -> bool {
+        let word = if seq < 64 {
+            &mut self.low
+        } else {
+            &mut self.high[(seq / 64 - 1) as usize]
+        };
+        let bit = 1 << (seq % 64);
+        let fresh = *word & bit == 0;
+        *word |= bit;
+        fresh
+    }
+
+    /// Distinct sequence numbers accepted.
+    fn accepted(&self) -> u64 {
+        [self.low]
+            .iter()
+            .chain(&self.high)
+            .map(|w| u64::from(w.count_ones()))
+            .sum()
+    }
+}
+
 /// Mixes a link index into the sim seed (distinct streams per link).
 #[must_use]
 pub fn mesh_link_seed(sim_seed: u64, link: usize) -> u64 {
@@ -446,10 +497,18 @@ pub fn mesh_node_seed(traffic_seed: u64, node: usize) -> u64 {
 }
 
 /// The cycle-stepped mesh simulator.
+///
+/// Its bookkeeping makes no allocation per flit-hop: queues, timers,
+/// duplicate filters and statistics live in storage sized at
+/// construction or grown amortised, and each visits its elements in the
+/// order the report stream depends on (DESIGN.md §20). In steady state a
+/// cycle allocates only the vectors of the [`CycleReport`] it returns.
 pub struct MeshSim {
     cfg: MeshConfig,
     /// `links[l] = (from, to, dir)`.
     links: Vec<(usize, usize, Direction)>,
+    /// `coords[node] = (x, y)`, so routing divides by nothing.
+    coords: Vec<(usize, usize)>,
     /// `out_link[node][dir.index()]` → link id.
     out_link: Vec<[Option<usize>; 4]>,
     /// Reverse adjacency: `in_links[node]` = predecessors `(from, link)`.
@@ -464,19 +523,21 @@ pub struct MeshSim {
     /// rebuilt when the down set changes.
     dist: Vec<u32>,
     dist_dirty: bool,
-    queues: Vec<VecDeque<Copy>>,
+    /// Router input queues in FIFO order, reused in place every cycle.
+    queues: Vec<Vec<Copy>>,
     /// Per-node backpressure flag for `mesh.queue_high` hysteresis: set
     /// (and the event emitted) when the input queue reaches
     /// [`QUEUE_HIGH_DEPTH`], cleared at [`QUEUE_HIGH_CLEAR`].
     queue_pressure: Vec<bool>,
     /// Per-source outstanding packets keyed `(dst, seq)`.
     outstanding: Vec<BTreeMap<(usize, u64), Outstanding>>,
-    /// `next_seq[src * n + dst]`.
-    next_seq: Vec<u64>,
-    /// `accepted[src * n + dst]` = sequence numbers delivered.
-    accepted: Vec<HashSet<u64>>,
-    /// Packets the source gave up on (audited against `accepted` at
-    /// finish to count true flagged losses).
+    /// `next_due[src]` is at most every deadline in `outstanding[src]`;
+    /// the timer pass visits only sources whose bound has come due.
+    next_due: Vec<u64>,
+    /// `flows[src * n + dst]`.
+    flows: Vec<Flow>,
+    /// Packets the source gave up on (audited against the accepted sets
+    /// at finish to count true flagged losses).
     given_up: Vec<PacketKey>,
     /// ACKs in flight on the control sideband (ready cycle is
     /// nondecreasing, so a queue suffices).
@@ -494,8 +555,12 @@ pub struct MeshSim {
     dropped_poisoned: u64,
     dropped_no_route: u64,
     max_waited: u64,
-    latency_hist: BTreeMap<u64, u64>,
-    flows: BTreeMap<(usize, usize), FlowStats>,
+    /// `latency_counts[l]` = first accepts with latency `l`; becomes
+    /// [`MeshReport::latency_hist`] at finish.
+    latency_counts: Vec<u64>,
+    /// Lengths of the previous cycle's `injected`, `transfers` and
+    /// `accepted` report vectors, which size the next cycle's.
+    report_lens: [usize; 3],
 }
 
 /// Input-queue depth at which a router NI reports sustained
@@ -551,11 +616,14 @@ impl MeshSim {
             );
         }
         let n = cfg.nodes();
+        let coords: Vec<(usize, usize)> = (0..n)
+            .map(|node| (node % cfg.width, node / cfg.width))
+            .collect();
         let mut links = Vec::new();
         let mut out_link: Vec<[Option<usize>; 4]> = vec![[None; 4]; n];
         let mut in_links = vec![Vec::new(); n];
         for (node, out) in out_link.iter_mut().enumerate() {
-            let (x, y) = (node % cfg.width, node / cfg.width);
+            let (x, y) = coords[node];
             for dir in Direction::all() {
                 let to = match dir {
                     Direction::East if x + 1 < cfg.width => Some(node + 1),
@@ -585,6 +653,7 @@ impl MeshSim {
         MeshSim {
             cfg: cfg.clone(),
             links,
+            coords,
             out_link,
             in_links,
             engines,
@@ -595,11 +664,11 @@ impl MeshSim {
             consec_poisoned: vec![0; link_count],
             dist: vec![0; n * n],
             dist_dirty: true,
-            queues: vec![VecDeque::new(); n],
+            queues: vec![Vec::new(); n],
             queue_pressure: vec![false; n],
             outstanding: vec![BTreeMap::new(); n],
-            next_seq: vec![0; n * n],
-            accepted: vec![HashSet::new(); n * n],
+            next_due: vec![u64::MAX; n],
+            flows: vec![Flow::default(); n * n],
             given_up: Vec::new(),
             acks: VecDeque::new(),
             inject_rng: (0..n)
@@ -623,8 +692,8 @@ impl MeshSim {
             dropped_poisoned: 0,
             dropped_no_route: 0,
             max_waited: 0,
-            latency_hist: BTreeMap::new(),
-            flows: BTreeMap::new(),
+            latency_counts: Vec::new(),
+            report_lens: [0; 3],
         }
     }
 
@@ -715,40 +784,39 @@ impl MeshSim {
     /// XY dimension-order routing: resolve X toward the destination
     /// column first, then Y. Deterministic and minimal.
     ///
-    /// # Panics
-    ///
-    /// Panics if `at == dst`.
+    /// `None` when `at == dst` (no hop is needed) or when either index
+    /// is not a node of this mesh.
     #[must_use]
-    pub fn xy_next(&self, at: usize, dst: usize) -> Direction {
-        assert_ne!(at, dst, "no next hop at the destination");
-        let (ax, ay) = (at % self.cfg.width, at / self.cfg.width);
-        let (dx, dy) = (dst % self.cfg.width, dst / self.cfg.width);
+    pub fn xy_next(&self, at: usize, dst: usize) -> Option<Direction> {
+        let (&(ax, ay), &(dx, dy)) = (self.coords.get(at)?, self.coords.get(dst)?);
         if ax < dx {
-            Direction::East
+            Some(Direction::East)
         } else if ax > dx {
-            Direction::West
+            Some(Direction::West)
         } else if ay < dy {
-            Direction::North
+            Some(Direction::North)
+        } else if ay > dy {
+            Some(Direction::South)
         } else {
-            Direction::South
+            None
         }
     }
 
     /// The routing decision at `at` for a packet addressed to `dst`:
     /// XY on a healthy mesh; with links down, the west-first-preferring
-    /// minimal next hop over the live topology. `None` when `dst` is
-    /// unreachable over live links.
+    /// minimal next hop over the live topology.
     ///
-    /// # Panics
-    ///
-    /// Panics if `at == dst`.
+    /// `None` when `at == dst` (no hop is needed), when either index is
+    /// not a node of this mesh, or when `dst` is unreachable from `at`
+    /// over live links.
     pub fn next_hop(&mut self, at: usize, dst: usize) -> Option<Direction> {
-        assert_ne!(at, dst, "no next hop at the destination");
-        if self.down_count == 0 {
-            return Some(self.xy_next(at, dst));
+        let n = self.nodes();
+        // XY answers every query that needs no live-topology search,
+        // including each `None` case but unreachability.
+        if self.down_count == 0 || at == dst || at >= n || dst >= n {
+            return self.xy_next(at, dst);
         }
         self.ensure_dist();
-        let n = self.nodes();
         let base = dst * n;
         let mut best: Option<(u32, Direction)> = None;
         for dir in Direction::west_first_order() {
@@ -802,7 +870,7 @@ impl MeshSim {
     /// outstanding packets, no ACKs on the sideband.
     #[must_use]
     pub fn idle(&self) -> bool {
-        self.queues.iter().all(VecDeque::is_empty)
+        self.queues.iter().all(Vec::is_empty)
             && self.outstanding.iter().all(BTreeMap::is_empty)
             && self.acks.is_empty()
     }
@@ -813,8 +881,14 @@ impl MeshSim {
     /// for external monitors.
     pub fn step(&mut self, inject: bool) -> CycleReport {
         let cycle = self.cycle;
+        // A quarter more than last cycle's counts, so an ordinary swing
+        // fits without regrowing.
+        let [injected, transfers, accepted] = self.report_lens.map(|len| len + len / 4);
         let mut report = CycleReport {
             cycle,
+            injected: Vec::with_capacity(injected),
+            transfers: Vec::with_capacity(transfers),
+            accepted: Vec::with_capacity(accepted),
             ..CycleReport::default()
         };
 
@@ -827,39 +901,45 @@ impl MeshSim {
 
         // 2. End-to-end timers: retransmit with capped exponential
         //    backoff, or flag the loss when the budget is exhausted.
+        //    Due packets fire in `(dst, seq)` order per source, and the
+        //    pass re-derives each visited source's exact earliest
+        //    deadline.
+        let e2e = self.cfg.e2e;
         for src in 0..self.nodes() {
-            let due: Vec<(usize, u64)> = self.outstanding[src]
-                .iter()
-                .filter(|(_, o)| o.deadline <= cycle)
-                .map(|(&k, _)| k)
-                .collect();
-            for (dst, seq) in due {
+            if self.next_due[src] > cycle {
+                continue;
+            }
+            let track = self.router_track(src);
+            let mut next_due = u64::MAX;
+            self.outstanding[src].retain(|&(dst, seq), o| {
+                if o.deadline > cycle {
+                    next_due = next_due.min(o.deadline);
+                    return true;
+                }
                 let key = PacketKey { src, dst, seq };
-                let o = self.outstanding[src]
-                    .get_mut(&(dst, seq))
-                    .expect("due key exists");
-                if o.retries >= self.cfg.e2e.max_retries {
-                    self.outstanding[src].remove(&(dst, seq));
+                if o.retries >= e2e.max_retries {
                     self.given_up.push(key);
                     report.gave_up.push(key);
                     if self.tel.is_enabled() {
-                        let track = self.router_track(src).to_string();
+                        let track = track.to_string();
                         self.tel
                             .event("mesh.give_up", &[("hop", track.as_str())], cycle);
                     }
-                    continue;
+                    return false;
                 }
                 o.retries += 1;
-                o.deadline = cycle.saturating_add(self.cfg.e2e.retry_timeout(o.retries));
-                let copy = Copy {
+                o.deadline = cycle.saturating_add(e2e.retry_timeout(o.retries));
+                next_due = next_due.min(o.deadline);
+                self.queues[src].push(Copy {
                     key,
                     payload: o.payload,
                     arrival: cycle,
                     born: o.born,
-                };
-                self.queues[src].push_back(copy);
+                });
                 self.e2e_retransmits += 1;
-            }
+                true
+            });
+            self.next_due[src] = next_due;
         }
 
         // 3. Injection.
@@ -873,19 +953,20 @@ impl MeshSim {
                 };
                 let payload = self.payload_gen[src].next().expect("generator is infinite");
                 let flow = src * self.nodes() + dst;
-                let seq = self.next_seq[flow];
-                self.next_seq[flow] += 1;
+                let seq = self.flows[flow].assign();
                 let key = PacketKey { src, dst, seq };
+                let deadline = cycle.saturating_add(e2e.timeout);
+                self.next_due[src] = self.next_due[src].min(deadline);
                 self.outstanding[src].insert(
                     (dst, seq),
                     Outstanding {
                         payload,
                         born: cycle,
                         retries: 0,
-                        deadline: cycle.saturating_add(self.cfg.e2e.timeout),
+                        deadline,
                     },
                 );
-                self.queues[src].push_back(Copy {
+                self.queues[src].push(Copy {
                     key,
                     payload,
                     arrival: cycle,
@@ -896,79 +977,17 @@ impl MeshSim {
             }
         }
 
-        // 4. Routing: process every router's queue in node order. Ready
-        //    copies attempt their output in FIFO order; a copy whose
-        //    link is busy waits in place (later copies may still use
-        //    other outputs — virtual output queueing).
+        // 4. Routing: process every router's queue in node order; see
+        //    [`MeshSim::serve`]. A router's own turn never enqueues at
+        //    itself (links join distinct nodes), so its queue is taken
+        //    out for the turn and compacted in place: the copies that
+        //    must wait keep their FIFO order at the front, and copies
+        //    forwarded to it later this cycle are appended behind them.
         for node in 0..self.nodes() {
-            let mut pending: Vec<Copy> = self.queues[node].drain(..).collect();
-            let mut kept: VecDeque<Copy> = VecDeque::new();
-            for copy in pending.drain(..) {
-                if copy.arrival > cycle {
-                    kept.push_back(copy);
-                    continue;
-                }
-                let waited = cycle - copy.arrival;
-                if copy.key.dst == node {
-                    self.accept(copy, waited, &mut report);
-                    continue;
-                }
-                let Some(dir) = self.next_hop(node, copy.key.dst) else {
-                    // No live route: drop; the e2e protocol recovers or
-                    // flags the packet — never a silent loss.
-                    self.dropped_no_route += 1;
-                    continue;
-                };
-                let link = self.out_link[node][dir.index()].expect("next_hop returns live links");
-                if self.busy_until[link] > cycle {
-                    kept.push_back(copy);
-                    continue;
-                }
-                self.max_waited = self.max_waited.max(waited);
-                let entered = copy.payload;
-                let trace = self.engines[link].transfer_traced(entered, &mut self.reports[link]);
-                self.busy_until[link] = cycle + trace.cycles.max(1);
-                let poisoned = trace.final_status == DecodeStatus::Detected;
-                if poisoned {
-                    self.consec_poisoned[link] += 1;
-                    if self
-                        .cfg
-                        .auto_down_after
-                        .is_some_and(|n| self.consec_poisoned[link] >= n)
-                        && !self.down[link]
-                    {
-                        self.set_link_down(link, true);
-                        report.downed.push(link);
-                        if self.tel.is_enabled() {
-                            let track = link.to_string();
-                            self.tel
-                                .event("mesh.link_down", &[("hop", track.as_str())], cycle);
-                        }
-                    }
-                    self.dropped_poisoned += 1;
-                } else {
-                    self.consec_poisoned[link] = 0;
-                }
-                report.transfers.push(TransferRecord {
-                    link,
-                    key: copy.key,
-                    entered,
-                    exited: trace.delivered,
-                    trace,
-                    waited,
-                    dropped: poisoned,
-                });
-                if !poisoned {
-                    let to = self.links[link].1;
-                    self.queues[to].push_back(Copy {
-                        payload: trace.delivered,
-                        arrival: cycle + trace.cycles.max(1),
-                        ..copy
-                    });
-                }
-            }
-            self.queues[node] = kept;
-            let depth = self.queues[node].len();
+            let mut queue = std::mem::take(&mut self.queues[node]);
+            queue.retain(|copy| self.serve(node, copy, &mut report));
+            let depth = queue.len();
+            self.queues[node] = queue;
             if self.queue_pressure[node] {
                 if depth <= QUEUE_HIGH_CLEAR {
                     self.queue_pressure[node] = false;
@@ -983,18 +1002,94 @@ impl MeshSim {
             }
         }
 
+        self.report_lens = [
+            report.injected.len(),
+            report.transfers.len(),
+            report.accepted.len(),
+        ];
         self.cycle += 1;
         report
     }
 
+    /// Serves one queued copy at router `node`. A ready copy addressed
+    /// here goes to the NI; any other ready copy takes its next hop if
+    /// that link is free, or is dropped when no live route exists.
+    /// Returns `true` when the copy must keep waiting (not yet arrived,
+    /// or its link is busy — later copies may still use other outputs:
+    /// virtual output queueing).
+    fn serve(&mut self, node: usize, copy: &Copy, report: &mut CycleReport) -> bool {
+        let cycle = self.cycle;
+        if copy.arrival > cycle {
+            return true;
+        }
+        let waited = cycle - copy.arrival;
+        if copy.key.dst == node {
+            self.accept(copy, waited, report);
+            return false;
+        }
+        let Some(dir) = self.next_hop(node, copy.key.dst) else {
+            // No live route: drop; the e2e protocol recovers or
+            // flags the packet — never a silent loss.
+            self.dropped_no_route += 1;
+            return false;
+        };
+        let link = self.out_link[node][dir.index()].expect("next_hop returns live links");
+        if self.busy_until[link] > cycle {
+            return true;
+        }
+        self.max_waited = self.max_waited.max(waited);
+        let entered = copy.payload;
+        let trace = self.engines[link].transfer_traced(entered, &mut self.reports[link]);
+        self.busy_until[link] = cycle + trace.cycles.max(1);
+        let poisoned = trace.final_status == DecodeStatus::Detected;
+        if poisoned {
+            self.consec_poisoned[link] += 1;
+            if self
+                .cfg
+                .auto_down_after
+                .is_some_and(|n| self.consec_poisoned[link] >= n)
+                && !self.down[link]
+            {
+                self.set_link_down(link, true);
+                report.downed.push(link);
+                if self.tel.is_enabled() {
+                    let track = link.to_string();
+                    self.tel
+                        .event("mesh.link_down", &[("hop", track.as_str())], cycle);
+                }
+            }
+            self.dropped_poisoned += 1;
+        } else {
+            self.consec_poisoned[link] = 0;
+        }
+        report.transfers.push(TransferRecord {
+            link,
+            key: copy.key,
+            entered,
+            exited: trace.delivered,
+            trace,
+            waited,
+            dropped: poisoned,
+        });
+        if !poisoned {
+            let to = self.links[link].1;
+            self.queues[to].push(Copy {
+                payload: trace.delivered,
+                arrival: cycle + trace.cycles.max(1),
+                ..*copy
+            });
+        }
+        false
+    }
+
     /// Delivers one copy to the destination NI: duplicate suppression,
     /// the exactly-once ledger, and the ACK back to the source.
-    fn accept(&mut self, copy: Copy, waited: u64, report: &mut CycleReport) {
+    fn accept(&mut self, copy: &Copy, waited: u64, report: &mut CycleReport) {
         let cycle = self.cycle;
         let key = copy.key;
         let flow = key.src * self.nodes() + key.dst;
         self.max_waited = self.max_waited.max(waited);
-        let duplicate = !self.accepted[flow].insert(key.seq);
+        let duplicate = !self.flows[flow].accept(key.seq);
         let mut corrupt = false;
         let mut latency = 0;
         if duplicate {
@@ -1002,8 +1097,12 @@ impl MeshSim {
         } else {
             self.delivered += 1;
             latency = cycle - copy.born;
-            *self.latency_hist.entry(latency).or_insert(0) += 1;
-            let stats = self.flows.entry((key.src, key.dst)).or_default();
+            let slot = latency as usize;
+            if slot >= self.latency_counts.len() {
+                self.latency_counts.resize(slot + 1, 0);
+            }
+            self.latency_counts[slot] += 1;
+            let stats = &mut self.flows[flow].stats;
             stats.delivered += 1;
             stats.total_latency += latency;
             stats.max_latency = stats.max_latency.max(latency);
@@ -1071,14 +1170,10 @@ impl MeshSim {
         let n = self.nodes();
         let mut delivered = 0u64;
         let mut flagged_lost = 0u64;
-        for flow in 0..n * n {
-            for seq in 0..self.next_seq[flow] {
-                if self.accepted[flow].contains(&seq) {
-                    delivered += 1;
-                } else {
-                    flagged_lost += 1;
-                }
-            }
+        for flow in &self.flows {
+            let accepted = flow.accepted();
+            delivered += accepted;
+            flagged_lost += flow.next_seq - accepted;
         }
         debug_assert_eq!(delivered, self.delivered, "delivery ledger must agree");
         if self.tel.is_enabled() {
@@ -1107,8 +1202,17 @@ impl MeshSim {
             cycles: self.cycle,
             max_waited: self.max_waited,
             links_down: self.down_count,
-            latency_hist: self.latency_hist,
-            flows: self.flows,
+            latency_hist: (0u64..)
+                .zip(self.latency_counts)
+                .filter(|&(_, count)| count > 0)
+                .collect(),
+            flows: self
+                .flows
+                .into_iter()
+                .enumerate()
+                .filter(|(_, flow)| flow.stats.delivered > 0)
+                .map(|(i, flow)| ((i / n, i % n), flow.stats))
+                .collect(),
             links: self.reports,
         }
     }
@@ -1204,7 +1308,7 @@ mod tests {
                 if at == dst {
                     continue;
                 }
-                let xy = sim.xy_next(at, dst);
+                let xy = sim.xy_next(at, dst).expect("distinct nodes");
                 // With no link down the adaptive rule must agree.
                 sim.dist_dirty = true;
                 sim.down_count = 1;
@@ -1250,7 +1354,7 @@ mod tests {
         // cycle without being routed, so the depth is fully controlled.
         fn fill(sim: &mut MeshSim, n: usize) {
             for seq in 0..n as u64 {
-                sim.queues[0].push_back(Copy {
+                sim.queues[0].push(Copy {
                     key: PacketKey {
                         src: 0,
                         dst: 8,

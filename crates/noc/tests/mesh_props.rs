@@ -99,8 +99,30 @@ fn fallback_matches_xy_when_links_recover() {
         for dst in 0..9 {
             if src != dst {
                 let xy = sim.xy_next(src, dst);
-                assert_eq!(sim.next_hop(src, dst), Some(xy), "{src} -> {dst}");
+                assert!(xy.is_some(), "{src} -> {dst}");
+                assert_eq!(sim.next_hop(src, dst), xy, "{src} -> {dst}");
             }
+        }
+    }
+}
+
+#[test]
+fn routing_queries_are_total() {
+    // No hop is needed at the destination, and an index outside the
+    // mesh names no node: both answer `None`, on the XY path and on the
+    // live-topology fallback alike.
+    let mut sim = mesh(3, 3);
+    for links_down in [false, true] {
+        if links_down {
+            sim.set_link_down(4, true);
+        }
+        for node in 0..9 {
+            assert_eq!(sim.xy_next(node, node), None, "{node} -> itself");
+            assert_eq!(sim.next_hop(node, node), None, "{node} -> itself");
+        }
+        for (at, dst) in [(9, 0), (0, 9), (9, 9), (usize::MAX, 4), (4, usize::MAX)] {
+            assert_eq!(sim.xy_next(at, dst), None, "{at} -> {dst}");
+            assert_eq!(sim.next_hop(at, dst), None, "{at} -> {dst}");
         }
     }
 }

@@ -3,6 +3,11 @@
 //! carrying a word — encode, bus energy, fault injection, decode, ARQ
 //! retries — makes zero allocations for every catalog scheme, including
 //! the double-error path of BCH-DEC.
+//!
+//! The mesh fabric built from those links stays within a small fixed
+//! budget per cycle: `MeshSim::step` allocates the vectors of the
+//! `CycleReport` it returns by value and, amortised, the growth of its
+//! long-lived tables — never per flit-hop.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -10,6 +15,8 @@ use std::cell::Cell;
 use socbus::codes::Scheme;
 use socbus::model::Word;
 use socbus::noc::link::{LinkConfig, LinkEngine, LinkReport, Protocol};
+use socbus::noc::mesh::{MeshConfig, MeshSim};
+use socbus_chaos::protocol_for;
 
 /// The system allocator, counting the allocations each thread makes so
 /// the test harness's own threads cannot disturb a count.
@@ -107,5 +114,43 @@ fn steady_state_transfer_makes_no_allocation() {
             }
             assert!(report.transitions.is_empty(), "no ladder is armed");
         }
+    }
+}
+
+/// Mesh cycles stepped before counting starts, and cycles counted.
+const WARM_CYCLES: u64 = 200;
+const CYCLES: u64 = 1_000;
+/// Allocations allowed per cycle on average: the three report vectors a
+/// busy cycle fills (injections, transfers, accepts) plus amortised
+/// growth of the simulator's tables.
+const MESH_BUDGET: u64 = 8;
+
+#[test]
+fn steady_state_mesh_step_stays_within_its_allocation_budget() {
+    // The benchmark's 8x8 fabric: k = 16, ε = 1e-3, 0.4 injections per
+    // node per cycle, about 130 flit-hops a cycle.
+    for scheme in [Scheme::Uncoded, Scheme::FtcHc] {
+        let link = LinkConfig::new(scheme, 16, 1e-3).with_protocol(protocol_for(scheme, 1));
+        let cfg = MeshConfig::new(8, 8, link).with_rate(0.4);
+        let mut sim = MeshSim::new(&cfg, 1, 2);
+        for _ in 0..WARM_CYCLES {
+            let _ = sim.step(true);
+        }
+        let before = allocs();
+        let mut hops = 0;
+        for _ in 0..CYCLES {
+            hops += sim.step(true).transfers.len() as u64;
+        }
+        let made = allocs() - before;
+        assert!(
+            hops > 100 * CYCLES,
+            "{}: only {hops} flit-hops",
+            scheme.name()
+        );
+        assert!(
+            made <= MESH_BUDGET * CYCLES,
+            "{}: {made} allocations over {CYCLES} cycles ({hops} flit-hops)",
+            scheme.name()
+        );
     }
 }
