@@ -546,6 +546,10 @@ pub struct MeshSim {
     payload_gen: Vec<UniformTraffic>,
     cycle: u64,
     tel: Telemetry,
+    /// `hop` label value of every telemetry track (links, then routers;
+    /// see [`MeshSim::router_track`]), built once; empty when telemetry
+    /// is off.
+    track_labels: Vec<String>,
     // Running counters (cross-checked against the derived ledger).
     injected: u64,
     delivered: u64,
@@ -650,6 +654,11 @@ impl MeshSim {
             })
             .collect();
         let link_count = links.len();
+        let track_labels = if tel.is_enabled() {
+            (0..link_count + n).map(|track| track.to_string()).collect()
+        } else {
+            Vec::new()
+        };
         MeshSim {
             cfg: cfg.clone(),
             links,
@@ -684,6 +693,7 @@ impl MeshSim {
                 .collect(),
             cycle: 0,
             tel,
+            track_labels,
             injected: 0,
             delivered: 0,
             duplicates: 0,
@@ -921,9 +931,8 @@ impl MeshSim {
                     self.given_up.push(key);
                     report.gave_up.push(key);
                     if self.tel.is_enabled() {
-                        let track = track.to_string();
-                        self.tel
-                            .event("mesh.give_up", &[("hop", track.as_str())], cycle);
+                        let track = self.track_labels[track].as_str();
+                        self.tel.event("mesh.give_up", &[("hop", track)], cycle);
                     }
                     return false;
                 }
@@ -995,9 +1004,8 @@ impl MeshSim {
             } else if depth >= QUEUE_HIGH_DEPTH {
                 self.queue_pressure[node] = true;
                 if self.tel.is_enabled() {
-                    let track = self.router_track(node).to_string();
-                    self.tel
-                        .event("mesh.queue_high", &[("hop", track.as_str())], cycle);
+                    let track = self.track_labels[self.router_track(node)].as_str();
+                    self.tel.event("mesh.queue_high", &[("hop", track)], cycle);
                 }
             }
         }
@@ -1053,9 +1061,8 @@ impl MeshSim {
                 self.set_link_down(link, true);
                 report.downed.push(link);
                 if self.tel.is_enabled() {
-                    let track = link.to_string();
-                    self.tel
-                        .event("mesh.link_down", &[("hop", track.as_str())], cycle);
+                    let track = self.track_labels[link].as_str();
+                    self.tel.event("mesh.link_down", &[("hop", track)], cycle);
                 }
             }
             self.dropped_poisoned += 1;
@@ -1117,9 +1124,8 @@ impl MeshSim {
                 self.delivered_corrupt += 1;
             }
             if self.tel.is_enabled() {
-                let track = self.router_track(key.dst).to_string();
-                self.tel
-                    .event("mesh.accept", &[("hop", track.as_str())], cycle);
+                let track = self.track_labels[self.router_track(key.dst)].as_str();
+                self.tel.event("mesh.accept", &[("hop", track)], cycle);
             }
         }
         // ACK even duplicates: the first ACK may have raced a timeout.

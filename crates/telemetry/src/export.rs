@@ -24,12 +24,14 @@
 //! instants become `ph:"i"` thread-scoped events. One simulated cycle is
 //! rendered as one microsecond. Tracks: events labeled `hop=<n>` land on
 //! thread `n` ("hop <n>"); everything else lands on the "control"
-//! thread. Each track owns its cycle clock (see the recorder docs).
+//! thread, tid 1000 — or, when some hop reaches 1000, the first tid
+//! above the highest hop, so a track never merges into "control". Each
+//! track owns its cycle clock (see the recorder docs).
 
 use std::fmt::Write as _;
 
 use crate::json::{self, escape, Json};
-use crate::recorder::{EventRecord, Metric, Recorder};
+use crate::recorder::{EventRecord, Inner, Metric, Recorder};
 
 /// The checked-in JSONL schema, embedded so library users and tests
 /// validate against the same bytes CI does.
@@ -38,7 +40,8 @@ pub fn jsonl_schema() -> &'static str {
     include_str!("../schemas/telemetry-jsonl.schema.json")
 }
 
-/// The `tid` non-hop events are mapped to in the Chrome trace.
+/// The `tid` non-hop events are mapped to in the Chrome trace while
+/// every hop track lies below it.
 const CONTROL_TID: u64 = 1000;
 
 /// One sample on a Perfetto counter track (`ph:"C"`), e.g. a health
@@ -67,12 +70,21 @@ fn labels_json(labels: &[(String, String)]) -> String {
     out
 }
 
-fn hop_tid(labels: &[(String, String)]) -> u64 {
+fn hop(labels: &[(String, String)]) -> Option<u64> {
     labels
         .iter()
         .find(|(k, _)| k == "hop")
         .and_then(|(_, v)| v.parse::<u64>().ok())
-        .unwrap_or(CONTROL_TID)
+}
+
+/// Every interned label set rendered once: its JSON object and its hop
+/// track, if it names one.
+fn rendered_sets(inner: &Inner) -> Vec<(String, Option<u64>)> {
+    inner
+        .labels
+        .iter()
+        .map(|set| (labels_json(set), hop(set)))
+        .collect()
 }
 
 impl Recorder {
@@ -80,10 +92,11 @@ impl Recorder {
     #[must_use]
     pub fn export_jsonl(&self) -> String {
         let inner = self.inner.borrow();
+        let sets = rendered_sets(&inner);
         let mut out = String::new();
         out.push_str("{\"type\": \"meta\", \"version\": 1, \"clock\": \"cycles\"}\n");
         for e in &inner.events {
-            let labels = labels_json(&e.labels);
+            let labels = &sets[e.labels as usize].0;
             match e.end {
                 Some(end) => {
                     let _ = writeln!(
@@ -164,7 +177,14 @@ impl Recorder {
     #[must_use]
     pub fn export_chrome_trace_with_counters(&self, counters: &[CounterSample]) -> String {
         let inner = self.inner.borrow();
-        let mut tids: Vec<u64> = inner.events.iter().map(|e| hop_tid(&e.labels)).collect();
+        let sets = rendered_sets(&inner);
+        let hops = || inner.events.iter().map(|e| sets[e.labels as usize].1);
+        let control_tid = match hops().flatten().max() {
+            Some(highest) if highest >= CONTROL_TID => highest.saturating_add(1),
+            _ => CONTROL_TID,
+        };
+        let tid = |e: &EventRecord| sets[e.labels as usize].1.unwrap_or(control_tid);
+        let mut tids: Vec<u64> = hops().map(|h| h.unwrap_or(control_tid)).collect();
         tids.sort_unstable();
         tids.dedup();
         let mut out = String::from("{\"displayTimeUnit\": \"ms\", \"traceEvents\": [\n");
@@ -184,7 +204,7 @@ impl Recorder {
             &mut first,
         );
         for tid in &tids {
-            let name = if *tid == CONTROL_TID {
+            let name = if *tid == control_tid {
                 "control".to_owned()
             } else {
                 format!("hop {tid}")
@@ -198,7 +218,10 @@ impl Recorder {
             );
         }
         for e in &inner.events {
-            push(chrome_event(e), &mut first);
+            push(
+                chrome_event(e, tid(e), &sets[e.labels as usize].0),
+                &mut first,
+            );
         }
         for c in counters {
             push(
@@ -297,9 +320,7 @@ impl Recorder {
     }
 }
 
-fn chrome_event(e: &EventRecord) -> String {
-    let tid = hop_tid(&e.labels);
-    let args = labels_json(&e.labels);
+fn chrome_event(e: &EventRecord, tid: u64, args: &str) -> String {
     match e.end {
         Some(end) => format!(
             "{{\"ph\": \"X\", \"pid\": 0, \"tid\": {tid}, \"name\": \"{}\", \"ts\": {}, \
@@ -440,6 +461,44 @@ mod tests {
             instant.get("tid").unwrap().as_num(),
             Some(f64::from(1000u16))
         );
+    }
+
+    /// A 16×16 mesh has 960 directed links, so router tracks reach hop
+    /// 1000: control then moves above the highest hop instead of
+    /// merging into it.
+    #[test]
+    fn control_track_moves_above_a_hop_of_1000() {
+        let r = Recorder::new();
+        r.span("link.word", &[("hop", "1000")], 0, 2);
+        r.span("link.word", &[("hop", "7")], 1, 3);
+        r.event("monitor.violation", &[("invariant", "x")], 4);
+        let doc = json::parse(&r.export_chrome_trace()).expect("trace parses");
+        let events = doc.get("traceEvents").unwrap().as_arr().unwrap();
+        let tid = |e: &Json| e.get("tid").and_then(Json::as_num);
+        let thread = |name: &str| {
+            events
+                .iter()
+                .find(|e| {
+                    e.get("args")
+                        .and_then(|a| a.get("name"))
+                        .and_then(Json::as_str)
+                        == Some(name)
+                })
+                .and_then(tid)
+        };
+        assert_eq!(thread("hop 7"), Some(7.0));
+        assert_eq!(thread("hop 1000"), Some(1000.0));
+        assert_eq!(thread("control"), Some(1001.0));
+        let instant = events
+            .iter()
+            .find(|e| e.get("ph").and_then(Json::as_str) == Some("i"))
+            .expect("one instant event");
+        assert_eq!(tid(instant), Some(1001.0));
+        let names = events
+            .iter()
+            .filter(|e| e.get("ph").and_then(Json::as_str) == Some("M"))
+            .count();
+        assert_eq!(names, 4, "process + three distinct threads");
     }
 
     #[test]

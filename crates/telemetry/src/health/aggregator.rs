@@ -275,16 +275,28 @@ impl HealthAggregator {
 
     /// Feeds one instant event (`name`, sorted `labels`, cycle `at`).
     pub fn observe_event(&mut self, name: &str, labels: &[(String, String)], at: u64) {
+        self.observe_labeled(name, labels, hop(labels), at);
+    }
+
+    /// [`HealthAggregator::observe_event`] with the `hop` label already
+    /// parsed.
+    fn observe_labeled(
+        &mut self,
+        name: &str,
+        labels: &[(String, String)],
+        hop: Option<u64>,
+        at: u64,
+    ) {
         self.events += 1;
         self.cycles = self.cycles.max(at);
         match name {
             "link.retry" => {
-                if let Some(h) = hop(labels) {
+                if let Some(h) = hop {
                     self.signal(EntityKind::Link, h, at, Signal::Retry);
                 }
             }
             "link.degrade" => {
-                if let Some(h) = hop(labels) {
+                if let Some(h) = hop {
                     let sig = if label(labels, "dir") == Some("promote") {
                         Signal::Promote
                     } else {
@@ -294,7 +306,7 @@ impl HealthAggregator {
                 }
             }
             "control.transition" => {
-                if let Some(h) = hop(labels) {
+                if let Some(h) = hop {
                     let sig = match label(labels, "cause") {
                         Some("emergency") => Signal::Emergency,
                         Some("retreat") => Signal::Retreat,
@@ -304,29 +316,29 @@ impl HealthAggregator {
                 }
             }
             "mesh.link_down" => {
-                if let Some(h) = hop(labels) {
+                if let Some(h) = hop {
                     self.signal(EntityKind::Link, h, at, Signal::Down);
                 }
             }
             "mesh.accept" => {
-                if let Some(h) = hop(labels) {
+                if let Some(h) = hop {
                     self.signal(EntityKind::Router, h, at, Signal::Activity);
                     self.delivery.good(at);
                 }
             }
             "mesh.queue_high" => {
-                if let Some(h) = hop(labels) {
+                if let Some(h) = hop {
                     self.signal(EntityKind::Router, h, at, Signal::QueueHigh);
                 }
             }
             "mesh.give_up" => {
-                if let Some(h) = hop(labels) {
+                if let Some(h) = hop {
                     self.signal(EntityKind::Path, h, at, Signal::GiveUp);
                     self.delivery.bad(at, &format!("path:{h}"));
                 }
             }
             "path.e2e_error" => {
-                let h = hop(labels).unwrap_or(0);
+                let h = hop.unwrap_or(0);
                 self.signal(EntityKind::Path, h, at, Signal::E2eError);
             }
             _ => {}
@@ -365,11 +377,14 @@ impl HealthAggregator {
     /// same logical sequence the JSONL exporter writes.
     pub fn ingest_recorder(&mut self, rec: &Recorder) {
         let inner = rec.inner.borrow();
+        // Each interned label set's hop is parsed once, not per event.
+        let hops: Vec<Option<u64>> = inner.labels.iter().map(hop).collect();
         for e in &inner.events {
             if e.end.is_some() {
                 continue;
             }
-            self.observe_event(e.name, &e.labels, e.begin);
+            let hop = hops[e.labels as usize];
+            self.observe_labeled(e.name, inner.labels.get(e.labels), hop, e.begin);
         }
         for ((name, _labels), metric) in &inner.metrics {
             match metric {

@@ -17,6 +17,14 @@
 //! export time. Two identical simulation runs therefore export
 //! byte-identical JSONL, Perfetto JSON, and summary text — the property
 //! the CI trace job byte-diffs.
+//!
+//! # Event storage
+//!
+//! Each recorder stores every distinct sorted label set once
+//! (`LabelSets`); a ring record names its set by a `u32` id, so
+//! recording a span copies 48 bytes and allocates nothing once its set
+//! has been seen. Ids are private to one recorder and never reach an
+//! export: every reader resolves them back to the sorted pairs.
 
 use std::cell::RefCell;
 use std::collections::BTreeMap;
@@ -118,14 +126,191 @@ fn empty_like(like: &Metric) -> Metric {
     }
 }
 
-/// One recorded span or instant event.
-#[derive(Clone, Debug, PartialEq)]
+/// Names one interned label set within its recorder's [`LabelSets`].
+pub(crate) type LabelId = u32;
+
+/// One recorded span or instant event: a plain copy with nothing on the
+/// heap.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub(crate) struct EventRecord {
     pub name: &'static str,
-    pub labels: OwnedLabels,
+    /// The event's sorted label set, interned in the same recorder.
+    pub labels: LabelId,
     pub begin: u64,
     /// `None` for instantaneous events.
     pub end: Option<u64>,
+}
+
+/// A `(key, value)` label pair, borrowed or owned.
+trait Pair {
+    fn kv(&self) -> (&str, &str);
+}
+
+impl Pair for (&str, &str) {
+    fn kv(&self) -> (&str, &str) {
+        (self.0, self.1)
+    }
+}
+
+impl Pair for (String, String) {
+    fn kv(&self) -> (&str, &str) {
+        (&self.0, &self.1)
+    }
+}
+
+fn mix(h: u64, x: u64) -> u64 {
+    (h.rotate_left(5) ^ x).wrapping_mul(0x517c_c1b7_2722_0a95)
+}
+
+/// Hashes `s` a word at a time. Its length goes in first, so
+/// zero-padding the last word is unambiguous.
+fn hash_str(h: u64, s: &str) -> u64 {
+    let mut h = mix(h, s.len() as u64);
+    for chunk in s.as_bytes().chunks(8) {
+        h = mix(h, chunk.iter().rev().fold(0, |w, &b| w << 8 | u64::from(b)));
+    }
+    h
+}
+
+/// Hashes a label set independently of its order: the pairs' own hashes
+/// are summed, so a lookup never has to sort. The constants are fixed,
+/// so a set hashes alike in every recorder and [`Recorder::absorb`] can
+/// reuse a shard's hashes.
+fn hash_set<P: Pair>(pairs: &[P]) -> u64 {
+    let sum = pairs.iter().fold(0u64, |sum, p| {
+        let (k, v) = p.kv();
+        sum.wrapping_add(hash_str(hash_str(0, k), v))
+    });
+    mix(sum, pairs.len() as u64)
+}
+
+/// Whether `pairs`, in any order, are exactly the sorted pairs of `set`,
+/// repeated pairs included: each pair claims a distinct equal member.
+fn same_set<P: Pair>(set: &[(String, String)], pairs: &[P]) -> bool {
+    let eq = |(k, v): &(String, String), (pk, pv): (&str, &str)| k == pk && v == pv;
+    if set.len() != pairs.len() {
+        return false;
+    }
+    if set.len() > 64 {
+        // Too many to track claims in one word: compare multiplicities.
+        return pairs.iter().all(|p| {
+            let count = pairs.iter().filter(|q| q.kv() == p.kv()).count();
+            count == set.iter().filter(|m| eq(m, p.kv())).count()
+        });
+    }
+    let mut claimed = 0u64;
+    pairs.iter().all(|p| {
+        let hit = (0..set.len()).find(|&j| claimed >> j & 1 == 0 && eq(&set[j], p.kv()));
+        hit.map(|j| claimed |= 1 << j).is_some()
+    })
+}
+
+/// Every distinct label set one recorder has seen, stored once, sorted,
+/// and named by its index. An open-addressing index over an
+/// order-independent hash finds a known set without sorting or
+/// allocating; a hit always compares the pairs exactly, so a hash
+/// collision can never merge two sets.
+pub(crate) struct LabelSets {
+    /// Sets by id, each sorted by `(key, value)`.
+    sets: Vec<OwnedLabels>,
+    /// `hashes[id]` = [`hash_set`] of `sets[id]`.
+    hashes: Vec<u64>,
+    /// Each slot holds `id + 1`, 0 when empty. The length is 0 or a
+    /// power of two at least twice `sets.len()`.
+    slots: Vec<u32>,
+}
+
+impl LabelSets {
+    fn new() -> Self {
+        LabelSets {
+            sets: Vec::new(),
+            hashes: Vec::new(),
+            slots: Vec::new(),
+        }
+    }
+
+    /// The sorted pairs of set `id`.
+    pub(crate) fn get(&self, id: LabelId) -> &[(String, String)] {
+        &self.sets[id as usize]
+    }
+
+    /// Number of interned sets.
+    pub(crate) fn len(&self) -> usize {
+        self.sets.len()
+    }
+
+    /// Every set's sorted pairs, in id order.
+    pub(crate) fn iter(&self) -> impl Iterator<Item = &[(String, String)]> {
+        self.sets.iter().map(Vec::as_slice)
+    }
+
+    /// The id of `pairs` in any order, interning the set on first sight.
+    /// `hash` is [`hash_set`] of `pairs` when the caller already knows it.
+    fn intern<P: Pair>(&mut self, pairs: &[P], hash: Option<u64>) -> LabelId {
+        let hash = hash.unwrap_or_else(|| hash_set(pairs));
+        match self.find(pairs, hash) {
+            Some(id) => id,
+            None => self.insert(pairs, hash),
+        }
+    }
+
+    fn find<P: Pair>(&self, pairs: &[P], hash: u64) -> Option<LabelId> {
+        if self.slots.is_empty() {
+            return None;
+        }
+        let mask = self.slots.len() - 1;
+        let mut i = home(self.slots.len(), hash);
+        loop {
+            let id = self.slots[i].checked_sub(1)?;
+            if self.hashes[id as usize] == hash && same_set(&self.sets[id as usize], pairs) {
+                return Some(id);
+            }
+            i = (i + 1) & mask;
+        }
+    }
+
+    fn insert<P: Pair>(&mut self, pairs: &[P], hash: u64) -> LabelId {
+        // Slots store `id + 1`, so the largest id is `LabelId::MAX - 1`.
+        let id = LabelId::try_from(self.sets.len())
+            .ok()
+            .filter(|&id| id < LabelId::MAX)
+            .expect("fewer than 2^32 - 1 distinct label sets");
+        let mut sorted: OwnedLabels = pairs
+            .iter()
+            .map(|p| {
+                let (k, v) = p.kv();
+                (k.to_owned(), v.to_owned())
+            })
+            .collect();
+        sorted.sort_unstable();
+        self.sets.push(sorted);
+        self.hashes.push(hash);
+        if 2 * self.sets.len() > self.slots.len() {
+            self.slots = vec![0; (2 * self.slots.len()).max(16)];
+            for (id, &hash) in (0..).zip(&self.hashes) {
+                place(&mut self.slots, id, hash);
+            }
+        } else {
+            place(&mut self.slots, id, hash);
+        }
+        id
+    }
+}
+
+/// The home slot of `hash` in an index of `len` slots (a power of two):
+/// its top bits, which the final multiply of [`mix`] spreads best.
+fn home(len: usize, hash: u64) -> usize {
+    (hash >> (64 - len.trailing_zeros())) as usize
+}
+
+/// Puts `id` in the first free slot at or after `hash`'s home.
+fn place(slots: &mut [u32], id: LabelId, hash: u64) {
+    let mask = slots.len() - 1;
+    let mut i = home(slots.len(), hash);
+    while slots[i] != 0 {
+        i = (i + 1) & mask;
+    }
+    slots[i] = id + 1;
 }
 
 /// Ring-buffer occupancy statistics.
@@ -162,7 +347,12 @@ impl RingStats {
 
 pub(crate) struct Inner {
     pub metrics: BTreeMap<(String, OwnedLabels), Metric>,
+    /// The ring, oldest first. Its storage grows on demand and never
+    /// past `capacity` records.
     pub events: VecDeque<EventRecord>,
+    /// The label sets `events` name.
+    pub labels: LabelSets,
+    /// Logical ring capacity.
     pub capacity: usize,
     pub dropped: u64,
     /// Name-keyed custom histogram bounds (checked before the default).
@@ -199,7 +389,8 @@ impl Recorder {
         Recorder {
             inner: RefCell::new(Inner {
                 metrics: BTreeMap::new(),
-                events: VecDeque::with_capacity(capacity.min(1 << 20)),
+                events: VecDeque::new(),
+                labels: LabelSets::new(),
                 capacity,
                 dropped: 0,
                 bounds: Vec::new(),
@@ -283,6 +474,11 @@ impl Recorder {
     /// ones already held, under this ring's capacity (evicting oldest
     /// first); `other`'s drop tally carries over.
     ///
+    /// Only the records that survive are copied — at most `capacity` of
+    /// them, the newest — and each of `other`'s label sets is looked up
+    /// here once, however many records name it. The drop tally is what
+    /// appending the records one by one would evict.
+    ///
     /// # Panics
     ///
     /// Panics if `self` and `other` are the same recorder.
@@ -324,30 +520,66 @@ impl Recorder {
         }
         inner.kind_conflicts += other.kind_conflicts;
         inner.dropped += other.dropped;
-        for record in &other.events {
-            if inner.capacity == 0 {
-                inner.dropped += 1;
-                continue;
-            }
-            while inner.events.len() >= inner.capacity {
-                inner.events.pop_front();
-                inner.dropped += 1;
-            }
-            inner.events.push_back(record.clone());
+        let incoming = other.events.len();
+        let total = inner.events.len() + incoming;
+        let survivors = total.min(inner.capacity);
+        let copied = incoming.min(inner.capacity);
+        inner.dropped += (total - survivors) as u64;
+        let evicted = inner.events.len() - (survivors - copied);
+        inner.events.drain(..evicted);
+        inner.reserve(copied);
+        let mut ids: Vec<Option<LabelId>> = vec![None; other.labels.len()];
+        for record in other.events.range(incoming - copied..) {
+            let set = record.labels as usize;
+            let id = *ids[set].get_or_insert_with(|| {
+                inner
+                    .labels
+                    .intern(&other.labels.sets[set], Some(other.labels.hashes[set]))
+            });
+            inner.events.push_back(EventRecord {
+                labels: id,
+                ..*record
+            });
         }
     }
 
-    fn push_event(&self, record: EventRecord) {
+    fn push_event(&self, name: &'static str, labels: Labels<'_>, begin: u64, end: Option<u64>) {
         let mut inner = self.inner.borrow_mut();
         if inner.capacity == 0 {
             inner.dropped += 1;
             return;
         }
-        while inner.events.len() >= inner.capacity {
+        let labels = inner.labels.intern(labels, None);
+        if inner.events.len() == inner.capacity {
             inner.events.pop_front();
             inner.dropped += 1;
+        } else {
+            inner.reserve(1);
         }
-        inner.events.push_back(record);
+        inner.events.push_back(EventRecord {
+            name,
+            labels,
+            begin,
+            end,
+        });
+    }
+}
+
+/// Smallest ring allocation: a recorder that sees a handful of events
+/// should not regrow for each one.
+const MIN_RING: usize = 64;
+
+impl Inner {
+    /// Makes room for `additional` more records, which the caller has
+    /// already fit under `capacity`: the storage doubles as needed but
+    /// never past `capacity` records.
+    fn reserve(&mut self, additional: usize) {
+        let need = self.events.len() + additional;
+        let have = self.events.capacity();
+        if need > have {
+            let target = need.max(2 * have).max(MIN_RING).min(self.capacity);
+            self.events.reserve_exact(target - self.events.len());
+        }
     }
 }
 
@@ -396,21 +628,11 @@ impl TelemetrySink for Recorder {
     }
 
     fn event(&self, name: &'static str, labels: Labels<'_>, at: u64) {
-        self.push_event(EventRecord {
-            name,
-            labels: own(labels),
-            begin: at,
-            end: None,
-        });
+        self.push_event(name, labels, at, None);
     }
 
     fn span(&self, name: &'static str, labels: Labels<'_>, begin: u64, end: u64) {
-        self.push_event(EventRecord {
-            name,
-            labels: own(labels),
-            begin,
-            end: Some(end),
-        });
+        self.push_event(name, labels, begin, Some(end));
     }
 }
 
@@ -566,6 +788,98 @@ mod tests {
         c.absorb(&d);
         assert_eq!(c.kind_conflicts(), 1);
         assert_eq!(c.counter_value("m", &[]), 1);
+    }
+
+    /// `absorb`'s arithmetic equals appending the shard's records one by
+    /// one with oldest-first eviction, for every small ring, fill level
+    /// and shard size, and each copied record keeps its own labels.
+    #[test]
+    fn absorb_matches_per_event_eviction() {
+        let hop = |at: u64| (at % 3).to_string();
+        for capacity in 0..5 {
+            for held in 0..8u64 {
+                for incoming in 0..8u64 {
+                    let main = Recorder::with_capacity(capacity);
+                    let shard = Recorder::with_capacity(5);
+                    let mut model = VecDeque::new();
+                    let mut dropped = 0;
+                    let mut push = |at: u64| {
+                        if capacity == 0 {
+                            dropped += 1;
+                            return;
+                        }
+                        if model.len() == capacity {
+                            model.pop_front();
+                            dropped += 1;
+                        }
+                        model.push_back(at);
+                    };
+                    for at in 0..held {
+                        main.event("own", &[("hop", hop(at).as_str())], at);
+                        push(at);
+                    }
+                    for at in 100..100 + incoming {
+                        shard.span("in", &[("hop", hop(at).as_str()), ("k", "v")], at, at);
+                    }
+                    // The shard keeps its own newest 5 and counts the rest.
+                    for at in (100..100 + incoming).skip(incoming.saturating_sub(5) as usize) {
+                        push(at);
+                    }
+                    main.absorb(&shard);
+                    let stats = main.ring_stats();
+                    assert_eq!(stats.recorded, model.len());
+                    assert_eq!(stats.dropped, dropped + shard.ring_stats().dropped);
+                    let inner = main.inner.borrow();
+                    for (e, &at) in inner.events.iter().zip(&model) {
+                        assert_eq!(e.begin, at);
+                        let labels = inner.labels.get(e.labels);
+                        assert_eq!(labels[0], ("hop".to_owned(), hop(at)));
+                        assert_eq!(labels.len(), if at < 100 { 1 } else { 2 });
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn label_sets_intern_each_set_once_in_any_order() {
+        let mut sets = LabelSets::new();
+        let ab = sets.intern(&[("b", "2"), ("a", "1")], None);
+        assert_eq!(sets.intern(&[("a", "1"), ("b", "2")], None), ab);
+        let owned = |pairs: &[(&str, &str)]| -> OwnedLabels {
+            pairs
+                .iter()
+                .map(|&(k, v)| (k.to_owned(), v.to_owned()))
+                .collect()
+        };
+        assert_eq!(sets.get(ab), owned(&[("a", "1"), ("b", "2")]));
+        // A repeated pair is a different set from two distinct values.
+        let xx = sets.intern(&[("k", "x"), ("k", "x")], None);
+        let yx = sets.intern(&[("k", "y"), ("k", "x")], None);
+        assert_ne!(xx, yx);
+        assert_eq!(sets.intern(&[("k", "x"), ("k", "y")], None), yx);
+        assert_eq!(sets.get(yx), owned(&[("k", "x"), ("k", "y")]));
+        // Enough sets to rebuild the index several times.
+        let values: Vec<String> = (0..1_000).map(|i| i.to_string()).collect();
+        let ids: Vec<LabelId> = values
+            .iter()
+            .map(|v| sets.intern(&[("hop", v.as_str())], None))
+            .collect();
+        for (v, &id) in values.iter().zip(&ids) {
+            assert_eq!(sets.intern(&[("hop", v.as_str())], None), id);
+            assert_eq!(sets.get(id), owned(&[("hop", v)]));
+        }
+        assert_eq!(sets.len(), 1_003);
+        // More pairs than one claim word holds, in two orders, and the
+        // same pairs with one value changed.
+        let keys: Vec<String> = (0..70).map(|i| format!("k{i:02}")).collect();
+        let forward: Vec<(&str, &str)> = keys.iter().map(|k| (k.as_str(), "v")).collect();
+        let mut backward = forward.clone();
+        backward.reverse();
+        let wide = sets.intern(&forward, None);
+        assert_eq!(sets.intern(&backward, None), wide);
+        backward[0].1 = "w";
+        assert_ne!(sets.intern(&backward, None), wide);
     }
 
     #[test]

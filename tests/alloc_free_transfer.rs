@@ -4,6 +4,12 @@
 //! retries — makes zero allocations for every catalog scheme, including
 //! the double-error path of BCH-DEC.
 //!
+//! The same holds with telemetry on: once a link's label set is
+//! interned and the recorder's ring is full, a word's `link.word` span
+//! and `link.retry` events are copies into the ring. Absorbing a shard
+//! into a full recorder costs a fixed number of allocations per call,
+//! however many events the shard holds.
+//!
 //! The mesh fabric built from those links stays within a small fixed
 //! budget per cycle: `MeshSim::step` allocates the vectors of the
 //! `CycleReport` it returns by value and, amortised, the growth of its
@@ -11,12 +17,14 @@
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::rc::Rc;
 
 use socbus::codes::Scheme;
 use socbus::model::Word;
 use socbus::noc::link::{LinkConfig, LinkEngine, LinkReport, Protocol};
 use socbus::noc::mesh::{MeshConfig, MeshSim};
 use socbus_chaos::protocol_for;
+use socbus_telemetry::{Recorder, Telemetry, TelemetrySink};
 
 /// The system allocator, counting the allocations each thread makes so
 /// the test harness's own threads cannot disturb a count.
@@ -79,19 +87,20 @@ fn carry(engine: &mut LinkEngine, k: usize, state: &mut u64, n: u64, report: &mu
     }
 }
 
+const ARQ: Protocol = Protocol::ArqBackoff {
+    timeout_cycles: 3,
+    backoff_base: 1,
+    backoff_cap: 8,
+    max_retries: 3,
+};
+
 #[test]
 fn steady_state_transfer_makes_no_allocation() {
-    let arq = Protocol::ArqBackoff {
-        timeout_cycles: 3,
-        backoff_base: 1,
-        backoff_cap: 8,
-        max_retries: 3,
-    };
     // 16 bits is the benchmark width; 100 bits spreads every code over
     // two or more limbs.
     for k in [16, 100] {
         for scheme in Scheme::catalog() {
-            let cfg = LinkConfig::new(scheme, k, EPS).with_protocol(arq);
+            let cfg = LinkConfig::new(scheme, k, EPS).with_protocol(ARQ);
             let mut engine = LinkEngine::new(&cfg, &[], 7);
             let mut report = LinkReport::default();
             let mut state = k as u64;
@@ -115,6 +124,75 @@ fn steady_state_transfer_makes_no_allocation() {
             assert!(report.transitions.is_empty(), "no ladder is armed");
         }
     }
+}
+
+/// Ring capacity of the recorders below: small enough that warm-up
+/// fills it, so the counted words evict as they record.
+const RING: usize = 1_024;
+
+#[test]
+fn steady_state_traced_transfer_makes_no_allocation() {
+    let k = 16;
+    for scheme in Scheme::catalog() {
+        let cfg = LinkConfig::new(scheme, k, EPS).with_protocol(ARQ);
+        let mut engine = LinkEngine::new(&cfg, &[], 7);
+        let rec = Rc::new(Recorder::with_capacity(RING));
+        engine.set_telemetry(Telemetry::from_recorder(&rec), 3);
+        let mut report = LinkReport::default();
+        let mut state = k as u64;
+        carry(
+            &mut engine,
+            k,
+            &mut state,
+            RING as u64 + WARM_WORDS,
+            &mut report,
+        );
+        assert_eq!(rec.ring_stats().recorded, RING, "warm-up fills the ring");
+        let before = allocs();
+        carry(&mut engine, k, &mut state, WORDS, &mut report);
+        let made = allocs() - before;
+        assert_eq!(
+            made,
+            0,
+            "{} traced: {made} allocations over {WORDS} words",
+            scheme.name()
+        );
+        assert!(
+            rec.ring_stats().dropped >= WORDS,
+            "every counted word recorded"
+        );
+    }
+}
+
+/// A shard of `events` spans and instants on two tracks, no metrics.
+fn shard(events: u64) -> Recorder {
+    let shard = Recorder::new();
+    for i in 0..events {
+        let hop = if i % 2 == 0 { "0" } else { "1" };
+        shard.span("link.word", &[("scheme", "DAP"), ("hop", hop)], i, i + 2);
+        if i % 5 == 0 {
+            shard.event("link.retry", &[("hop", hop), ("scheme", "DAP")], i + 1);
+        }
+    }
+    shard
+}
+
+#[test]
+fn absorbing_known_label_sets_costs_a_fixed_allocation_count() {
+    let main = Recorder::with_capacity(RING);
+    main.absorb(&shard(2 * RING as u64));
+    assert_eq!(main.ring_stats().recorded, RING);
+    let mut per_call = Vec::new();
+    for events in [10, 100, 1_000, 3_000] {
+        let shard = shard(events);
+        let before = allocs();
+        main.absorb(&shard);
+        per_call.push(allocs() - before);
+    }
+    assert!(
+        per_call.iter().all(|&n| n == per_call[0] && n <= 2),
+        "allocations per absorb grew with the shard: {per_call:?}"
+    );
 }
 
 /// Mesh cycles stepped before counting starts, and cycles counted.
