@@ -15,8 +15,8 @@
 //!   build counts, and the speedup-gate verdict. CI runs the bin twice
 //!   and `cmp`s this file.
 //! * `results/BENCH_codec_timing.json` — wall-clock ns-per-word and the
-//!   measured kernel-vs-scan speedups; machine-dependent by nature (the
-//!   `BENCH_parallel.json` precedent) and not byte-compared.
+//!   measured kernel-vs-scan speedups; machine-dependent by nature and
+//!   not byte-compared.
 //!
 //! The bin *asserts* the acceptance gates before writing: every FPC/FTC
 //! scan-baseline row must decode corrupted words at least

@@ -5,10 +5,14 @@
 //! receiver slices at half swing. The resulting bit-error probability is
 //! `ε = Q(swing / 2σ_N)` — eq. (5).
 
+use std::fmt;
+
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use socbus_codes::WordBlock;
 use socbus_model::{bit_error_probability, Word};
+
+use crate::flip_stream::FlipStream;
 
 /// A noisy bus channel.
 #[derive(Clone, Debug)]
@@ -67,11 +71,17 @@ impl GaussianChannel {
 
 /// A simpler abstraction for validation: flips each wire independently
 /// with probability ε (the regime the analytic formulas assume).
-#[derive(Clone, Debug)]
+///
+/// Each wire of each word takes one draw of the `StdRng::seed_from_u64`
+/// stream, in word order and ascending wire within a word, and flips
+/// exactly when `rng.gen::<f64>() < ε` would hold. The channel buffers
+/// the outcomes of the next 2¹⁷ draws, computed eight lanes at a time
+/// (DESIGN.md §22), so a word costs a scan of its hit bits rather than a
+/// draw per wire.
+#[derive(Clone)]
 pub struct BitFlipChannel {
-    /// Per-wire flip probability.
-    pub eps: f64,
-    rng: StdRng,
+    eps: f64,
+    flips: FlipStream,
 }
 
 impl BitFlipChannel {
@@ -85,20 +95,23 @@ impl BitFlipChannel {
         assert!((0.0..=1.0).contains(&eps), "eps out of range");
         BitFlipChannel {
             eps,
-            rng: StdRng::seed_from_u64(seed),
+            flips: FlipStream::new(eps, seed),
         }
+    }
+
+    /// Per-wire flip probability.
+    #[must_use]
+    pub fn eps(&self) -> f64 {
+        self.eps
     }
 
     /// Transmits a word through the flip channel.
     #[must_use]
     pub fn transmit(&mut self, word: Word) -> Word {
-        let mut out = word;
-        for i in 0..word.width() {
-            if self.rng.gen::<f64>() < self.eps {
-                out.set_bit(i, !out.bit(i));
-            }
-        }
-        out
+        let mut flips = [0; Word::LIMB_COUNT];
+        self.flips
+            .for_each_hit(word.width(), |i| flips[i / 64] |= 1 << (i % 64));
+        word.xor(Word::from_limbs(flips, word.width()))
     }
 
     /// Transmits a whole [`WordBlock`] in place, drawing the flip
@@ -107,13 +120,27 @@ impl BitFlipChannel {
     /// same words in the same order. This is what keeps the batch
     /// Monte-Carlo path byte-identical to the scalar one.
     pub fn corrupt_block(&mut self, block: &mut WordBlock) {
-        for j in 0..block.len() {
-            for i in 0..block.width() {
-                if self.rng.gen::<f64>() < self.eps {
-                    block.flip_bit(i, j);
-                }
+        // Draw `d` of the block is wire `d - start` of word `j`, where
+        // `start = j·width` is the first draw of the word.
+        let width = block.width();
+        let (mut j, mut start) = (0, 0);
+        self.flips.for_each_hit(block.len() * width, |d| {
+            while d >= start + width {
+                start += width;
+                j += 1;
             }
-        }
+            *block.lane_mut(d - start) ^= 1 << j;
+        });
+    }
+}
+
+/// Prints ε and how far into its buffer the stream is, not the buffer.
+impl fmt::Debug for BitFlipChannel {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("BitFlipChannel")
+            .field("eps", &self.eps)
+            .field("buffer_position", &self.flips.position())
+            .finish()
     }
 }
 
@@ -181,5 +208,16 @@ mod tests {
         }
         let rate = flips as f64 / 200_000.0;
         assert!((rate - 0.05).abs() < 0.005, "rate {rate}");
+    }
+
+    #[test]
+    fn debug_shows_eps_and_position_not_the_buffer() {
+        let mut ch = BitFlipChannel::new(0.25, 5);
+        let _ = ch.transmit(Word::zero(20));
+        assert_eq!(ch.eps(), 0.25);
+        assert_eq!(
+            format!("{ch:?}"),
+            "BitFlipChannel { eps: 0.25, buffer_position: 20 }"
+        );
     }
 }

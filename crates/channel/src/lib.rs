@@ -31,6 +31,7 @@
 
 pub mod awgn;
 pub mod fault;
+mod flip_stream;
 pub mod montecarlo;
 pub mod rare;
 pub mod scaling;

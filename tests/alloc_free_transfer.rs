@@ -14,12 +14,17 @@
 //! budget per cycle: `MeshSim::step` allocates the vectors of the
 //! `CycleReport` it returns by value and, amortised, the growth of its
 //! long-lived tables — never per flit-hop.
+//!
+//! The Monte-Carlo flip channel keeps its buffer inline: once the
+//! process-wide jump table exists, building a channel, corrupting blocks
+//! and transmitting words make no allocation, refills included.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::rc::Rc;
 
-use socbus::codes::Scheme;
+use socbus::channel::BitFlipChannel;
+use socbus::codes::{Scheme, WordBlock};
 use socbus::model::Word;
 use socbus::noc::link::{LinkConfig, LinkEngine, LinkReport, Protocol};
 use socbus::noc::mesh::{MeshConfig, MeshSim};
@@ -231,4 +236,27 @@ fn steady_state_mesh_step_stays_within_its_allocation_budget() {
             scheme.name()
         );
     }
+}
+
+#[test]
+fn flip_channel_refills_make_no_allocation() {
+    let mut block = WordBlock::zero(36, 64);
+    let word = Word::zero(36);
+    // Warm-up on another channel: the first refill may build the
+    // process-wide jump table.
+    BitFlipChannel::new(1e-3, 4).corrupt_block(&mut block);
+    let before = allocs();
+    // The benchmark's rate at 36 wires: 120 blocks of 2 304 draws and
+    // words of 36 take 280 800 draws, three refills of 2¹⁷.
+    let mut ch = BitFlipChannel::new(1e-3, 5);
+    for _ in 0..120 {
+        ch.corrupt_block(&mut block);
+        let _ = ch.transmit(word);
+    }
+    let made = allocs() - before;
+    assert_eq!(made, 0, "{made} allocations over three refills");
+    assert!(
+        (0..64).any(|j| block.word(j).count_ones() > 0),
+        "the channel flipped nothing"
+    );
 }
