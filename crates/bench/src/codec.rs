@@ -22,9 +22,9 @@
 //! scan-baseline row must decode corrupted words at least
 //! [`SPEEDUP_GATE`]× slower than its kernel decoder, the bit-sliced
 //! batch rows must beat the scalar kernels by [`BATCH_GATE`]× on every
-//! scheme but the lookup-table CAC codes (FTC, FPC), and the batch and
-//! scalar Monte-Carlo engines must return byte-identical estimates at
-//! 1 and 8 threads over an odd trial count.
+//! catalog scheme (the explicit FPC rows stay ungated), and the batch
+//! and scalar Monte-Carlo engines must return byte-identical estimates
+//! at 1 and 8 threads over an odd trial count.
 
 use std::fmt::Write as _;
 use std::path::Path;
@@ -53,10 +53,10 @@ pub const WORDS: usize = 2_048;
 /// every FPC/FTC baseline row must show.
 pub const SPEEDUP_GATE: f64 = 5.0;
 /// Minimum corrupted-word decode speedup (scalar time / batch time) the
-/// bit-sliced batch path must show on the [`BATCH_GATED`] schemes: no
-/// gated scheme may decode slower in batch than on the word-parallel
+/// bit-sliced batch path must show on every [`BATCH_GATED`] scheme: each
+/// decodes at least twice as fast in batch as on the word-parallel
 /// scalar kernels.
-pub const BATCH_GATE: f64 = 1.0;
+pub const BATCH_GATE: f64 = 2.0;
 /// Trials of the embedded Monte-Carlo batch-vs-scalar equivalence check:
 /// odd on purpose, leaving a remainder shard that itself ends mid-block.
 pub const MC_EQUIV_TRIALS: u64 = 65_537;
@@ -339,15 +339,15 @@ pub fn batch_speedups(rows: &[Row]) -> Vec<(String, f64)> {
 }
 
 /// The schemes the [`BATCH_GATE`] applies to, as rendered in
-/// `BENCH_codec.json`: the linear codes, the bus-invert family, the
-/// seven joint codes and BCH-DEC. FTC and FPC decode through per-word
-/// table lookups and stay ungated.
-pub const BATCH_GATED: &str = "Parity/Hamming/BI/HammingX/BIH/FTC+HC/BSC/DAP/DAPX/DAPBI/BCH-DEC";
+/// `BENCH_codec.json`: every [`Scheme::catalog`] scheme, FTC and FTC+HC
+/// included. The explicit FPC rows decode through per-word table lookups
+/// and stay ungated.
+pub const BATCH_GATED: &str = "every catalog scheme";
 
 /// Whether `label` is one of the [`BATCH_GATED`] schemes.
 #[must_use]
 pub fn batch_gated(label: &str) -> bool {
-    label.starts_with("BI(") || BATCH_GATED.split('/').any(|s| s == label)
+    Scheme::catalog().iter().any(|s| s.name() == label)
 }
 
 /// The embedded Monte-Carlo equivalence check: batch and scalar sharded
@@ -547,7 +547,7 @@ pub fn main_with_args(args: &[String]) -> i32 {
     }
     assert!(
         batch_gate_passed,
-        "batch gate failed: the {BATCH_GATED} corrupted-decode rows must be \
+        "batch gate failed: the corrupted-decode rows of {BATCH_GATED} must be \
          >= {BATCH_GATE}x faster on the bit-sliced path ({batch:?})"
     );
 

@@ -14,8 +14,9 @@
 //! kernels:
 //!
 //! * `InvertStage` — the BI(1) invert decision: per-word toggle counts
-//!   from a fixed-size vertical counter, then the sequential
-//!   invert-mask recurrence (BI(i), BIH, DAPBI);
+//!   from a fixed-size vertical counter, then the invert-mask recurrence
+//!   as a six-step parallel-prefix scan (`invert_scan`; BI(i), BIH,
+//!   DAPBI);
 //! * `SyndromeStage` — a systematic linear code as XOR trees: parity
 //!   planes from per-data-lane feed masks, syndrome planes from
 //!   parity-check columns, single-error hits as AND trees, parity bits on
@@ -24,8 +25,14 @@
 //! * `dap_select` — DAP's Fig. 6 multiplexer (DAP, DAPX, DAPBI, BSC);
 //! * the lane-placement maps each scheme keeps (HammingX's half-shielded
 //!   parity lanes, FTC+HC's info and parity lanes, BSC's phase plane);
-//! * `LookupStage` — the [`crate::kernels`] codebooks for FTC/FPC, fed through
-//!   one tiled 64×64 bit-matrix transpose instead of per-bit gathers.
+//! * truth-table planes — each FTC group's encoder, nearest-codeword
+//!   decoder and codeword test, read off its [`crate::kernels`] kernel as
+//!   [`TruthTables`] and evaluated by ORing the group's minterm planes
+//!   (`minterms`, `select`; FTC, FTC+HC);
+//! * `LookupStage` — the FPC codebook, one group over all the data bits
+//!   (23 wires at k = 16), too wide for a truth table: the block goes
+//!   through one tiled 64×64 bit-matrix transpose to rows and each word
+//!   is looked up in the kernel.
 //!
 //! BCH-DEC decodes zero syndromes and single errors in the planes and
 //! hands only the remaining words (double errors and uncorrectable
@@ -46,7 +53,7 @@ use crate::cac::{fpc_wires_for_bits, ftc_groups, ftc_wires_for_bits};
 use crate::catalog::Scheme;
 use crate::ecc::{hamming_parity_bits, BchDec};
 use crate::joint::{ftc_hc_parity_layout, hamming_x_parity_layout};
-use crate::kernels::{codebook_kernel, BookKey, CodebookKernel};
+use crate::kernels::{codebook_kernel, BookKey, CodebookKernel, TruthTables};
 use crate::traits::{BusCode, DecodeStatus};
 use socbus_model::word::MAX_WIDTH;
 use socbus_model::Word;
@@ -227,6 +234,14 @@ impl WordBlock {
         &mut self.lanes[i]
     }
 
+    /// The block's first `n` lanes as a block of their own.
+    fn prefix(&self, n: usize) -> WordBlock {
+        WordBlock {
+            lanes: self.lanes[..n].to_vec(),
+            len: self.len,
+        }
+    }
+
     /// Flips wire `wire` of word `j` — the batch counterpart of a channel
     /// bit-flip.
     ///
@@ -260,29 +275,6 @@ fn transpose64(a: &mut [u64; 64]) {
         }
         width >>= 1;
         mask ^= mask << width;
-    }
-}
-
-/// Bits `lo .. lo + len` of a row (`len <= 64`), crossing limbs if needed.
-fn row_field(row: &[u64; LIMBS], lo: usize, len: usize) -> u64 {
-    let (l, s) = (lo / 64, lo % 64);
-    let mut v = row[l] >> s;
-    if s != 0 && l + 1 < LIMBS {
-        v |= row[l + 1] << (64 - s);
-    }
-    if len == 64 {
-        v
-    } else {
-        v & ((1 << len) - 1)
-    }
-}
-
-/// ORs `v` into a row at bit `lo`, crossing limbs if needed.
-fn row_put(row: &mut [u64; LIMBS], lo: usize, v: u64) {
-    let (l, s) = (lo / 64, lo % 64);
-    row[l] |= v << s;
-    if s != 0 && l + 1 < LIMBS {
-        row[l + 1] |= v >> (64 - s);
     }
 }
 
@@ -465,8 +457,9 @@ impl VerticalCounter {
 /// Word `j` toggles `d_j` data bits against word `j - 1`, so against the
 /// previously *driven* word it toggles `d_j` bits when that word went out
 /// uninverted and `len - d_j` when it went out inverted; it is inverted
-/// when that exceeds half the sub-bus. The counts are bit-parallel; the
-/// decision is a sequential recurrence over the block's 64 words.
+/// when that exceeds half the sub-bus. The counts are bit-parallel, and so
+/// is the decision: `invert_scan` resolves the recurrence over the block's
+/// 64 words in six doubling steps.
 #[derive(Clone, Debug)]
 struct InvertStage {
     lo: usize,
@@ -513,18 +506,40 @@ impl InvertStage {
         // 2d < len: invert after an inverted word. With 2d == len the
         // toggle count is exactly half either way: never invert.
         let below = if self.len % 2 == 1 { !gt } else { !gt & !eq } & vm;
-        let mut inv = self.prev_inv;
-        let mut mask = 0u64;
-        for j in 0..n {
-            inv = (if inv { below } else { above }) >> j & 1 == 1;
-            mask |= u64::from(inv) << j;
-        }
-        self.prev_inv = inv;
+        let mask = invert_scan(above, below, self.prev_inv);
+        self.prev_inv = mask >> (n - 1) & 1 == 1;
         self.prev_data = [0; LIMBS];
         for (b, &lane) in lanes.iter().enumerate() {
             self.prev_data[b / 64] |= (lane >> (n - 1) & 1) << (b % 64);
         }
         mask
+    }
+}
+
+/// The invert plane of a block: word `j` is inverted when
+/// `inv(j−1) ? below(j) : above(j)`, with `inv(−1) = prev_inv`.
+///
+/// Word `j`'s rule is a map of the previous decision, held as the bit
+/// pair `(A, B) = (above(j), below(j))`: its output after an uninverted
+/// and after an inverted word. Applying `(A₁, B₁)` then `(A₂, B₂)` is the
+/// map `(A₁ ? B₂ : A₂, B₁ ? B₂ : A₂)`. That product is associative, so
+/// six doubling steps turn the two planes into the maps of every prefix
+/// of the block, with the identity `(0, 1)` shifted in below word 0; the
+/// invert plane then reads `prev_inv ? B : A`. Both inputs must be masked
+/// to the block's words, which keeps every map past `len()` the constant
+/// 0 and the output masked.
+fn invert_scan(above: u64, below: u64, prev_inv: bool) -> u64 {
+    let (mut a, mut b) = (above, below);
+    for d in [1, 2, 4, 8, 16, 32] {
+        // The maps of the prefixes ending `d` words earlier.
+        let (pa, pb) = (a << d, b << d | ((1u64 << d) - 1));
+        let flip = a ^ b;
+        (a, b) = (a ^ (pa & flip), a ^ (pb & flip));
+    }
+    if prev_inv {
+        b
+    } else {
+        a
     }
 }
 
@@ -638,11 +653,11 @@ impl SyndromeStage {
         self.data
     }
 
-    /// Parity planes of `payload` (plane `j` is parity bit `j`).
-    fn parity(&self, payload: &[u64]) -> [u64; MAX_PLANES] {
+    /// Parity planes of the payload lanes (plane `j` is parity bit `j`).
+    fn parity(&self, payload: impl IntoIterator<Item = u64>) -> [u64; MAX_PLANES] {
         let mut parity = [0u64; MAX_PLANES];
         let feeds = &self.table[self.feeds_at..self.feeds_at + self.data];
-        for (&lane, &feed) in payload.iter().zip(feeds) {
+        for (lane, &feed) in payload.into_iter().zip(feeds) {
             xor_planes(&mut parity, feed, lane);
         }
         parity
@@ -655,13 +670,13 @@ impl SyndromeStage {
         }
     }
 
-    /// Syndrome-decodes `payload` against the parity lanes of `bus`:
-    /// writes `payload ^ (correction & correct)` into `out` (`correct`
-    /// gates which words get their single error fixed).
-    fn decode(&self, payload: &[u64], bus: &WordBlock, correct: u64, out: &mut [u64]) -> Syndrome {
-        out.copy_from_slice(payload);
+    /// Syndrome-decodes the payload in `lanes` against the parity lanes
+    /// of `bus`: `lanes` holds the received payload on entry and
+    /// `payload ^ (correction & correct)` on exit (`correct` gates which
+    /// words get their single error fixed).
+    fn decode(&self, bus: &WordBlock, correct: u64, lanes: &mut [u64]) -> Syndrome {
         let mut s = [0u64; MAX_PLANES];
-        let received = payload
+        let received = lanes
             .iter()
             .copied()
             .chain(self.parity_lanes.iter().map(|&l| bus.lanes[l]));
@@ -682,7 +697,7 @@ impl SyndromeStage {
             })
         };
         let mut matched = 0;
-        for (o, &column) in out.iter_mut().zip(data_columns) {
+        for (o, &column) in lanes.iter_mut().zip(data_columns) {
             let mask = hit(column);
             *o ^= mask & correct;
             matched |= mask;
@@ -713,10 +728,10 @@ fn dap_select(out: &mut [u64], b: impl Fn(usize) -> u64, parity: u64, vm: u64) -
     }
 }
 
-/// One codebook group of a [`LookupStage`]: `bits` data bits at `data_lo`
-/// map through `kernel` to `wires` bus wires at `wire_lo`.
+/// One FTC sub-bus group: `bits` data bits at `data_lo` map through
+/// `kernel` to `wires` bus wires at `wire_lo`.
 #[derive(Clone, Debug)]
-struct LookupGroup {
+struct FtcGroup {
     data_lo: usize,
     bits: usize,
     wire_lo: usize,
@@ -724,42 +739,76 @@ struct LookupGroup {
     kernel: Arc<CodebookKernel>,
 }
 
-/// Per-word codebook lookups (FTC groups, FPC) over a block: the lookup
-/// is irreducibly per word, so the block is transposed to rows once, each
-/// group's field is cut from the row, and the result is transposed back.
+impl FtcGroup {
+    /// The group kernel's truth tables.
+    fn tables(&self) -> &TruthTables {
+        self.kernel
+            .tables()
+            .expect("FTC group kernels carry truth tables")
+    }
+}
+
+/// The minterm planes of up to six input lanes: bit `j` of plane `v` is
+/// set when word `j` reads `v` on the inputs (input `i` is bit `i` of
+/// `v`). Each input doubles the planes built so far, starting from the
+/// valid mask, so no complement leaks past the block's words.
+fn minterms(inputs: &[u64], vm: u64) -> [u64; 64] {
+    let mut planes = [0u64; 64];
+    planes[0] = vm;
+    for (i, &x) in inputs.iter().enumerate() {
+        let (without, with) = planes.split_at_mut(1 << i);
+        for (lo, hi) in without.iter_mut().zip(with) {
+            *hi = *lo & x;
+            *lo &= !x;
+        }
+    }
+    planes
+}
+
+/// A truth table's output plane: the OR of the minterm planes it
+/// selects, one OR per set bit.
+fn select(minterms: &[u64; 64], mut table: u64) -> u64 {
+    let mut plane = 0;
+    while table != 0 {
+        plane |= minterms[table.trailing_zeros() as usize];
+        table &= table - 1;
+    }
+    plane
+}
+
+/// Per-word codebook lookups over a block, for FPC only: its one group
+/// spans all the data bits (23 wires at k = 16), too wide for a truth
+/// table (FTC's groups of at most 6 wires evaluate theirs on bit planes
+/// instead). The block is transposed to rows once, each row is looked up
+/// in the kernel, and the result is transposed back. FPC carries at most
+/// 16 data bits on at most 23 wires, so a row is its low limb.
 #[derive(Clone, Debug)]
 struct LookupStage {
-    groups: Vec<LookupGroup>,
+    kernel: Arc<CodebookKernel>,
 }
 
 impl LookupStage {
-    fn encode(&self, data: &WordBlock, wires: usize) -> WordBlock {
+    fn encode(&self, data: &WordBlock) -> WordBlock {
         let rows = data.to_rows();
         let mut out: Rows = [[0; LIMBS]; BLOCK_WORDS];
         for (src, dst) in rows[..data.len()].iter().zip(out.iter_mut()) {
-            for g in &self.groups {
-                let idx = row_field(src, g.data_lo, g.bits) as usize;
-                row_put(dst, g.wire_lo, g.kernel.codeword_bits(idx) as u64);
-            }
+            dst[0] = self.kernel.codeword_bits(src[0] as usize) as u64;
         }
-        WordBlock::from_rows(&out[..data.len()], wires)
+        WordBlock::from_rows(&out[..data.len()], self.kernel.wires())
     }
 
-    /// Decodes every group of every word to `k` data lanes; returns the
-    /// mask of words whose every group slice was an exact codeword.
+    /// Decodes every word to `k` data lanes; returns the mask of words
+    /// that were exact codewords.
     fn decode(&self, bus: &WordBlock, k: usize) -> (WordBlock, u64) {
         let rows = bus.to_rows();
         let mut out: Rows = [[0; LIMBS]; BLOCK_WORDS];
         let mut exact_all = bus.valid_mask();
         for (j, (src, dst)) in rows[..bus.len()].iter().zip(out.iter_mut()).enumerate() {
-            for g in &self.groups {
-                let raw = row_field(src, g.wire_lo, g.wires);
-                let (idx, exact) = g.kernel.decode_index_raw(u128::from(raw));
-                if !exact {
-                    exact_all &= !(1u64 << j);
-                }
-                row_put(dst, g.data_lo, idx as u64);
+            let (idx, exact) = self.kernel.decode_index_raw(u128::from(src[0]));
+            if !exact {
+                exact_all &= !(1u64 << j);
             }
+            dst[0] = idx as u64;
         }
         (WordBlock::from_rows(&out[..bus.len()], k), exact_all)
     }
@@ -975,7 +1024,8 @@ impl BatchCode for BatchHamming {
             }
             out.lanes[self.k] = mask;
         }
-        let parity = self.stage.parity(&out.lanes[..self.stage.data_lanes()]);
+        let q = self.stage.data_lanes();
+        let parity = self.stage.parity(out.lanes[..q].iter().copied());
         self.stage.place(parity, &mut out);
         if self.check == HammingCheck::SecDed {
             let n = self.wires - 1;
@@ -1006,10 +1056,8 @@ impl BatchCode for BatchHamming {
             HammingCheck::SecDed => odd,
             HammingCheck::Sabotaged => 0,
         };
-        let mut out = WordBlock::zero(q, bus.len());
-        let syn = self
-            .stage
-            .decode(&bus.lanes[..q], bus, correct, &mut out.lanes);
+        let mut out = bus.prefix(q);
+        let syn = self.stage.decode(bus, correct, &mut out.lanes);
         if self.invert.is_some() {
             let inv = out.lanes.pop().expect("invert lane");
             for lane in &mut out.lanes {
@@ -1427,14 +1475,14 @@ impl BatchCode for BatchDap {
     }
 }
 
-/// Batch forbidden-transition code: per-group LUT lookups through the
-/// codebook kernels (`LookupStage`), plus an OR tree over the inter-group
-/// shield lanes for the membership check.
+/// Batch forbidden-transition code: every sub-bus group evaluated on bit
+/// planes from its kernel's truth tables (`minterms`, `select`), plus an
+/// OR tree over the inter-group shield lanes for the membership check.
 #[derive(Clone, Debug)]
 pub struct BatchFtc {
     k: usize,
     wires: usize,
-    lookup: LookupStage,
+    groups: Vec<FtcGroup>,
 }
 
 impl BatchFtc {
@@ -1449,7 +1497,7 @@ impl BatchFtc {
         let mut data_lo = 0;
         let mut wire_lo = 0;
         for (bits, gw) in ftc_groups(k) {
-            groups.push(LookupGroup {
+            groups.push(FtcGroup {
                 data_lo,
                 bits,
                 wire_lo,
@@ -1459,11 +1507,47 @@ impl BatchFtc {
             data_lo += bits;
             wire_lo += gw + 1;
         }
-        BatchFtc {
-            k,
-            wires,
-            lookup: LookupStage { groups },
+        BatchFtc { k, wires, groups }
+    }
+
+    /// Writes every group's codeword planes onto its wires of `out`.
+    fn encode_into(&self, data: &WordBlock, out: &mut [u64]) {
+        let vm = data.valid_mask();
+        for g in &self.groups {
+            let planes = minterms(&data.lanes[g.data_lo..g.data_lo + g.bits], vm);
+            let wires = &mut out[g.wire_lo..g.wire_lo + g.wires];
+            for (lane, &table) in wires.iter_mut().zip(&g.tables().encode) {
+                *lane = select(&planes, table);
+            }
         }
+    }
+
+    /// Decodes every group's code lanes into its data lanes of `out` and
+    /// returns the mask of words whose every group was a codeword. Group
+    /// `i`'s lanes start at its bus wire in `code`, or — without
+    /// `shields` — `i` lanes lower: the shield-free info layout FTC+HC
+    /// protects.
+    fn decode_into(&self, code: &[u64], shields: bool, vm: u64, out: &mut [u64]) -> u64 {
+        let mut exact = vm;
+        for (i, g) in self.groups.iter().enumerate() {
+            let lo = if shields { g.wire_lo } else { g.wire_lo - i };
+            let planes = minterms(&code[lo..lo + g.wires], vm);
+            let tables = g.tables();
+            let data = &mut out[g.data_lo..g.data_lo + g.bits];
+            for (lane, &table) in data.iter_mut().zip(&tables.decode) {
+                *lane = select(&planes, table);
+            }
+            exact &= select(&planes, tables.codeword);
+        }
+        exact
+    }
+
+    /// Decodes a bus block: the data and the all-groups-codeword mask.
+    fn decode_block(&self, bus: &WordBlock) -> (WordBlock, u64) {
+        assert_eq!(bus.width(), self.wires, "bus width mismatch");
+        let mut out = WordBlock::zero(self.k, bus.len());
+        let exact = self.decode_into(&bus.lanes, true, bus.valid_mask(), &mut out.lanes);
+        (out, exact)
     }
 }
 
@@ -1482,20 +1566,20 @@ impl BatchCode for BatchFtc {
 
     fn encode(&mut self, data: &WordBlock) -> WordBlock {
         assert_eq!(data.width(), self.k, "data width mismatch");
-        self.lookup.encode(data, self.wires)
+        let mut out = WordBlock::zero(self.wires, data.len());
+        self.encode_into(data, &mut out.lanes);
+        out
     }
 
     fn decode(&mut self, bus: &WordBlock) -> WordBlock {
-        assert_eq!(bus.width(), self.wires, "bus width mismatch");
-        self.lookup.decode(bus, self.k).0
+        self.decode_block(bus).0
     }
 
     fn decode_checked(&mut self, bus: &WordBlock) -> (WordBlock, BlockStatus) {
-        assert_eq!(bus.width(), self.wires, "bus width mismatch");
         let vm = bus.valid_mask();
-        let (out, exact_all) = self.lookup.decode(bus, self.k);
+        let (out, exact_all) = self.decode_block(bus);
         // Any set inter-group shield wire marks the word corrupted.
-        let groups = &self.lookup.groups;
+        let groups = &self.groups;
         let shields = groups[..groups.len() - 1]
             .iter()
             .fold(0u64, |acc, g| acc | bus.lane(g.wire_lo + g.wires));
@@ -1509,9 +1593,11 @@ impl BatchCode for BatchFtc {
     }
 }
 
-/// Batch FTC+HC: the FTC lookup, then Hamming over the FTC info lanes
+/// Batch FTC+HC: the FTC planes, then Hamming over the FTC info lanes
 /// with the parity on the scalar [`crate::FtcHc`]'s shielded wires. Decoding
-/// corrects the info lanes first, then maps them back through FTC.
+/// corrects the info lanes first, then maps them back through FTC. Both
+/// directions keep their working lanes on the stack: each allocates only
+/// its output block.
 #[derive(Clone, Debug)]
 pub(crate) struct BatchFtcHc {
     ftc: BatchFtc,
@@ -1527,7 +1613,6 @@ impl BatchFtcHc {
         let ftc = BatchFtc::new(k);
         // Every FTC wire but the inter-group shields carries a code bit.
         let info: Vec<usize> = ftc
-            .lookup
             .groups
             .iter()
             .flat_map(|g| g.wire_lo..g.wire_lo + g.wires)
@@ -1556,10 +1641,11 @@ impl BatchCode for BatchFtcHc {
     }
 
     fn encode(&mut self, data: &WordBlock) -> WordBlock {
-        let mut out = self.ftc.encode(data);
-        out.lanes.resize(self.wires, 0);
-        let payload: Vec<u64> = self.info.iter().map(|&w| out.lanes[w]).collect();
-        self.stage.place(self.stage.parity(&payload), &mut out);
+        assert_eq!(data.width(), self.ftc.k, "data width mismatch");
+        let mut out = WordBlock::zero(self.wires, data.len());
+        self.ftc.encode_into(data, &mut out.lanes);
+        let parity = self.stage.parity(self.info.iter().map(|&w| out.lanes[w]));
+        self.stage.place(parity, &mut out);
         out
     }
 
@@ -1570,15 +1656,16 @@ impl BatchCode for BatchFtcHc {
     fn decode_checked(&mut self, bus: &WordBlock) -> (WordBlock, BlockStatus) {
         assert_eq!(bus.width(), self.wires, "bus width mismatch");
         let vm = bus.valid_mask();
-        let payload: Vec<u64> = self.info.iter().map(|&w| bus.lanes[w]).collect();
-        let mut fixed = vec![0; payload.len()];
-        let syn = self.stage.decode(&payload, bus, vm, &mut fixed);
-        // The corrected code bits in FTC layout, shields grounded.
-        let mut ftc_word = WordBlock::zero(self.ftc.wires, bus.len());
-        for (&w, lane) in self.info.iter().zip(fixed) {
-            ftc_word.lanes[w] = lane;
+        // The received code bits in the shield-free info layout, then
+        // corrected in place.
+        let mut info = [0u64; MAX_WIDTH];
+        let info = &mut info[..self.info.len()];
+        for (lane, &w) in info.iter_mut().zip(&self.info) {
+            *lane = bus.lanes[w];
         }
-        let (out, _) = self.ftc.lookup.decode(&ftc_word, self.ftc.k);
+        let syn = self.stage.decode(bus, vm, info);
+        let mut out = WordBlock::zero(self.ftc.k, bus.len());
+        self.ftc.decode_into(info, false, vm, &mut out.lanes);
         let status = BlockStatus {
             clean: vm & !syn.nonzero,
             corrected: syn.nonzero & syn.matched,
@@ -1628,7 +1715,8 @@ impl BatchCode for BatchBch {
         assert_eq!(data.width(), self.data_bits(), "data width mismatch");
         let mut out = data.clone();
         out.lanes.resize(self.wires(), 0);
-        self.stage.place(self.stage.parity(&data.lanes), &mut out);
+        self.stage
+            .place(self.stage.parity(data.lanes.iter().copied()), &mut out);
         out
     }
 
@@ -1640,8 +1728,8 @@ impl BatchCode for BatchBch {
         assert_eq!(bus.width(), self.wires(), "bus width mismatch");
         let vm = bus.valid_mask();
         let k = self.data_bits();
-        let mut out = WordBlock::zero(k, bus.len());
-        let syn = self.stage.decode(&bus.lanes[..k], bus, vm, &mut out.lanes);
+        let mut out = bus.prefix(k);
+        let syn = self.stage.decode(bus, vm, &mut out.lanes);
         let mut status = BlockStatus {
             clean: vm & !syn.nonzero,
             corrected: syn.matched,
@@ -1679,19 +1767,11 @@ impl BatchFpc {
             (1..=16).contains(&k),
             "single-group FPC supports 1..=16 data bits"
         );
-        let wires = fpc_wires_for_bits(k);
-        let group = LookupGroup {
-            data_lo: 0,
-            bits: k,
-            wire_lo: 0,
-            wires,
-            kernel: codebook_kernel(BookKey::Fpc { k }),
-        };
         BatchFpc {
             k,
-            wires,
+            wires: fpc_wires_for_bits(k),
             lookup: LookupStage {
-                groups: vec![group],
+                kernel: codebook_kernel(BookKey::Fpc { k }),
             },
         }
     }
@@ -1712,7 +1792,7 @@ impl BatchCode for BatchFpc {
 
     fn encode(&mut self, data: &WordBlock) -> WordBlock {
         assert_eq!(data.width(), self.k, "data width mismatch");
-        self.lookup.encode(data, self.wires)
+        self.lookup.encode(data)
     }
 
     fn decode(&mut self, bus: &WordBlock) -> WordBlock {
@@ -1770,18 +1850,6 @@ mod tests {
         }
         transpose64(&mut t);
         assert_eq!(t, a, "transpose is an involution");
-    }
-
-    #[test]
-    fn row_fields_cross_limb_boundaries() {
-        let mut row = [0u64; LIMBS];
-        row_put(&mut row, 60, 0b1011_0110);
-        assert_eq!(row[0] >> 60, 0b0110);
-        assert_eq!(row[1], 0b1011);
-        assert_eq!(row_field(&row, 60, 8), 0b1011_0110);
-        assert_eq!(row_field(&row, 62, 3), 0b101);
-        row_put(&mut row, 192, u64::MAX);
-        assert_eq!(row_field(&row, 192, 64), u64::MAX);
     }
 
     #[test]
@@ -1856,6 +1924,35 @@ mod tests {
     #[should_panic(expected = "mixed widths")]
     fn mixed_width_block_panics() {
         let _ = WordBlock::from_words(&[Word::zero(4), Word::zero(5)]);
+    }
+
+    /// The invert recurrence word by word: the reference `invert_scan`
+    /// replaces.
+    fn invert_serial(above: u64, below: u64, prev_inv: bool, n: usize) -> (u64, bool) {
+        let mut inv = prev_inv;
+        let mut mask = 0u64;
+        for j in 0..n {
+            inv = (if inv { below } else { above }) >> j & 1 == 1;
+            mask |= u64::from(inv) << j;
+        }
+        (mask, inv)
+    }
+
+    #[test]
+    fn invert_scan_equals_the_serial_recurrence() {
+        let mut rng = StdRng::seed_from_u64(0x5CA7);
+        for n in 1..=BLOCK_WORDS {
+            let vm = WordBlock::zero(0, n).valid_mask();
+            for _ in 0..64 {
+                let (above, below) = (rng.gen::<u64>() & vm, rng.gen::<u64>() & vm);
+                for prev_inv in [false, true] {
+                    let mask = invert_scan(above, below, prev_inv);
+                    let (want, carried) = invert_serial(above, below, prev_inv, n);
+                    assert_eq!(mask, want, "n={n} prev_inv={prev_inv}");
+                    assert_eq!(mask >> (n - 1) & 1 == 1, carried, "n={n}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -22,10 +22,17 @@
 //!   exact match plus a distance-1 neighborhood probe, with a linear
 //!   scan only for the rare weight ≥ 2 corruption.
 //!
-//! Every decode path — dense table, sparse search, and the reference
-//! [`CodebookKernel::decode_index_scan`] — resolves nearest-codeword
-//! ties identically: **lowest codebook index wins** (the first minimum
-//! a linear scan encounters). The equivalence tests in
+//! * **Truth tables.** An FTC group has at most 6 wires, so each of its
+//!   three maps — encoder, nearest-codeword decoder, codeword test — is a
+//!   function of at most 6 input bits: one `u64` truth table per output
+//!   bit. [`TruthTables`] reads them off the kernel once, at build, and
+//!   the bit-plane FTC codecs in [`crate::batch`] evaluate them 64 words
+//!   at a time.
+//!
+//! Every decode path — dense table, sparse search, truth table, and the
+//! reference [`CodebookKernel::decode_index_scan`] — resolves
+//! nearest-codeword ties identically: **lowest codebook index wins** (the
+//! first minimum a linear scan encounters). The equivalence tests in
 //! `crates/codes/tests/decode_equiv.rs` verify this exhaustively.
 
 use std::collections::HashMap;
@@ -68,6 +75,55 @@ enum DecodeIndex {
     Sparse,
 }
 
+/// Most wires of an FTC group: the exact clique search's bound, and the
+/// input count of a 64-entry truth table.
+pub const MAX_GROUP_WIRES: usize = 6;
+
+/// Most data bits of an FTC group: `|FT(6)| = 21` codewords hold 4 bits.
+pub const MAX_GROUP_BITS: usize = 4;
+
+/// An FTC group kernel's three maps as truth tables: bit `v` of a table
+/// is the map's output for input `v`. Read off the kernel itself — the
+/// codebook, the dense nearest-codeword table and its exactness compare
+/// — so every table is the scalar rule, lowest-index ties included.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct TruthTables {
+    /// Encoder, one table per wire over the data index (at most 16
+    /// entries): bit `idx` of `encode[w]` is wire `w` of codeword `idx`.
+    pub encode: [u64; MAX_GROUP_WIRES],
+    /// Decoder, one table per data bit over the received group (at most
+    /// 64 entries): bit `raw` of `decode[b]` is bit `b` of the index
+    /// [`CodebookKernel::decode_index_raw`] returns for `raw`.
+    pub decode: [u64; MAX_GROUP_BITS],
+    /// Codeword test: bit `raw` is set when `raw` is a codeword.
+    pub codeword: u64,
+}
+
+impl TruthTables {
+    fn of(kernel: &CodebookKernel) -> TruthTables {
+        let mut t = TruthTables {
+            encode: [0; MAX_GROUP_WIRES],
+            decode: [0; MAX_GROUP_BITS],
+            codeword: 0,
+        };
+        for idx in 0..kernel.book.len() {
+            let cw = kernel.codeword_bits(idx);
+            for (w, table) in t.encode[..kernel.wires].iter_mut().enumerate() {
+                *table |= ((cw >> w) as u64 & 1) << idx;
+            }
+        }
+        let bits = kernel.book.len().trailing_zeros() as usize;
+        for raw in 0..1u64 << kernel.wires {
+            let (idx, exact) = kernel.decode_index_raw(u128::from(raw));
+            for (b, table) in t.decode[..bits].iter_mut().enumerate() {
+                *table |= (idx as u64 >> b & 1) << raw;
+            }
+            t.codeword |= u64::from(exact) << raw;
+        }
+        t
+    }
+}
+
 /// A codebook plus its precomputed inverse: the shared, immutable part
 /// of an FPC codec or FTC sub-bus group. Obtained via [`codebook_kernel`]
 /// and held by `Arc`, so any number of encoder/decoder instances share
@@ -83,6 +139,9 @@ pub struct CodebookKernel {
     /// raw hot path skips `Word` construction entirely.
     book_bits: Vec<u128>,
     index: DecodeIndex,
+    /// The group's truth tables: FTC group kernels only (an FPC kernel
+    /// spans all its data bits, up to 23 wires, past a `u64` table).
+    tables: Option<TruthTables>,
 }
 
 impl CodebookKernel {
@@ -111,12 +170,23 @@ impl CodebookKernel {
             DecodeIndex::Sparse
         };
         let book_bits = book.iter().map(|w| w.bits()).collect();
-        CodebookKernel {
+        let mut kernel = CodebookKernel {
             wires,
             book,
             book_bits,
             index,
+            tables: None,
+        };
+        if let BookKey::FtcGroup { .. } = key {
+            kernel.tables = Some(TruthTables::of(&kernel));
         }
+        kernel
+    }
+
+    /// The truth tables of an FTC group kernel; `None` for FPC.
+    #[must_use]
+    pub fn tables(&self) -> Option<&TruthTables> {
+        self.tables.as_ref()
     }
 
     /// The codebook in data-index order.
@@ -383,17 +453,40 @@ mod tests {
     fn dense_table_matches_scan_exhaustively() {
         for key in [
             BookKey::Fpc { k: 4 },
+            BookKey::FtcGroup { bits: 1, wires: 2 },
             BookKey::FtcGroup { bits: 3, wires: 4 },
             BookKey::FtcGroup { bits: 2, wires: 3 },
             BookKey::FtcGroup { bits: 4, wires: 6 },
         ] {
             let kernel = codebook_kernel(key);
+            let tables = kernel.tables();
+            assert_eq!(tables.is_some(), matches!(key, BookKey::FtcGroup { .. }));
             for bus in Word::enumerate_all(kernel.wires()) {
+                let (idx, exact) = kernel.decode_index(bus);
                 assert_eq!(
-                    kernel.decode_index(bus),
+                    (idx, exact),
                     kernel.decode_index_scan(bus),
                     "{key:?} disagrees on {bus}"
                 );
+                // The truth tables are the same decoder, bit by bit.
+                if let Some(t) = tables {
+                    let raw = bus.bits() as u64;
+                    let decoded =
+                        (0..MAX_GROUP_BITS).fold(0, |acc, b| acc | (t.decode[b] >> raw & 1) << b);
+                    assert_eq!(decoded as usize, idx, "{key:?} table decode of {bus}");
+                    assert_eq!(t.codeword >> raw & 1 == 1, exact, "{key:?} codeword test");
+                }
+            }
+            if let Some(t) = tables {
+                for (idx, &cw) in kernel.book().iter().enumerate() {
+                    let encoded =
+                        (0..MAX_GROUP_WIRES).fold(0, |acc, w| acc | (t.encode[w] >> idx & 1) << w);
+                    assert_eq!(
+                        u128::from(encoded),
+                        cw.bits(),
+                        "{key:?} table encode of {idx}"
+                    );
+                }
             }
         }
     }

@@ -53,13 +53,116 @@ struct SubBus {
     wire_lo: usize,
 }
 
-impl SubBus {
-    /// The sub-bus in fields of at most 64 wires: `(offset, len)` pairs,
-    /// so every sub-bus width moves as whole-field loads and stores.
-    fn chunks(self) -> impl Iterator<Item = (usize, usize)> {
-        (0..self.len)
-            .step_by(64)
-            .map(move |c| (c, 64.min(self.len - c)))
+/// The wires a bus-invert word runs on, as whole-word bit operations: the
+/// bus as one `u64` when it has at most 64 wires (every catalog width up
+/// to k = 56 under BI(8)), else as a bus-wide [`Word`]. Every value has
+/// the bus's width.
+trait Lines: Copy {
+    /// No wires set.
+    fn none(self) -> Self;
+    /// Ones on wires `lo..hi` (`lo < hi`).
+    fn window(self, lo: usize, hi: usize) -> Self;
+    fn and(self, other: Self) -> Self;
+    fn or(self, other: Self) -> Self;
+    fn xor(self, other: Self) -> Self;
+    /// Every wire moved `n` wires up.
+    fn up(self, n: usize) -> Self;
+    /// Every wire moved `n` wires down.
+    fn down(self, n: usize) -> Self;
+    /// Number of wires at 1.
+    fn ones(self) -> u32;
+    /// Wire `i`.
+    fn bit(self, i: usize) -> bool;
+    /// `self` when `on`, else no wires.
+    fn when(self, on: bool) -> Self;
+}
+
+impl Lines for u64 {
+    fn none(self) -> u64 {
+        0
+    }
+
+    fn window(self, lo: usize, hi: usize) -> u64 {
+        u64::MAX >> (64 - (hi - lo)) << lo
+    }
+
+    fn and(self, other: u64) -> u64 {
+        self & other
+    }
+
+    fn or(self, other: u64) -> u64 {
+        self | other
+    }
+
+    fn xor(self, other: u64) -> u64 {
+        self ^ other
+    }
+
+    fn up(self, n: usize) -> u64 {
+        self << n
+    }
+
+    fn down(self, n: usize) -> u64 {
+        self >> n
+    }
+
+    fn ones(self) -> u32 {
+        self.count_ones()
+    }
+
+    fn bit(self, i: usize) -> bool {
+        self >> i & 1 == 1
+    }
+
+    /// Branch-free: the invert decisions follow the data.
+    fn when(self, on: bool) -> u64 {
+        self & 0u64.wrapping_sub(u64::from(on))
+    }
+}
+
+impl Lines for Word {
+    fn none(self) -> Word {
+        Word::zero(self.width())
+    }
+
+    fn window(self, lo: usize, hi: usize) -> Word {
+        self.none().place(lo, Word::zero(hi - lo).not())
+    }
+
+    fn and(self, other: Word) -> Word {
+        Word::and(self, other)
+    }
+
+    fn or(self, other: Word) -> Word {
+        Word::or(self, other)
+    }
+
+    fn xor(self, other: Word) -> Word {
+        Word::xor(self, other)
+    }
+
+    fn up(self, n: usize) -> Word {
+        self.shl(n)
+    }
+
+    fn down(self, n: usize) -> Word {
+        self.shr(n)
+    }
+
+    fn ones(self) -> u32 {
+        self.count_ones()
+    }
+
+    fn bit(self, i: usize) -> bool {
+        Word::bit(self, i)
+    }
+
+    fn when(self, on: bool) -> Word {
+        if on {
+            self
+        } else {
+            self.none()
+        }
     }
 }
 
@@ -103,6 +206,36 @@ impl BusInvert {
             }
         })
     }
+
+    /// The invert rule on whole words: `data` (data bits) and the
+    /// previously driven bus word to the next driven bus word. Sub-bus
+    /// `s` sits `s` wires up the bus, past the invert wires below it, so
+    /// its toggle count is one masked popcount of `data ^ (prev >> s)`;
+    /// the inverted sub-buses, invert wires included, flip in one XOR.
+    fn invert<B: Lines>(&self, data: B, prev: B) -> B {
+        let (mut placed, mut flip) = (prev.none(), prev.none());
+        for (s, sub) in self.subs().enumerate() {
+            let mask = prev.window(sub.data_lo, sub.data_lo + sub.len);
+            placed = placed.or(data.and(mask).up(s));
+            // Invert when more than half the data lines would toggle.
+            let toggles = data.xor(prev.down(s)).and(mask).ones() as usize;
+            let wires = prev.window(sub.wire_lo, sub.wire_lo + sub.len + 1);
+            flip = flip.or(wires.when(2 * toggles > sub.len));
+        }
+        placed.xor(flip)
+    }
+
+    /// The inverse of [`BusInvert::invert`]: each sub-bus moved down to
+    /// its data bits, the inverted ones flipped back in one XOR.
+    fn restore<B: Lines>(&self, bus: B) -> B {
+        let (mut data, mut flip) = (bus.none(), bus.none());
+        for (s, sub) in self.subs().enumerate() {
+            let mask = bus.window(sub.data_lo, sub.data_lo + sub.len);
+            data = data.or(bus.down(s).and(mask));
+            flip = flip.or(mask.when(bus.bit(sub.wire_lo + sub.len)));
+        }
+        data.xor(flip)
+    }
 }
 
 impl BusCode for BusInvert {
@@ -120,39 +253,23 @@ impl BusCode for BusInvert {
 
     fn encode(&mut self, data: Word) -> Word {
         assert_eq!(data.width(), self.k, "data width mismatch");
-        let mut out = Word::zero(self.wires());
-        for sub in self.subs() {
-            // Invert when more than half the data lines would toggle.
-            let mut toggles = 0;
-            for (c, n) in sub.chunks() {
-                let old = self.prev.field(sub.wire_lo + c, n);
-                toggles += (data.field(sub.data_lo + c, n) ^ old).count_ones() as usize;
-            }
-            let invert = 2 * toggles > sub.len;
-            let flip = if invert { u64::MAX } else { 0 };
-            for (c, n) in sub.chunks() {
-                out = out.with_field(sub.wire_lo + c, n, data.field(sub.data_lo + c, n) ^ flip);
-            }
-            out = out.with_bit(sub.wire_lo + sub.len, invert);
-        }
-        self.prev = out;
-        out
+        let wires = self.wires();
+        self.prev = if wires <= 64 {
+            let out = self.invert(data.limb(0), self.prev.limb(0));
+            Word::from_limbs([out, 0, 0, 0], wires)
+        } else {
+            self.invert(Word::zero(wires).place(0, data), self.prev)
+        };
+        self.prev
     }
 
     fn decode(&mut self, bus: Word) -> Word {
         assert_eq!(bus.width(), self.wires(), "bus width mismatch");
-        let mut out = Word::zero(self.k);
-        for sub in self.subs() {
-            let flip = if bus.bit(sub.wire_lo + sub.len) {
-                u64::MAX
-            } else {
-                0
-            };
-            for (c, n) in sub.chunks() {
-                out = out.with_field(sub.data_lo + c, n, bus.field(sub.wire_lo + c, n) ^ flip);
-            }
+        if self.wires() <= 64 {
+            Word::from_limbs([self.restore(bus.limb(0)), 0, 0, 0], self.k)
+        } else {
+            self.restore(bus).slice(0, self.k)
         }
-        out
     }
 
     fn reset(&mut self) {
@@ -270,8 +387,114 @@ impl BusCode for CouplingBusInvert {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
+
+    impl SubBus {
+        /// The sub-bus in fields of at most 64 wires: `(offset, len)`.
+        fn chunks(self) -> impl Iterator<Item = (usize, usize)> {
+            (0..self.len)
+                .step_by(64)
+                .map(move |c| (c, 64.min(self.len - c)))
+        }
+    }
+
+    impl BusInvert {
+        /// The field-by-field encoder the whole-word rule replaced: the
+        /// reference it must equal.
+        fn encode_fields(&mut self, data: Word) -> Word {
+            let mut out = Word::zero(self.wires());
+            for sub in self.subs() {
+                let mut toggles = 0;
+                for (c, n) in sub.chunks() {
+                    let old = self.prev.field(sub.wire_lo + c, n);
+                    toggles += (data.field(sub.data_lo + c, n) ^ old).count_ones() as usize;
+                }
+                let invert = 2 * toggles > sub.len;
+                let flip = if invert { u64::MAX } else { 0 };
+                for (c, n) in sub.chunks() {
+                    out = out.with_field(sub.wire_lo + c, n, data.field(sub.data_lo + c, n) ^ flip);
+                }
+                out = out.with_bit(sub.wire_lo + sub.len, invert);
+            }
+            self.prev = out;
+            out
+        }
+
+        /// The field-by-field decoder the whole-word rule replaced.
+        fn decode_fields(&self, bus: Word) -> Word {
+            let mut out = Word::zero(self.k);
+            for sub in self.subs() {
+                let flip = if bus.bit(sub.wire_lo + sub.len) {
+                    u64::MAX
+                } else {
+                    0
+                };
+                for (c, n) in sub.chunks() {
+                    out = out.with_field(sub.data_lo + c, n, bus.field(sub.wire_lo + c, n) ^ flip);
+                }
+            }
+            out
+        }
+    }
+
+    fn random_word(rng: &mut StdRng, width: usize) -> Word {
+        (0..width).fold(Word::zero(width), |w, i| w.with_bit(i, rng.gen::<bool>()))
+    }
+
+    proptest! {
+        /// The whole-word rule equals the field-by-field reference on
+        /// every sub-bus layout up to 64 data bits — one-`u64` buses and
+        /// limb buses up to 128 wires — over a stream (so the encoder
+        /// memory is exercised) and on arbitrary received words.
+        #[test]
+        fn whole_word_rule_equals_the_field_reference(
+            k in 1usize..=64,
+            i_pick in 0usize..64,
+            seed in any::<u64>(),
+        ) {
+            let i = 1 + i_pick % k;
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut fast = BusInvert::new(k, i);
+            let mut reference = BusInvert::new(k, i);
+            for _ in 0..24 {
+                let data = random_word(&mut rng, k);
+                let coded = fast.encode(data);
+                prop_assert_eq!(coded, reference.encode_fields(data), "BI({}) k={} encode", i, k);
+                prop_assert_eq!(fast.decode(coded), data);
+                let bus = random_word(&mut rng, k + i);
+                prop_assert_eq!(fast.decode(bus), reference.decode_fields(bus), "BI({}) k={} decode", i, k);
+            }
+        }
+    }
+
+    #[test]
+    fn whole_word_rule_equals_the_field_reference_on_wide_buses() {
+        let mut rng = StdRng::seed_from_u64(0xB1DE);
+        for (k, i) in [
+            (200, 1),
+            (200, 7),
+            (130, 2),
+            (255, 1),
+            (128, 128),
+            (192, 63),
+        ] {
+            let mut fast = BusInvert::new(k, i);
+            let mut reference = BusInvert::new(k, i);
+            for _ in 0..64 {
+                let data = random_word(&mut rng, k);
+                let coded = fast.encode(data);
+                assert_eq!(coded, reference.encode_fields(data), "BI({i}) k={k}");
+                let bus = random_word(&mut rng, k + i);
+                assert_eq!(
+                    fast.decode(bus),
+                    reference.decode_fields(bus),
+                    "BI({i}) k={k}"
+                );
+            }
+        }
+    }
 
     #[test]
     fn roundtrip_random_sequence() {

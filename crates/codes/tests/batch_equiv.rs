@@ -168,13 +168,18 @@ fn checked_decode_is_exhaustively_equivalent_at_small_widths() {
         (Scheme::Dap, 3),
         (Scheme::Shielding, 4),
         (Scheme::Duplication, 4),
+        (Scheme::Ftc, 1),
+        (Scheme::Ftc, 2),
         (Scheme::Ftc, 3),
+        (Scheme::Ftc, 4),
+        (Scheme::Ftc, 5),
         (Scheme::HammingX, 4),
         (Scheme::Bih, 4),
         (Scheme::Bsc, 3),
         (Scheme::Dapx, 3),
         (Scheme::Dapbi, 3),
         (Scheme::FtcHc, 3),
+        (Scheme::FtcHc, 4),
         (Scheme::BchDec, 4),
     ] {
         for offset in [0, 1] {

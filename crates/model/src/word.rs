@@ -10,7 +10,8 @@
 //! bus) needs 131.
 //!
 //! Every multi-wire operation works on whole limbs: [`Word::slice`],
-//! [`Word::concat`] and [`Word::place`] are limb shifts,
+//! [`Word::concat`], [`Word::place`], [`Word::shl`] and [`Word::shr`]
+//! are limb shifts,
 //! [`Word::spread2`]/[`Word::gather2`] move a word onto or off every
 //! other wire with a fixed shift-and-mask ladder, and [`Word::parity`] is
 //! one popcount. These are the primitives the scalar codecs are built
@@ -364,6 +365,32 @@ impl Word {
         }
         out.mask_off();
         out
+    }
+
+    /// Every wire moved `n` wires up at the same width: wires pushed past
+    /// the width drop, and wires `0..n` read 0.
+    #[must_use]
+    #[allow(clippy::should_implement_trait)]
+    #[inline]
+    pub fn shl(self, n: usize) -> Word {
+        let mut out = Word {
+            limbs: shl_limbs(self.limbs, n),
+            width: self.width,
+        };
+        out.mask_off();
+        out
+    }
+
+    /// Every wire moved `n` wires down at the same width: wires below `n`
+    /// drop, and the top `n` wires read 0.
+    #[must_use]
+    #[allow(clippy::should_implement_trait)]
+    #[inline]
+    pub fn shr(self, n: usize) -> Word {
+        Word {
+            limbs: shr_limbs(self.limbs, n),
+            width: self.width,
+        }
     }
 
     /// XOR of every wire: `true` when an odd number of wires is at 1.
@@ -731,6 +758,25 @@ mod tests {
         let s = w.slice(60, 10); // contains original bits 63 and 64
         assert_eq!(s.count_ones(), 2);
         assert!(s.bit(3) && s.bit(4));
+    }
+
+    #[test]
+    fn shifts_keep_the_width_and_drop_the_edge() {
+        let w = Word::from_limbs([u64::MAX, 1, 0, 1 << 9], 202);
+        let up = w.shl(70);
+        assert_eq!(up.width(), 202);
+        assert_eq!(up.limb(0), 0);
+        assert_eq!(up.limb(1), u64::MAX << 6);
+        assert_eq!(up.limb(2), 63 | 1 << 6);
+        // Wire 201 (limb 3, bit 9) moved past the width.
+        assert_eq!(up.limb(3), 0);
+        let down = w.shr(130);
+        assert_eq!(down.limb(0), 0);
+        assert_eq!(down.limb(1), 1 << 7);
+        assert_eq!((down.limb(2), down.limb(3)), (0, 0));
+        assert_eq!(w.shl(0), w);
+        assert_eq!(w.shr(0), w);
+        assert_eq!(w.shl(256), Word::zero(202));
     }
 
     #[test]

@@ -89,7 +89,9 @@ impl Codecs {
 #[test]
 fn every_batch_kernel_equals_its_scalar_codec() {
     let mut rng = StdRng::seed_from_u64(0xC0_47AC7);
-    for k in [4, 16, 32] {
+    // k = 1 brings FTC's (1, 2) group, k = 5 its (3, 4) + (2, 3) pair,
+    // k = 17 uneven BI(8) sub-buses.
+    for k in [1, 4, 5, 16, 17, 32] {
         for scheme in schemes(k) {
             for noise in [0.0, 0.05] {
                 let mut codecs = Codecs::new(scheme, k);
