@@ -15,8 +15,9 @@
 //!   build counts, and the speedup-gate verdict. CI runs the bin twice
 //!   and `cmp`s this file.
 //! * `results/BENCH_codec_timing.json` — wall-clock ns-per-word and the
-//!   measured kernel-vs-scan speedups; machine-dependent by nature and
-//!   not byte-compared.
+//!   measured kernel-vs-scan speedups, with the host they were taken on
+//!   (`host_parallelism`, `profile`, `code_version`; see
+//!   [`crate::host`]); machine-dependent by nature and not byte-compared.
 //!
 //! The bin *asserts* the acceptance gates before writing: every FPC/FTC
 //! scan-baseline row must decode corrupted words at least
@@ -421,15 +422,17 @@ pub fn render_json(
     json
 }
 
-/// Renders the **wall-clock** JSON (`BENCH_codec_timing.json`): the same
-/// rows with ns-per-word and words/sec, plus the corrupted-decode
-/// kernel-vs-scan and batch-vs-scalar speedups. Machine-dependent by
-/// design; never byte-compared.
+/// Renders the **wall-clock** JSON (`BENCH_codec_timing.json`): the host
+/// it ran on ([`crate::host::json_members`]), the same rows with
+/// ns-per-word and words/sec, plus the corrupted-decode kernel-vs-scan
+/// and batch-vs-scalar speedups. Machine-dependent by design; never
+/// byte-compared.
 #[must_use]
 pub fn render_timing_json(rows: &[Row]) -> String {
     let mut json = String::new();
     json.push_str("{\n");
     json.push_str("  \"note\": \"wall-clock; machine-dependent, not byte-reproducible\",\n");
+    json.push_str(&crate::host::json_members());
     json.push_str("  \"corrupted_decode_speedups\": [\n");
     let mut first = true;
     for (label, speedup) in corrupted_speedups(rows) {

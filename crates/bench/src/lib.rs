@@ -11,6 +11,7 @@ pub mod designs;
 pub mod dvs;
 pub mod fmt;
 pub mod health;
+pub mod host;
 pub mod mesh;
 pub mod rare;
 pub mod reliability;

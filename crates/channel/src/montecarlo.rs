@@ -341,15 +341,16 @@ pub fn word_error_rate_traced(
     } else {
         String::new()
     };
-    let mut words: Vec<Word> = Vec::with_capacity(BLOCK_WORDS);
+    let mut words = [Word::zero(k); BLOCK_WORDS];
     while done < trials {
         let n = usize::try_from((trials - done).min(BLOCK_WORDS as u64)).expect("n <= 64");
         // Data draws first (one `u128` per trial, in trial order), then
         // the channel draws (per word, wire-ascending): each stream is
         // its own RNG, so batching keeps both streams in scalar order.
-        words.clear();
-        words.extend((0..n).map(|_| Word::from_bits(rng.gen::<u128>(), k)));
-        let data = WordBlock::from_words(&words);
+        for w in &mut words[..n] {
+            *w = Word::from_bits(rng.gen::<u128>(), k);
+        }
+        let data = WordBlock::from_words(&words[..n]);
         let sent = enc.encode(&data);
         let mut received = sent;
         ch.corrupt_block(&mut received);

@@ -197,10 +197,11 @@ impl TrialStream {
         if n == 0 {
             return 0;
         }
-        let words: Vec<Word> = (0..n)
-            .map(|_| Word::from_bits(self.data_rng.gen::<u128>(), self.k))
-            .collect();
-        let data = WordBlock::from_words(&words);
+        let mut words = [Word::zero(self.k); BLOCK_WORDS];
+        for w in &mut words[..n] {
+            *w = Word::from_bits(self.data_rng.gen::<u128>(), self.k);
+        }
+        let data = WordBlock::from_words(&words[..n]);
         let mut received = self.enc.encode(&data);
         let wire_mask = if self.wires >= 128 {
             u128::MAX

@@ -31,8 +31,14 @@
 //!   (`minterms`, `select`; FTC, FTC+HC);
 //! * `LookupStage` — the FPC codebook, one group over all the data bits
 //!   (23 wires at k = 16), too wide for a truth table: the block goes
-//!   through one tiled 64×64 bit-matrix transpose to rows and each word
-//!   is looked up in the kernel.
+//!   through one narrow tile transpose to rows (below) and each word is
+//!   looked up in the kernel.
+//!
+//! Words enter and leave the planes through tile transposes, one per
+//! 64-wire limb the width reaches, that run only the rounds the limb's
+//! width needs: rows of `w` bits are first packed into `n` rows (`n` the
+//! power of two at or above `w`), and only `log2 n` swap rounds follow
+//! (DESIGN.md §24).
 //!
 //! BCH-DEC decodes zero syndromes and single errors in the planes and
 //! hands only the remaining words (double errors and uncorrectable
@@ -63,8 +69,8 @@ pub const BLOCK_WORDS: usize = 64;
 
 const LIMBS: usize = Word::LIMB_COUNT;
 
-/// A block's words as rows: `rows[j]` holds the limbs of word `j`.
-type Rows = [[u64; LIMBS]; BLOCK_WORDS];
+/// One limb of a block: 64 rows or 64 lanes of 64 bits.
+type Tile = [u64; BLOCK_WORDS];
 
 /// A block of up to [`BLOCK_WORDS`] equal-width words in transposed
 /// (bit-plane) layout: lane `i`, bit `j` is wire `i` of word `j`.
@@ -112,48 +118,38 @@ impl WordBlock {
     /// Panics if `words.len() > BLOCK_WORDS` or the widths are mixed.
     #[must_use]
     pub fn from_words(words: &[Word]) -> Self {
-        assert!(
-            words.len() <= BLOCK_WORDS,
-            "block length {} exceeds {BLOCK_WORDS}",
-            words.len()
-        );
         let width = words.first().map_or(0, |w| w.width());
-        let mut rows: Rows = [[0; LIMBS]; BLOCK_WORDS];
-        for (row, w) in rows.iter_mut().zip(words) {
+        for w in words {
             assert_eq!(w.width(), width, "mixed widths in block");
-            *row = std::array::from_fn(|l| w.limb(l));
         }
-        WordBlock::from_rows(&rows[..words.len()], width)
+        WordBlock::from_rows(width, words.len(), |l, j| words[j].limb(l))
     }
 
-    /// Transposes rows (word limbs, zero above `width`) into a block of
-    /// `rows.len()` words, one 64×64 tile per limb.
-    fn from_rows(rows: &[[u64; LIMBS]], width: usize) -> Self {
-        let mut block = WordBlock::zero(width, rows.len());
-        for (l, chunk) in block.lanes.chunks_mut(64).enumerate() {
-            let mut tile = [0u64; 64];
-            for (t, row) in tile.iter_mut().zip(rows) {
-                *t = row[l];
+    /// Builds a block of `len` words of `width` wires from its rows:
+    /// `row(l, j)` is limb `l` of word `j`, masked here to the width. Each
+    /// limb the width reaches is one narrow tile transpose.
+    fn from_rows(width: usize, len: usize, row: impl Fn(usize, usize) -> u64) -> Self {
+        let mut block = WordBlock::zero(width, len);
+        for (l, lanes) in block.lanes.chunks_mut(64).enumerate() {
+            let mask = low_bits(lanes.len());
+            let mut tile: Tile = [0; BLOCK_WORDS];
+            for (j, t) in tile[..len].iter_mut().enumerate() {
+                *t = row(l, j) & mask;
             }
-            transpose64(&mut tile);
-            chunk.copy_from_slice(&tile[..chunk.len()]);
+            turn(&mut tile, lanes.len(), Turn::ToLanes);
+            lanes.copy_from_slice(&tile[..lanes.len()]);
         }
         block
     }
 
-    /// The block's words as rows, one 64×64 tile transpose per limb;
-    /// rows at and past `len()` are zero.
-    fn to_rows(&self) -> Rows {
-        let mut rows: Rows = [[0; LIMBS]; BLOCK_WORDS];
-        for (l, chunk) in self.lanes.chunks(64).enumerate() {
-            let mut tile = [0u64; 64];
-            tile[..chunk.len()].copy_from_slice(chunk);
-            transpose64(&mut tile);
-            for (row, bits) in rows.iter_mut().zip(tile) {
-                row[l] = bits;
-            }
-        }
-        rows
+    /// Limb `l` of every word, word `j` at index `j`: the mirror of
+    /// [`WordBlock::from_rows`]. Entries at and past `len()` are zero.
+    fn to_rows(&self, l: usize) -> Tile {
+        let lanes = &self.lanes[64 * l..self.width().min(64 * l + 64)];
+        let mut tile: Tile = [0; BLOCK_WORDS];
+        tile[..lanes.len()].copy_from_slice(lanes);
+        turn(&mut tile, lanes.len(), Turn::ToRows);
+        tile
     }
 
     /// Number of wires (lanes).
@@ -177,11 +173,7 @@ impl WordBlock {
     /// Mask with one set bit per word in the block (`len` low bits).
     #[must_use]
     pub fn valid_mask(&self) -> u64 {
-        if self.len == BLOCK_WORDS {
-            u64::MAX
-        } else {
-            (1u64 << self.len) - 1
-        }
+        low_bits(self.len)
     }
 
     /// Untransposes word `j` back into the [`Word`] inspection view (one
@@ -207,10 +199,16 @@ impl WordBlock {
     /// Untransposes the whole block, word 0 first.
     #[must_use]
     pub fn to_words(&self) -> Vec<Word> {
-        let rows = self.to_rows();
-        rows[..self.len]
-            .iter()
-            .map(|&row| Word::from_limbs(row, self.width()))
+        let limbs = self.width().div_ceil(64);
+        let tiles: [Tile; LIMBS] = std::array::from_fn(|l| {
+            if l < limbs {
+                self.to_rows(l)
+            } else {
+                [0; BLOCK_WORDS]
+            }
+        });
+        (0..self.len)
+            .map(|j| Word::from_limbs(std::array::from_fn(|l| tiles[l][j]), self.width()))
             .collect()
     }
 
@@ -258,23 +256,125 @@ impl WordBlock {
     }
 }
 
-/// Transposes a 64×64 bit matrix in place: afterwards bit `j` of `a[i]`
-/// is what bit `i` of `a[j]` was. Hacker's Delight §7-3, least
-/// significant bit first: six rounds of block swaps, halving the block
-/// size each round.
-fn transpose64(a: &mut [u64; 64]) {
-    let mut width = 32;
-    let mut mask: u64 = 0x0000_0000_FFFF_FFFF;
-    while width != 0 {
-        let mut k = 0;
-        while k < 64 {
-            let t = ((a[k] >> width) ^ a[k + width]) & mask;
-            a[k] ^= t << width;
-            a[k + width] ^= t;
-            k = (k + width + 1) & !width;
+/// Mask of the `n <= 64` low bits.
+fn low_bits(n: usize) -> u64 {
+    if n >= 64 {
+        u64::MAX
+    } else {
+        (1 << n) - 1
+    }
+}
+
+/// The direction of a narrow tile transpose.
+#[derive(Clone, Copy, Debug)]
+enum Turn {
+    /// Rows (`tile[j]` word `j`, bits below the width) to lanes
+    /// (`tile[i]` wire `i`, for `i` below the width; the rows above are
+    /// left as scratch).
+    ToLanes,
+    /// Lanes (`tile[i]` for `i` below the width, zero above) to rows, all
+    /// 64 exact.
+    ToRows,
+}
+
+/// Transposes one tile of `width <= 64` columns, running only the rounds
+/// that width needs (DESIGN.md §24): `n`, the power of two at or above
+/// the width, fixes the rounds at compile time.
+fn turn(tile: &mut Tile, width: usize, to: Turn) {
+    match width.next_power_of_two() {
+        1 => turn_rounds::<1>(tile, to),
+        2 => turn_rounds::<2>(tile, to),
+        4 => turn_rounds::<4>(tile, to),
+        8 => turn_rounds::<8>(tile, to),
+        16 => turn_rounds::<16>(tile, to),
+        32 => turn_rounds::<32>(tile, to),
+        64 => turn_rounds::<64>(tile, to),
+        n => unreachable!("tile of {n} columns"),
+    }
+}
+
+/// The six rounds of a 64×64 transpose, one per index bit, for rows of
+/// `N` columns. Round `W` swaps bit `log2 W` of the row index with the
+/// same bit of the column index, so the rounds commute. A round with
+/// `W >= N` finds nothing to move down and packs rows `W..2W` into rows
+/// `0..W` (`ToLanes`) or unpacks them (`ToRows`); the rounds below `N`
+/// swap within rows `0..N` only.
+#[inline(always)]
+fn turn_rounds<const N: usize>(a: &mut Tile, to: Turn) {
+    match to {
+        Turn::ToLanes => {
+            pack::<32, N>(a);
+            pack::<16, N>(a);
+            pack::<8, N>(a);
+            pack::<4, N>(a);
+            pack::<2, N>(a);
+            pack::<1, N>(a);
+            swap_rounds::<N>(a);
         }
-        width >>= 1;
-        mask ^= mask << width;
+        Turn::ToRows => {
+            swap_rounds::<N>(a);
+            unpack::<1, N>(a);
+            unpack::<2, N>(a);
+            unpack::<4, N>(a);
+            unpack::<8, N>(a);
+            unpack::<16, N>(a);
+            unpack::<32, N>(a);
+        }
+    }
+}
+
+/// The columns whose index has bit `log2 W` clear.
+const fn keep_mask(w: usize) -> u64 {
+    u64::MAX / ((1 << w) + 1)
+}
+
+/// The swap rounds `W < N`, widest first.
+#[inline(always)]
+fn swap_rounds<const N: usize>(a: &mut Tile) {
+    swap::<32, N>(a);
+    swap::<16, N>(a);
+    swap::<8, N>(a);
+    swap::<4, N>(a);
+    swap::<2, N>(a);
+    swap::<1, N>(a);
+}
+
+/// Pack round `W >= N`: row `k + W` moves up `W` columns into row `k`.
+#[inline(always)]
+fn pack<const W: usize, const N: usize>(a: &mut Tile) {
+    if W >= N {
+        let (lo, hi) = a.split_at_mut(W);
+        for (x, y) in lo.iter_mut().zip(&hi[..W]) {
+            *x |= *y << W;
+        }
+    }
+}
+
+/// Unpack round `W >= N`, the mirror of [`pack`]: the columns of row
+/// `k` with bit `log2 W` set move down into row `k + W`, empty until now.
+#[inline(always)]
+fn unpack<const W: usize, const N: usize>(a: &mut Tile) {
+    if W >= N {
+        let (lo, hi) = a.split_at_mut(W);
+        for (x, y) in lo.iter_mut().zip(&mut hi[..W]) {
+            *y = (*x >> W) & keep_mask(W);
+            *x &= keep_mask(W);
+        }
+    }
+}
+
+/// Swap round `W < N` over rows `0..N` (Hacker's Delight §7-3).
+#[inline(always)]
+fn swap<const W: usize, const N: usize>(a: &mut Tile) {
+    if W < N {
+        for pair in a[..N].chunks_exact_mut(2 * W) {
+            let (lo, hi) = pair.split_at_mut(W);
+            for (x, y) in lo.iter_mut().zip(hi) {
+                let t = ((*x >> W) ^ *y) & keep_mask(W);
+                *x ^= t << W;
+                *y ^= t;
+            }
+        }
     }
 }
 
@@ -302,13 +402,8 @@ impl BlockStatus {
             len <= BLOCK_WORDS,
             "block length {len} exceeds {BLOCK_WORDS}"
         );
-        let mask = if len == BLOCK_WORDS {
-            u64::MAX
-        } else {
-            (1u64 << len) - 1
-        };
         BlockStatus {
-            unchecked: mask,
+            unchecked: low_bits(len),
             ..BlockStatus::default()
         }
     }
@@ -779,9 +874,10 @@ fn select(minterms: &[u64; 64], mut table: u64) -> u64 {
 /// Per-word codebook lookups over a block, for FPC only: its one group
 /// spans all the data bits (23 wires at k = 16), too wide for a truth
 /// table (FTC's groups of at most 6 wires evaluate theirs on bit planes
-/// instead). The block is transposed to rows once, each row is looked up
-/// in the kernel, and the result is transposed back. FPC carries at most
-/// 16 data bits on at most 23 wires, so a row is its low limb.
+/// instead). The block is turned to rows by one narrow tile transpose,
+/// each row is looked up in the kernel, and the results are turned back.
+/// FPC carries at most 16 data bits on at most 23 wires, so a row is its
+/// low limb.
 #[derive(Clone, Debug)]
 struct LookupStage {
     kernel: Arc<CodebookKernel>,
@@ -789,28 +885,26 @@ struct LookupStage {
 
 impl LookupStage {
     fn encode(&self, data: &WordBlock) -> WordBlock {
-        let rows = data.to_rows();
-        let mut out: Rows = [[0; LIMBS]; BLOCK_WORDS];
-        for (src, dst) in rows[..data.len()].iter().zip(out.iter_mut()) {
-            dst[0] = self.kernel.codeword_bits(src[0] as usize) as u64;
-        }
-        WordBlock::from_rows(&out[..data.len()], self.kernel.wires())
+        let rows = data.to_rows(0);
+        WordBlock::from_rows(self.kernel.wires(), data.len(), |_, j| {
+            self.kernel.codeword_bits(rows[j] as usize) as u64
+        })
     }
 
     /// Decodes every word to `k` data lanes; returns the mask of words
     /// that were exact codewords.
     fn decode(&self, bus: &WordBlock, k: usize) -> (WordBlock, u64) {
-        let rows = bus.to_rows();
-        let mut out: Rows = [[0; LIMBS]; BLOCK_WORDS];
+        let rows = bus.to_rows(0);
+        let mut out: Tile = [0; BLOCK_WORDS];
         let mut exact_all = bus.valid_mask();
-        for (j, (src, dst)) in rows[..bus.len()].iter().zip(out.iter_mut()).enumerate() {
-            let (idx, exact) = self.kernel.decode_index_raw(u128::from(src[0]));
+        for (j, (&src, dst)) in rows[..bus.len()].iter().zip(&mut out).enumerate() {
+            let (idx, exact) = self.kernel.decode_index_raw(u128::from(src));
             if !exact {
                 exact_all &= !(1u64 << j);
             }
-            dst[0] = idx as u64;
+            *dst = idx as u64;
         }
-        (WordBlock::from_rows(&out[..bus.len()], k), exact_all)
+        (WordBlock::from_rows(k, bus.len(), |_, j| out[j]), exact_all)
     }
 }
 
@@ -1837,10 +1931,30 @@ mod tests {
         block
     }
 
+    /// Transposes a 64×64 bit matrix in place: afterwards bit `j` of
+    /// `a[i]` is what bit `i` of `a[j]` was. Hacker's Delight §7-3: six
+    /// rounds of block swaps, halving the block size each round. The
+    /// reference the narrow transposes are checked against.
+    fn transpose64(a: &mut Tile) {
+        let mut width = 32;
+        let mut mask: u64 = 0x0000_0000_FFFF_FFFF;
+        while width != 0 {
+            let mut k = 0;
+            while k < 64 {
+                let t = ((a[k] >> width) ^ a[k + width]) & mask;
+                a[k] ^= t << width;
+                a[k + width] ^= t;
+                k = (k + width + 1) & !width;
+            }
+            width >>= 1;
+            mask ^= mask << width;
+        }
+    }
+
     #[test]
     fn transpose64_matches_the_bitwise_definition() {
         let mut rng = StdRng::seed_from_u64(64);
-        let a: [u64; 64] = std::array::from_fn(|_| rng.gen());
+        let a: Tile = std::array::from_fn(|_| rng.gen());
         let mut t = a;
         transpose64(&mut t);
         for (i, row) in t.iter().enumerate() {
@@ -1850,6 +1964,44 @@ mod tests {
         }
         transpose64(&mut t);
         assert_eq!(t, a, "transpose is an involution");
+    }
+
+    /// A tile whose first `rows` rows are random with bits below `cols`
+    /// only, the rest zero.
+    fn random_tile(rng: &mut StdRng, rows: usize, cols: usize) -> Tile {
+        std::array::from_fn(|j| {
+            if j < rows {
+                rng.gen::<u64>() & low_bits(cols)
+            } else {
+                0
+            }
+        })
+    }
+
+    /// At every (width, row count) pair of a tile, one random tile of
+    /// rows turned to lanes and one of lanes turned to rows equal the
+    /// full transpose on the rows the narrow form keeps.
+    #[test]
+    fn narrow_transpose_equals_transpose64() {
+        let mut rng = StdRng::seed_from_u64(0x7A11);
+        for width in 0..=64 {
+            for len in 0..=BLOCK_WORDS {
+                let rows = random_tile(&mut rng, len, width);
+                let (mut want, mut got) = (rows, rows);
+                transpose64(&mut want);
+                turn(&mut got, width, Turn::ToLanes);
+                assert_eq!(
+                    got[..width],
+                    want[..width],
+                    "to lanes: width {width}, {len} rows"
+                );
+                let lanes = random_tile(&mut rng, width, len);
+                let (mut want, mut got) = (lanes, lanes);
+                transpose64(&mut want);
+                turn(&mut got, width, Turn::ToRows);
+                assert_eq!(got, want, "to rows: width {width}, {len} rows");
+            }
+        }
     }
 
     #[test]
