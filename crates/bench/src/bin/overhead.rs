@@ -15,12 +15,23 @@
 
 use std::time::{Duration, Instant};
 
-use socbus_bench::soak::{render_json, run_campaign_with, FULL_WORDS, SMOKE_WORDS};
+use socbus_chaos::campaign::{campaign_cells, render_json, FULL_WORDS, HOPS, SMOKE_WORDS};
+use socbus_chaos::{build_case, run_case_with};
 use socbus_telemetry::Telemetry;
 
+/// Runs the soak campaign sequentially, every cell dispatching into the
+/// one shared `tel` (a `Telemetry` is not `Sync`, so a shared sink
+/// cannot ride the sharded driver).
 fn time_campaign(words: u64, tel: &Telemetry) -> (Duration, String) {
     let start = Instant::now();
-    let outcomes = run_campaign_with(words, tel.clone());
+    let outcomes: Vec<_> = campaign_cells(words)
+        .into_iter()
+        .map(|(scheme, family, seed)| {
+            let cfg = build_case(scheme, family, seed, words, HOPS);
+            let out = run_case_with(&cfg, tel.clone());
+            (cfg.name, out)
+        })
+        .collect();
     let elapsed = start.elapsed();
     (elapsed, render_json(words, &outcomes))
 }

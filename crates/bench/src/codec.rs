@@ -28,7 +28,6 @@
 //! at 1 and 8 threads over an odd trial count.
 
 use std::fmt::Write as _;
-use std::path::Path;
 use std::time::Instant;
 
 use rand::rngs::StdRng;
@@ -36,6 +35,7 @@ use rand::{Rng, SeedableRng};
 use socbus_channel::montecarlo::{
     word_error_rate_parallel, word_error_rate_parallel_scalar, WordErrorEstimate,
 };
+use socbus_chaos::ctx::{push_rows, write_file};
 use socbus_codes::batch::BatchFpc;
 use socbus_codes::{
     batch_build, codebook_builds, BatchCode, BusCode, ForbiddenPatternCode,
@@ -434,32 +434,26 @@ pub fn render_timing_json(rows: &[Row]) -> String {
     json.push_str("  \"note\": \"wall-clock; machine-dependent, not byte-reproducible\",\n");
     json.push_str(&crate::host::json_members());
     json.push_str("  \"corrupted_decode_speedups\": [\n");
-    let mut first = true;
-    for (label, speedup) in corrupted_speedups(rows) {
-        if !first {
-            json.push_str(",\n");
-        }
-        first = false;
-        let _ = write!(
-            json,
-            "    {{\"scheme\": \"{label}\", \"scan_over_kernel\": {speedup:.2}}}"
-        );
-    }
+    push_rows(
+        &mut json,
+        corrupted_speedups(rows),
+        |json, (label, speedup)| {
+            let _ = write!(
+                json,
+                "    {{\"scheme\": \"{label}\", \"scan_over_kernel\": {speedup:.2}}}"
+            );
+        },
+    );
     json.push_str("\n  ],\n");
     json.push_str("  \"batch_decode_speedups\": [\n");
-    let mut first = true;
-    for (label, speedup) in batch_speedups(rows) {
-        if !first {
-            json.push_str(",\n");
-        }
-        first = false;
+    push_rows(&mut json, batch_speedups(rows), |json, (label, speedup)| {
         let _ = write!(
             json,
             "    {{\"scheme\": \"{label}\", \"scalar_over_batch\": {speedup:.2}, \
              \"gated\": {}}}",
             batch_gated(&label)
         );
-    }
+    });
     json.push_str("\n  ],\n");
     json.push_str("  \"rows\": [\n");
     render_rows(&mut json, rows, |json, r| {
@@ -475,12 +469,7 @@ pub fn render_timing_json(rows: &[Row]) -> String {
 }
 
 fn render_rows(json: &mut String, rows: &[Row], tail: impl Fn(&mut String, &Row)) {
-    let mut first = true;
-    for r in rows {
-        if !first {
-            json.push_str(",\n");
-        }
-        first = false;
+    push_rows(json, rows, |json, r| {
         let path = match r.path {
             DecodePath::Kernel => "kernel",
             DecodePath::Scan => "scan",
@@ -494,17 +483,7 @@ fn render_rows(json: &mut String, rows: &[Row], tail: impl Fn(&mut String, &Row)
         );
         tail(json, r);
         json.push('}');
-    }
-}
-
-/// Writes `content` to `path`, creating parent directories.
-fn write_out(path: &str, content: &str) {
-    if let Some(dir) = Path::new(path).parent() {
-        if !dir.as_os_str().is_empty() {
-            std::fs::create_dir_all(dir).expect("create output directory");
-        }
-    }
-    std::fs::write(path, content).expect("write results file");
+    });
 }
 
 /// Bin entry point: runs the benchmark, asserts the kernel-vs-scan and
@@ -564,11 +543,11 @@ pub fn main_with_args(args: &[String]) -> i32 {
         "montecarlo batch/scalar equivalence failed: {mc:?}"
     );
 
-    write_out(
+    write_file(
         out,
         &render_json(&rows, builds, gate_passed, batch_gate_passed, &mc),
     );
-    write_out(timing_out, &render_timing_json(&rows));
+    write_file(timing_out, &render_timing_json(&rows));
     eprintln!("codec benchmark written to {out} (timing: {timing_out})");
     0
 }

@@ -41,17 +41,14 @@
 //! `socbus-incident v1` report with one scope per variant run).
 
 use std::fmt::Write as _;
-use std::path::Path;
-use std::rc::Rc;
 
 use socbus_channel::FaultSpec;
-use socbus_chaos::runner::{run_case, run_case_with, CaseConfig, CaseOutcome};
+use socbus_chaos::ctx::{num, push_rows, run_cells, Run, RunArgs, RunCtx};
+use socbus_chaos::runner::{run_case_with, CaseConfig, CaseOutcome};
 use socbus_chaos::schedule::{FaultSchedule, ScheduleAction, ScheduleEvent, ScheduleFamily};
 use socbus_codes::Scheme;
-use socbus_exec::{default_threads, parse_threads, run_shards};
 use socbus_noc::link::Protocol;
 use socbus_noc::{ControlPolicy, OperatingPoint};
-use socbus_telemetry::{HealthAggregator, HealthConfig, HealthReport, Recorder, Telemetry};
 
 /// Data bits per transferred word.
 pub const DATA_BITS: usize = 16;
@@ -272,126 +269,27 @@ impl CellRow {
     }
 }
 
-fn run_cell(scheme: Scheme, family: ScheduleFamily, seed: u64, tel: &Telemetry) -> CellRow {
-    let fixed_cfg = cell_case(scheme, family, seed, static_policy(scheme), "static");
-    let closed_cfg = cell_case(scheme, family, seed, closed_policy(scheme), "closed");
-    CellRow {
-        scheme,
-        family,
-        fixed: run_case_with(&fixed_cfg, tel.clone()),
-        closed: run_case_with(&closed_cfg, tel.clone()),
-    }
-}
-
-/// Runs the whole grid on up to `threads` workers; rows come back in
-/// grid order, identically for every thread count.
+/// Runs the (scheme, family, seed) cells under `ctx`: the static and
+/// the closed variant of each cell are two sub-runs, with health scopes
+/// `scheme/family/static` and `scheme/family/closed`. Rows, the
+/// recording and the incident report are byte-identical for every
+/// thread count.
 #[must_use]
-pub fn run_bench_parallel(threads: usize) -> Vec<CellRow> {
-    let cells = bench_cells();
-    run_shards(threads, &cells, |_, &(scheme, family, seed)| {
-        let fixed_cfg = cell_case(scheme, family, seed, static_policy(scheme), "static");
-        let closed_cfg = cell_case(scheme, family, seed, closed_policy(scheme), "closed");
-        CellRow {
-            scheme,
-            family,
-            fixed: run_case(&fixed_cfg),
-            closed: run_case(&closed_cfg),
-        }
-    })
-}
-
-/// [`run_bench_parallel`] with telemetry: per-shard private recorders,
-/// absorbed in grid order at merge, so the combined recording is
-/// thread-count invariant too.
-#[must_use]
-pub fn run_bench_traced(threads: usize) -> (Vec<CellRow>, Recorder) {
-    let cells = bench_cells();
-    let sharded = run_shards(threads, &cells, |_, &(scheme, family, seed)| {
-        let rec = Rc::new(Recorder::new());
-        let row = run_cell(scheme, family, seed, &Telemetry::from_recorder(&rec));
-        let rec = Rc::try_unwrap(rec)
-            .ok()
-            .expect("run_case_with released every telemetry handle");
-        (row, rec)
-    });
-    let combined = Recorder::new();
-    let rows = sharded
-        .into_iter()
-        .map(|(row, rec)| {
-            combined.absorb(&rec);
-            row
-        })
-        .collect();
-    (rows, combined)
-}
-
-/// [`run_bench_traced`] with the health monitor folded over every run:
-/// each cell keeps two private recorders — one per variant — so the
-/// static and closed runs each get their own incident-report scope
-/// (`scheme/family/static` and `scheme/family/closed`). Scopes are
-/// pushed and recorders absorbed in variant order within grid order, so
-/// the incident report and the merged recorder are byte-identical for
-/// every thread count.
-#[must_use]
-pub fn run_bench_health(
-    threads: usize,
-    health_cfg: &HealthConfig,
-) -> (Vec<CellRow>, HealthReport, Recorder) {
-    run_health_cells(&bench_cells(), threads, health_cfg)
-}
-
-/// [`run_bench_health`] over an explicit cell list (the tests use a
-/// sub-grid; the binary runs the full grid).
-#[must_use]
-pub fn run_health_cells(
-    cells: &[(Scheme, ScheduleFamily, u64)],
-    threads: usize,
-    health_cfg: &HealthConfig,
-) -> (Vec<CellRow>, HealthReport, Recorder) {
-    let sharded = run_shards(threads, cells, |_, &(scheme, family, seed)| {
-        let run_traced = |policy: ControlPolicy, variant: &str| {
-            let cfg = cell_case(scheme, family, seed, policy, variant);
-            let rec = Rc::new(Recorder::new());
-            let out = run_case_with(&cfg, Telemetry::from_recorder(&rec));
-            let rec = Rc::try_unwrap(rec)
-                .ok()
-                .expect("run_case_with released every telemetry handle");
-            let scope = HealthAggregator::scope_from_recorder(&cfg.name, health_cfg, &rec);
-            (out, scope, rec)
+pub fn run_bench(cells: &[(Scheme, ScheduleFamily, u64)], ctx: &RunCtx) -> Run<CellRow> {
+    run_cells(ctx, cells, |&(scheme, family, seed), probe| {
+        let mut variant = |policy: ControlPolicy, name: &str| {
+            let cfg = cell_case(scheme, family, seed, policy, name);
+            run_case_with(&cfg, probe.open(&cfg.name))
         };
-        let (fixed, fixed_scope, fixed_rec) = run_traced(static_policy(scheme), "static");
-        let (closed, closed_scope, closed_rec) = run_traced(closed_policy(scheme), "closed");
-        let row = CellRow {
+        let fixed = variant(static_policy(scheme), "static");
+        let closed = variant(closed_policy(scheme), "closed");
+        CellRow {
             scheme,
             family,
             fixed,
             closed,
-        };
-        (row, [fixed_scope, closed_scope], [fixed_rec, closed_rec])
-    });
-    let combined = Recorder::new();
-    let mut health = HealthReport::new();
-    let rows = sharded
-        .into_iter()
-        .map(|(row, scopes, recs)| {
-            for (scope, rec) in scopes.into_iter().zip(recs.iter()) {
-                combined.absorb(rec);
-                health.push_scope(scope);
-            }
-            row
-        })
-        .collect();
-    (rows, health, combined)
-}
-
-/// Formats an `f64` for the JSON output (deterministic fixed-precision
-/// exponential, same convention as the other benches).
-fn num(x: f64) -> String {
-    if x == 0.0 {
-        "0.0".to_owned()
-    } else {
-        format!("{x:.6e}")
-    }
+        }
+    })
 }
 
 fn variant_json(out: &CaseOutcome) -> String {
@@ -425,12 +323,7 @@ pub fn render_json(rows: &[CellRow]) -> String {
     let _ = writeln!(json, "  \"margin_swing\": {MARGIN_SWING},");
     let _ = writeln!(json, "  \"target_wer\": {},", num(TARGET_WER));
     json.push_str("  \"cells\": [\n");
-    let mut first = true;
-    for row in rows {
-        if !first {
-            json.push_str(",\n");
-        }
-        first = false;
+    push_rows(&mut json, rows, |json, row| {
         json.push_str("    {");
         let _ = write!(json, "\"scheme\": \"{}\", ", row.scheme.name());
         let _ = write!(json, "\"family\": \"{}\", ", row.family.name());
@@ -445,7 +338,7 @@ pub fn render_json(rows: &[CellRow]) -> String {
         let _ = write!(json, "\"wer_met\": {}, ", row.wer_met());
         let _ = write!(json, "\"violations\": {}", row.violations());
         json.push('}');
-    }
+    });
     json.push_str("\n  ],\n");
     let saving = rows.iter().filter(|r| r.saved()).count();
     let wer_ok = rows.iter().all(CellRow::wer_met);
@@ -454,7 +347,7 @@ pub fn render_json(rows: &[CellRow]) -> String {
         .iter()
         .map(|r| CellRow::hop(&r.closed).undetected_rate())
         .fold(0.0_f64, f64::max);
-    let gate = saving * 2 >= rows.len() && wer_ok && violations == 0;
+    let gate = gate_passed(rows);
     json.push_str("  \"summary\": {\n");
     let _ = writeln!(json, "    \"cells\": {},", rows.len());
     let _ = writeln!(json, "    \"cells_saving\": {saving},");
@@ -487,53 +380,21 @@ pub fn gate_passed(rows: &[CellRow]) -> bool {
 /// Returns the process exit code (nonzero iff the gate fails).
 #[must_use]
 pub fn main_with_args(args: &[String]) -> i32 {
-    let mut threads = default_threads();
-    let mut trace_out: Option<String> = None;
-    let mut health_out: Option<String> = None;
-    let mut out_path = "results/BENCH_dvs.json".to_owned();
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--threads" => {
-                let Some(n) = it.next().and_then(|v| parse_threads(v)) else {
-                    eprintln!("dvs: --threads needs a positive integer");
-                    return 2;
-                };
-                threads = n;
-            }
-            "--trace-out" => {
-                let Some(path) = it.next() else {
-                    eprintln!("dvs: --trace-out needs a path");
-                    return 2;
-                };
-                trace_out = Some(path.clone());
-            }
-            "--health-out" => {
-                let Some(path) = it.next() else {
-                    eprintln!("dvs: --health-out needs a path");
-                    return 2;
-                };
-                health_out = Some(path.clone());
-            }
-            other if other.starts_with("--") => {
-                eprintln!("dvs: unknown flag {other}");
-                return 2;
-            }
-            other => out_path = other.to_owned(),
-        }
-    }
-    let started = std::time::Instant::now();
-    let (rows, health, recorder) = if health_out.is_some() {
-        let (rows, health, rec) = run_bench_health(threads, &HealthConfig::default());
-        (rows, Some(health), Some(rec))
-    } else if trace_out.is_some() {
-        let (rows, rec) = run_bench_traced(threads);
-        (rows, None, Some(rec))
-    } else {
-        (run_bench_parallel(threads), None, None)
+    let args = match RunArgs::parse(
+        "dvs",
+        args,
+        &["--threads", "--trace-out", "--health-out"],
+        "results/BENCH_dvs.json",
+        None,
+    ) {
+        Ok(args) => args,
+        Err(code) => return code,
     };
+    let started = std::time::Instant::now();
+    let run = run_bench(&bench_cells(), &args.ctx());
     let wall = started.elapsed();
-    for row in &rows {
+    let rows = &run.outcomes;
+    for row in rows {
         eprintln!(
             "{:<14} {:<12} static {:>9.3e}  closed {:>9.3e}  saved {:>6.1}%  undetected {:>9.3e}  viol {}",
             row.scheme.name(),
@@ -545,58 +406,15 @@ pub fn main_with_args(args: &[String]) -> i32 {
             row.violations(),
         );
     }
-    let json = render_json(&rows);
-    if let Some(dir) = Path::new(&out_path).parent() {
-        if !dir.as_os_str().is_empty() {
-            std::fs::create_dir_all(dir).expect("create output directory");
-        }
-    }
-    std::fs::write(&out_path, &json).expect("write dvs output");
-    if let (Some(path), Some(health)) = (&health_out, &health) {
-        if let Some(dir) = Path::new(path).parent() {
-            if !dir.as_os_str().is_empty() {
-                std::fs::create_dir_all(dir).expect("create health directory");
-            }
-        }
-        std::fs::write(path, health.serialize()).expect("write incident report");
-        let incidents: usize = health.scopes.iter().map(|s| s.incidents.len()).sum();
-        let alerts: usize = health.scopes.iter().map(|s| s.alerts.len()).sum();
-        eprintln!(
-            "dvs: incidents -> {path} ({} scope(s), {incidents} incident(s), {alerts} alert(s))",
-            health.scopes.len()
-        );
-    }
-    if let (Some(path), Some(rec)) = (&trace_out, &recorder) {
-        if let Some(dir) = Path::new(path).parent() {
-            if !dir.as_os_str().is_empty() {
-                std::fs::create_dir_all(dir).expect("create trace directory");
-            }
-        }
-        std::fs::write(path, rec.export_jsonl()).expect("write telemetry JSONL");
-        let perfetto = format!("{path}.trace.json");
-        // When the health monitor ran, its scores and budget burn ride
-        // along as Perfetto counter tracks.
-        let counters = health
-            .as_ref()
-            .map(HealthReport::counter_samples)
-            .unwrap_or_default();
-        std::fs::write(&perfetto, rec.export_chrome_trace_with_counters(&counters))
-            .expect("write Perfetto trace");
-        let stats = rec.ring_stats();
-        eprintln!(
-            "dvs: telemetry -> {path} + {perfetto} ({} recorded, {} dropped)",
-            stats.recorded, stats.dropped
-        );
-        if let Some(warning) = stats.overflow_warning() {
-            eprintln!("dvs: {warning}");
-        }
-    }
+    args.write_run(&render_json(rows), &run);
     let saving = rows.iter().filter(|r| r.saved()).count();
-    let gate = gate_passed(&rows);
+    let gate = gate_passed(rows);
     eprintln!(
-        "dvs: {} cells ({saving} saving energy) on {threads} thread(s) in {:.2}s -> {out_path} (gate {})",
+        "dvs: {} cells ({saving} saving energy) on {} thread(s) in {:.2}s -> {} (gate {})",
         rows.len(),
+        args.threads,
         wall.as_secs_f64(),
+        args.out,
         if gate { "PASSED" } else { "FAILED" },
     );
     i32::from(!gate)
@@ -605,6 +423,7 @@ pub fn main_with_args(args: &[String]) -> i32 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use socbus_chaos::Observe;
 
     /// Every detecting scheme appears against every family, and both
     /// policies validate for each.
@@ -631,44 +450,13 @@ mod tests {
         assert_send::<CellRow>();
     }
 
-    /// One cell through the health runner at 1 vs 8 workers: the
-    /// incident report, the merged recording, and the bench JSON must
-    /// all come back byte-identical, and each variant must get its own
-    /// scope.
-    #[test]
-    fn health_report_is_thread_count_invariant() {
-        let cells = vec![(Scheme::Parity, ScheduleFamily::DroopStorm, 2u64)];
-        let cfg = HealthConfig::default();
-        let (rows1, health1, rec1) = run_health_cells(&cells, 1, &cfg);
-        let (rows8, health8, rec8) = run_health_cells(&cells, 8, &cfg);
-        assert_eq!(health1.serialize(), health8.serialize());
-        assert_eq!(rec1.export_jsonl(), rec8.export_jsonl());
-        assert_eq!(render_json(&rows1), render_json(&rows8));
-        let scopes: Vec<&str> = health1.scopes.iter().map(|s| s.scope.as_str()).collect();
-        assert_eq!(
-            scopes,
-            ["Parity/droop_storm/static", "Parity/droop_storm/closed"]
-        );
-    }
-
     /// One full cell, both variants: the closed loop must save energy,
     /// hold the residual target, and keep every invariant.
     #[test]
     fn droop_cell_saves_energy_within_the_wer_target() {
-        let row = run_shards(1, &[(Scheme::Parity, ScheduleFamily::DroopStorm, 2u64)], {
-            |_, &(scheme, family, seed)| {
-                let fixed = cell_case(scheme, family, seed, static_policy(scheme), "static");
-                let closed = cell_case(scheme, family, seed, closed_policy(scheme), "closed");
-                CellRow {
-                    scheme,
-                    family,
-                    fixed: run_case(&fixed),
-                    closed: run_case(&closed),
-                }
-            }
-        })
-        .pop()
-        .expect("one row");
+        let cells = [(Scheme::Parity, ScheduleFamily::DroopStorm, 2u64)];
+        let mut rows = run_bench(&cells, &RunCtx::new(1, Observe::Off)).outcomes;
+        let row = rows.pop().expect("one row");
         assert_eq!(row.violations(), 0, "{:?}", row.closed.violations.first());
         assert!(row.saved(), "saved {:.3}", row.energy_saved_frac());
         assert!(row.wer_met());

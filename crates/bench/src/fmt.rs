@@ -6,8 +6,8 @@
 //! diff two runs of any bin without scraping its stdout.
 
 use std::fmt::Write as _;
-use std::path::Path;
 
+use socbus_chaos::ctx::write_file;
 use socbus_model::{CodePerf, DelayClass, Environment};
 
 /// Formats seconds as picoseconds with no decimals.
@@ -161,12 +161,7 @@ impl Report {
     pub fn emit(self, out_path: Option<&str>) {
         print!("{}", self.body);
         if let Some(path) = out_path {
-            if let Some(dir) = Path::new(path).parent() {
-                if !dir.as_os_str().is_empty() {
-                    std::fs::create_dir_all(dir).expect("create report directory");
-                }
-            }
-            std::fs::write(path, &self.body).expect("write report file");
+            write_file(path, &self.body);
         }
     }
 

@@ -29,15 +29,14 @@
 //! `--gate PCT`).
 
 use std::fmt::Write as _;
-use std::path::Path;
 use std::time::{Duration, Instant};
 
+use socbus_chaos::ctx::{write_file, Observe, RunCtx};
 use socbus_chaos::mesh::{
-    mesh_cells, mesh_smoke_cells, render_mesh_json, run_mesh_campaign_health,
-    run_mesh_campaign_traced, MeshCaseOutcome, MeshFamily, FULL_MESH_CYCLES, SMOKE_MESH_CYCLES,
+    mesh_cells, mesh_smoke_cells, render_mesh_json, run_mesh_campaign, MeshCaseOutcome, MeshFamily,
+    FULL_MESH_CYCLES, SMOKE_MESH_CYCLES,
 };
 use socbus_codes::Scheme;
-use socbus_telemetry::HealthConfig;
 
 /// FNV-1a over a byte string — the determinism witness of the incident
 /// report (same hash family as the codec bench's stream checksums).
@@ -187,30 +186,26 @@ pub fn run_gate(
     reps: u32,
 ) -> HealthGateOutcome {
     assert!(reps > 0, "the gate needs at least one campaign per sample");
-    let health_cfg = HealthConfig::default();
-    let time_traced = || {
+    // One timed sample: `reps` campaigns at one thread, the last run's
+    // outcomes, incident report and JSONL kept for the drift checks.
+    let timed = |observe| {
+        let ctx = RunCtx::new(1, observe);
         let start = Instant::now();
         let mut last = None;
         for _ in 0..reps {
-            last = Some(run_mesh_campaign_traced(cells, cycles, 1));
+            last = Some(run_mesh_campaign(cells, cycles, &ctx));
         }
-        let (outcomes, rec) = last.expect("reps > 0");
-        (start.elapsed(), outcomes, rec.export_jsonl())
-    };
-    let time_health = || {
-        let start = Instant::now();
-        let mut last = None;
-        for _ in 0..reps {
-            last = Some(run_mesh_campaign_health(cells, cycles, 1, &health_cfg));
-        }
-        let (outcomes, health, rec) = last.expect("reps > 0");
-        (start.elapsed(), outcomes, health, rec.export_jsonl())
+        let elapsed = start.elapsed();
+        let run = last.expect("reps > 0");
+        let jsonl = run.recorder.as_ref().expect("traced").export_jsonl();
+        (elapsed, run.outcomes, run.health, jsonl)
     };
 
     // Warm-up (not timed): lazily-faulted pages and the allocator reach
     // steady state, and both sides' baselines are pinned.
-    let (_, traced_base, traced_jsonl_base) = time_traced();
-    let (_, health_base, health_report, health_jsonl_base) = time_health();
+    let (_, traced_base, _, traced_jsonl_base) = timed(Observe::Trace);
+    let (_, health_base, health_report, health_jsonl_base) = timed(Observe::Health);
+    let health_report = health_report.expect("health ran");
     let traced_json_base = render_mesh_json(cycles, &traced_base);
     let health_json_base = render_mesh_json(cycles, &health_base);
     assert_eq!(
@@ -228,8 +223,8 @@ pub fn run_gate(
     let mut health_min = Duration::MAX;
     let mut pair_ratios = Vec::with_capacity(runs as usize);
     for run in 0..runs {
-        let (traced, traced_out, traced_jsonl) = time_traced();
-        let (health, health_out, health_rep, health_jsonl) = time_health();
+        let (traced, traced_out, _, traced_jsonl) = timed(Observe::Trace);
+        let (health, health_out, health_rep, health_jsonl) = timed(Observe::Health);
         assert_eq!(health_jsonl, health_jsonl_base);
         assert_eq!(
             render_mesh_json(cycles, &traced_out),
@@ -243,7 +238,7 @@ pub fn run_gate(
             "health campaign output drifted between runs"
         );
         assert_eq!(
-            health_rep.serialize(),
+            health_rep.expect("health ran").serialize(),
             health_report.serialize(),
             "incident report drifted between runs"
         );
@@ -338,13 +333,7 @@ pub fn main_with_args(args: &[String]) -> i32 {
         (mesh_cells(), FULL_MESH_CYCLES)
     };
     let outcome = run_gate(&cells, cycles, runs, reps);
-    let json = outcome.render_json(gate_pct);
-    if let Some(dir) = Path::new(&out_path).parent() {
-        if !dir.as_os_str().is_empty() {
-            std::fs::create_dir_all(dir).expect("create output directory");
-        }
-    }
-    std::fs::write(&out_path, &json).expect("write health gate output");
+    write_file(&out_path, &outcome.render_json(gate_pct));
     eprintln!(
         "health: traced min {:.3}s, health min {:.3}s, median pair overhead {:+.2}% \
          (gate {gate_pct}%) -> {out_path}",

@@ -15,7 +15,6 @@ pub mod host;
 pub mod mesh;
 pub mod rare;
 pub mod reliability;
-pub mod soak;
 pub mod sweeps;
 
 pub use designs::{design_point, residual_model_for, DesignOptions};

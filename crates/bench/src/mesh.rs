@@ -35,16 +35,15 @@
 //! `socbus-incident v1` report with one scope per sub-run).
 
 use std::fmt::Write as _;
-use std::path::Path;
-use std::rc::Rc;
 
 use socbus_channel::FaultSpec;
+use socbus_chaos::ctx::{num, push_rows, run_cells, Run, RunArgs, RunCtx};
 use socbus_chaos::protocol_for;
 use socbus_codes::Scheme;
-use socbus_exec::{default_threads, parse_threads, run_shards};
+use socbus_exec::run_shards;
 use socbus_noc::link::LinkConfig;
 use socbus_noc::mesh::{MeshConfig, MeshPattern, MeshReport, MeshSim};
-use socbus_telemetry::{HealthAggregator, HealthConfig, HealthReport, Recorder, Telemetry};
+use socbus_telemetry::Telemetry;
 
 /// Data bits per transferred word.
 pub const DATA_BITS: usize = 16;
@@ -173,16 +172,6 @@ fn run_sim(scheme: Scheme, scenario: Scenario, rate: f64, tel: Telemetry) -> Mes
     sim.finish()
 }
 
-/// Runs one (scheme, scenario) cell: the latency run and the
-/// saturation run.
-#[must_use]
-pub fn run_cell(scheme: Scheme, scenario: Scenario, tel: Telemetry) -> MeshRun {
-    MeshRun {
-        latency: run_sim(scheme, scenario, LATENCY_RATE, tel.clone()),
-        saturation: run_sim(scheme, scenario, SATURATION_RATE, tel),
-    }
-}
-
 /// The static shard list: every catalog scheme × every scenario.
 #[must_use]
 pub fn bench_cells() -> Vec<(Scheme, Scenario)> {
@@ -195,106 +184,29 @@ pub fn bench_cells() -> Vec<(Scheme, Scenario)> {
     cells
 }
 
-/// Runs the whole grid on up to `threads` workers; results come back in
-/// grid order, identically for every thread count.
+/// Runs the (scheme, scenario) cells under `ctx`: the latency run and
+/// the saturation run of each cell are two sub-runs, with health scopes
+/// `scheme/scenario/latency` and `scheme/scenario/saturation`. Rows,
+/// the recording and the incident report are byte-identical for every
+/// thread count.
 #[must_use]
-pub fn run_bench_parallel(threads: usize) -> Vec<(Scheme, Scenario, MeshRun)> {
-    let cells = bench_cells();
-    run_shards(threads, &cells, |_, &(scheme, scenario)| {
+pub fn run_bench(cells: &[(Scheme, Scenario)], ctx: &RunCtx) -> Run<(Scheme, Scenario, MeshRun)> {
+    run_cells(ctx, cells, |&(scheme, scenario), probe| {
+        let mut sim = |rate: f64, sub: &str| {
+            let scope = format!("{}/{}/{sub}", scheme.name(), scenario.name());
+            run_sim(scheme, scenario, rate, probe.open(&scope))
+        };
+        let latency = sim(LATENCY_RATE, "latency");
+        let saturation = sim(SATURATION_RATE, "saturation");
         (
             scheme,
             scenario,
-            run_cell(scheme, scenario, Telemetry::off()),
+            MeshRun {
+                latency,
+                saturation,
+            },
         )
     })
-}
-
-/// [`run_bench_parallel`] with telemetry: per-shard recorders, absorbed
-/// in grid order at merge, so the combined recording is thread-count
-/// invariant too.
-#[must_use]
-pub fn run_bench_traced(threads: usize) -> (Vec<(Scheme, Scenario, MeshRun)>, Recorder) {
-    let cells = bench_cells();
-    let sharded = run_shards(threads, &cells, |_, &(scheme, scenario)| {
-        let rec = Rc::new(Recorder::new());
-        let run = run_cell(scheme, scenario, Telemetry::from_recorder(&rec));
-        let rec = Rc::try_unwrap(rec)
-            .ok()
-            .expect("run_cell released every telemetry handle");
-        (scheme, scenario, run, rec)
-    });
-    let combined = Recorder::new();
-    let runs = sharded
-        .into_iter()
-        .map(|(scheme, scenario, run, rec)| {
-            combined.absorb(&rec);
-            (scheme, scenario, run)
-        })
-        .collect();
-    (runs, combined)
-}
-
-/// [`run_bench_traced`] with the health monitor folded over every run:
-/// each cell keeps *two* private recorders — one per sub-run — so the
-/// latency and saturation runs each get their own incident-report scope
-/// (`scheme/scenario/latency` and `scheme/scenario/saturation`). Scopes
-/// are pushed and recorders absorbed in run order within grid order, so
-/// the incident report and the merged recorder are byte-identical for
-/// every thread count.
-#[must_use]
-pub fn run_bench_health(
-    threads: usize,
-    health_cfg: &HealthConfig,
-) -> (Vec<(Scheme, Scenario, MeshRun)>, HealthReport, Recorder) {
-    run_health_cells(&bench_cells(), threads, health_cfg)
-}
-
-/// [`run_bench_health`] over an explicit cell list (the tests use a
-/// sub-grid; the binary runs the full grid).
-#[must_use]
-pub fn run_health_cells(
-    cells: &[(Scheme, Scenario)],
-    threads: usize,
-    health_cfg: &HealthConfig,
-) -> (Vec<(Scheme, Scenario, MeshRun)>, HealthReport, Recorder) {
-    let sharded = run_shards(threads, cells, |_, &(scheme, scenario)| {
-        let run_traced = |rate: f64, sub: &str| {
-            let rec = Rc::new(Recorder::new());
-            let report = run_sim(scheme, scenario, rate, Telemetry::from_recorder(&rec));
-            let rec = Rc::try_unwrap(rec)
-                .ok()
-                .expect("run_sim released every telemetry handle");
-            let scope_name = format!("{}/{}/{sub}", scheme.name(), scenario.name());
-            let scope = HealthAggregator::scope_from_recorder(&scope_name, health_cfg, &rec);
-            (report, scope, rec)
-        };
-        let (latency, lat_scope, lat_rec) = run_traced(LATENCY_RATE, "latency");
-        let (saturation, sat_scope, sat_rec) = run_traced(SATURATION_RATE, "saturation");
-        let run = MeshRun {
-            latency,
-            saturation,
-        };
-        (
-            scheme,
-            scenario,
-            run,
-            [lat_scope, sat_scope],
-            [lat_rec, sat_rec],
-        )
-    });
-    let combined = Recorder::new();
-    let mut health = HealthReport::new();
-    let runs = sharded
-        .into_iter()
-        .map(|(scheme, scenario, run, scopes, recs)| {
-            for (scope, rec) in scopes.into_iter().zip(recs.iter()) {
-                combined.absorb(rec);
-                health.push_scope(scope);
-            }
-            (scheme, scenario, run)
-        })
-        .collect();
-    (runs, health, combined)
 }
 
 /// The pattern-sweep rows: a representative scheme subset × every
@@ -326,16 +238,6 @@ pub fn run_patterns_parallel(threads: usize) -> Vec<(Scheme, MeshPattern, MeshRe
         let report = socbus_noc::mesh::simulate_mesh(&cfg, CYCLES, DRAIN_CYCLES, SEED, SEED ^ 0xA5);
         (scheme, pattern, report)
     })
-}
-
-/// Formats an `f64` for the JSON output. Exponential with fixed
-/// precision keeps the rendering deterministic and diff-friendly.
-fn num(x: f64) -> String {
-    if x == 0.0 {
-        "0.0".to_owned()
-    } else {
-        format!("{x:.6e}")
-    }
 }
 
 fn write_report_fields(json: &mut String, r: &MeshReport) {
@@ -374,35 +276,25 @@ pub fn render_json(
     let _ = writeln!(json, "  \"saturation_rate\": {SATURATION_RATE},");
     let _ = writeln!(json, "  \"seed\": {SEED},");
     json.push_str("  \"runs\": [\n");
-    let mut first = true;
-    for (scheme, scenario, run) in runs {
-        if !first {
-            json.push_str(",\n");
-        }
-        first = false;
+    push_rows(&mut json, runs, |json, (scheme, scenario, run)| {
         json.push_str("    {");
         let _ = write!(json, "\"scheme\": \"{}\", ", scheme.name());
         let _ = write!(json, "\"scenario\": \"{}\", ", scenario.name());
         json.push_str("\"latency_run\": {");
-        write_report_fields(&mut json, &run.latency);
+        write_report_fields(json, &run.latency);
         json.push_str("}, \"saturation_run\": {");
-        write_report_fields(&mut json, &run.saturation);
+        write_report_fields(json, &run.saturation);
         json.push_str("}}");
-    }
+    });
     json.push_str("\n  ],\n");
     json.push_str("  \"patterns\": [\n");
-    let mut first = true;
-    for (scheme, pattern, report) in patterns {
-        if !first {
-            json.push_str(",\n");
-        }
-        first = false;
+    push_rows(&mut json, patterns, |json, (scheme, pattern, report)| {
         json.push_str("    {");
         let _ = write!(json, "\"scheme\": \"{}\", ", scheme.name());
         let _ = write!(json, "\"pattern\": \"{}\", ", pattern_name(*pattern));
-        write_report_fields(&mut json, report);
+        write_report_fields(json, report);
         json.push('}');
-    }
+    });
     json.push_str("\n  ]\n}\n");
     json
 }
@@ -413,54 +305,21 @@ pub fn render_json(
 /// Returns the process exit code.
 #[must_use]
 pub fn main_with_args(args: &[String]) -> i32 {
-    let mut threads = default_threads();
-    let mut trace_out: Option<String> = None;
-    let mut health_out: Option<String> = None;
-    let mut out_path = "results/BENCH_mesh.json".to_owned();
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--threads" => {
-                let Some(n) = it.next().and_then(|v| parse_threads(v)) else {
-                    eprintln!("mesh: --threads needs a positive integer");
-                    return 2;
-                };
-                threads = n;
-            }
-            "--trace-out" => {
-                let Some(path) = it.next() else {
-                    eprintln!("mesh: --trace-out needs a path");
-                    return 2;
-                };
-                trace_out = Some(path.clone());
-            }
-            "--health-out" => {
-                let Some(path) = it.next() else {
-                    eprintln!("mesh: --health-out needs a path");
-                    return 2;
-                };
-                health_out = Some(path.clone());
-            }
-            other if other.starts_with("--") => {
-                eprintln!("mesh: unknown flag {other}");
-                return 2;
-            }
-            other => out_path = other.to_owned(),
-        }
-    }
-    let started = std::time::Instant::now();
-    let (runs, health, recorder) = if health_out.is_some() {
-        let (runs, health, rec) = run_bench_health(threads, &HealthConfig::default());
-        (runs, Some(health), Some(rec))
-    } else if trace_out.is_some() {
-        let (runs, rec) = run_bench_traced(threads);
-        (runs, None, Some(rec))
-    } else {
-        (run_bench_parallel(threads), None, None)
+    let args = match RunArgs::parse(
+        "mesh",
+        args,
+        &["--threads", "--trace-out", "--health-out"],
+        "results/BENCH_mesh.json",
+        None,
+    ) {
+        Ok(args) => args,
+        Err(code) => return code,
     };
-    let patterns = run_patterns_parallel(threads);
+    let started = std::time::Instant::now();
+    let run = run_bench(&bench_cells(), &args.ctx());
+    let patterns = run_patterns_parallel(args.threads);
     let wall = started.elapsed();
-    for (scheme, scenario, run) in &runs {
+    for (scheme, scenario, run) in &run.outcomes {
         eprintln!(
             "{:<14} {:<10} p50 {:>3}  p99 {:>4}  lost {:>3}  saturation {:>8} pkt/cycle",
             scheme.name(),
@@ -471,57 +330,14 @@ pub fn main_with_args(args: &[String]) -> i32 {
             num(run.saturation.throughput()),
         );
     }
-    let json = render_json(&runs, &patterns);
-    if let Some(dir) = Path::new(&out_path).parent() {
-        if !dir.as_os_str().is_empty() {
-            std::fs::create_dir_all(dir).expect("create output directory");
-        }
-    }
-    std::fs::write(&out_path, &json).expect("write mesh benchmark output");
-    if let (Some(path), Some(health)) = (&health_out, &health) {
-        if let Some(dir) = Path::new(path).parent() {
-            if !dir.as_os_str().is_empty() {
-                std::fs::create_dir_all(dir).expect("create health directory");
-            }
-        }
-        std::fs::write(path, health.serialize()).expect("write incident report");
-        let incidents: usize = health.scopes.iter().map(|s| s.incidents.len()).sum();
-        let alerts: usize = health.scopes.iter().map(|s| s.alerts.len()).sum();
-        eprintln!(
-            "mesh: incidents -> {path} ({} scope(s), {incidents} incident(s), {alerts} alert(s))",
-            health.scopes.len()
-        );
-    }
-    if let (Some(path), Some(rec)) = (&trace_out, &recorder) {
-        if let Some(dir) = Path::new(path).parent() {
-            if !dir.as_os_str().is_empty() {
-                std::fs::create_dir_all(dir).expect("create trace directory");
-            }
-        }
-        std::fs::write(path, rec.export_jsonl()).expect("write telemetry JSONL");
-        let perfetto = format!("{path}.trace.json");
-        // When the health monitor ran, its scores and budget burn ride
-        // along as Perfetto counter tracks.
-        let counters = health
-            .as_ref()
-            .map(HealthReport::counter_samples)
-            .unwrap_or_default();
-        std::fs::write(&perfetto, rec.export_chrome_trace_with_counters(&counters))
-            .expect("write Perfetto trace");
-        let stats = rec.ring_stats();
-        eprintln!(
-            "mesh: telemetry -> {path} + {perfetto} ({} recorded, {} dropped)",
-            stats.recorded, stats.dropped
-        );
-        if let Some(warning) = stats.overflow_warning() {
-            eprintln!("mesh: {warning}");
-        }
-    }
+    args.write_run(&render_json(&run.outcomes, &patterns), &run);
     eprintln!(
-        "mesh: {} cells x 2 runs + {} pattern rows on {threads} thread(s) in {:.2}s -> {out_path}",
-        runs.len(),
+        "mesh: {} cells x 2 runs + {} pattern rows on {} thread(s) in {:.2}s -> {}",
+        run.outcomes.len(),
         patterns.len(),
-        wall.as_secs_f64()
+        args.threads,
+        wall.as_secs_f64(),
+        args.out
     );
     0
 }
@@ -529,6 +345,7 @@ pub fn main_with_args(args: &[String]) -> i32 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use socbus_chaos::Observe;
 
     #[test]
     fn grid_covers_every_scheme_and_scenario() {
@@ -538,44 +355,13 @@ mod tests {
     }
 
     #[test]
-    fn json_is_thread_count_invariant() {
-        // A sub-grid run through the real shard path at 1 vs 8 workers.
-        let cells: Vec<(Scheme, Scenario)> = bench_cells().into_iter().take(3).collect();
-        let run = |threads| {
-            run_shards(threads, &cells, |_, &(scheme, scenario)| {
-                (
-                    scheme,
-                    scenario,
-                    run_cell(scheme, scenario, Telemetry::off()),
-                )
-            })
-        };
-        let one = run(1);
-        let many = run(8);
-        assert_eq!(render_json(&one, &[]), render_json(&many, &[]));
-    }
-
-    #[test]
-    fn health_report_is_thread_count_invariant() {
-        // One cell through the health runner at 1 vs 8 workers: the
-        // incident report, the merged recording, and the bench JSON must
-        // all come back byte-identical, and every sub-run must get its
-        // own scope.
-        let cells = vec![(Scheme::Parity, Scenario::Iid)];
-        let cfg = HealthConfig::default();
-        let (runs1, health1, rec1) = run_health_cells(&cells, 1, &cfg);
-        let (runs8, health8, rec8) = run_health_cells(&cells, 8, &cfg);
-        assert_eq!(health1.serialize(), health8.serialize());
-        assert_eq!(rec1.export_jsonl(), rec8.export_jsonl());
-        assert_eq!(render_json(&runs1, &[]), render_json(&runs8, &[]));
-        let scopes: Vec<&str> = health1.scopes.iter().map(|s| s.scope.as_str()).collect();
-        assert_eq!(scopes, ["Parity/iid/latency", "Parity/iid/saturation"]);
-    }
-
-    #[test]
     fn clean_and_link_down_runs_deliver_everything() {
-        for scenario in [Scenario::Clean, Scenario::LinkDown] {
-            let run = run_cell(Scheme::Dap, scenario, Telemetry::off());
+        let cells = [
+            (Scheme::Dap, Scenario::Clean),
+            (Scheme::Dap, Scenario::LinkDown),
+        ];
+        let rows = run_bench(&cells, &RunCtx::new(2, Observe::Off)).outcomes;
+        for (_, scenario, run) in rows {
             assert!(run.latency.injected > 0);
             assert_eq!(
                 run.latency.flagged_lost,
@@ -594,7 +380,11 @@ mod tests {
         // below the offered load, and show queueing in its latency
         // distribution — the three properties that make the two-rate
         // comparison meaningful.
-        let run = run_cell(Scheme::Parity, Scenario::Clean, Telemetry::off());
+        let cells = [(Scheme::Parity, Scenario::Clean)];
+        let (_, _, run) = run_bench(&cells, &RunCtx::new(1, Observe::Off))
+            .outcomes
+            .pop()
+            .expect("one row");
         let offered = 16.0 * SATURATION_RATE;
         assert!(run.saturation.throughput() <= offered);
         assert!(run.saturation.throughput() > run.latency.throughput());

@@ -27,14 +27,14 @@
 //! `--smoke` mode, every (shallow) cell certified.
 
 use std::fmt::Write as _;
-use std::path::Path;
 use std::rc::Rc;
 
 use socbus_channel::rare::{
     certify_traced, failure_profile, oracle_catalog, Certification, Method, RareChannel,
 };
+use socbus_chaos::ctx::{num, push_rows, RunArgs};
 use socbus_codes::Scheme;
-use socbus_exec::{default_threads, parse_threads, shard_seed};
+use socbus_exec::shard_seed;
 use socbus_telemetry::{Recorder, Telemetry};
 
 /// Relative 95% CI half-width every cell drives toward (under the
@@ -184,18 +184,6 @@ pub fn deep_certified(results: &[CellResult]) -> usize {
         .count()
 }
 
-/// Formats an `f64` for the JSON output (deterministic, diff-friendly);
-/// non-finite values render as JSON `null`.
-fn num(x: f64) -> String {
-    if x == 0.0 {
-        "0.0".to_owned()
-    } else if x.is_finite() {
-        format!("{x:.6e}")
-    } else {
-        "null".to_owned()
-    }
-}
-
 /// Short method label for the JSON.
 fn method_label(method: &Method) -> String {
     match method {
@@ -228,12 +216,7 @@ pub fn render_json(results: &[CellResult], smoke: bool) -> String {
         deep_certified(results)
     );
     json.push_str("  \"cells\": [\n");
-    let mut first = true;
-    for r in results {
-        if !first {
-            json.push_str(",\n");
-        }
-        first = false;
+    push_rows(&mut json, results, |json, r| {
         json.push_str("    {");
         let _ = write!(json, "\"scheme\": \"{}\", ", r.cell.scheme.name());
         let _ = write!(json, "\"k\": {}, ", r.cell.k);
@@ -249,7 +232,7 @@ pub fn render_json(results: &[CellResult], smoke: bool) -> String {
         let _ = write!(json, "\"converged\": {}, ", r.cert.converged);
         let _ = write!(json, "\"certified\": {}", r.certified);
         json.push('}');
-    }
+    });
     json.push_str("\n  ]\n}\n");
     json
 }
@@ -260,37 +243,19 @@ pub fn render_json(results: &[CellResult], smoke: bool) -> String {
 /// fails).
 #[must_use]
 pub fn main_with_args(args: &[String]) -> i32 {
-    let mut threads = default_threads();
-    let mut smoke = false;
-    let mut trace_out: Option<String> = None;
-    let mut out_path = "results/BENCH_rare.json".to_owned();
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--smoke" => smoke = true,
-            "--threads" => {
-                let Some(n) = it.next().and_then(|v| parse_threads(v)) else {
-                    eprintln!("rare: --threads needs a positive integer");
-                    return 2;
-                };
-                threads = n;
-            }
-            "--trace-out" => {
-                let Some(path) = it.next() else {
-                    eprintln!("rare: --trace-out needs a path");
-                    return 2;
-                };
-                trace_out = Some(path.clone());
-            }
-            other if other.starts_with("--") => {
-                eprintln!("rare: unknown flag {other}");
-                return 2;
-            }
-            other => out_path = other.to_owned(),
-        }
-    }
+    let args = match RunArgs::parse(
+        "rare",
+        args,
+        &["--smoke", "--threads", "--trace-out"],
+        "results/BENCH_rare.json",
+        None,
+    ) {
+        Ok(args) => args,
+        Err(code) => return code,
+    };
+    let (smoke, threads) = (args.smoke, args.threads);
     let started = std::time::Instant::now();
-    let recorder = trace_out.as_ref().map(|_| Rc::new(Recorder::new()));
+    let recorder = args.trace_out.as_ref().map(|_| Rc::new(Recorder::new()));
     let tel = recorder
         .as_ref()
         .map_or_else(Telemetry::off, Telemetry::from_recorder);
@@ -310,32 +275,12 @@ pub fn main_with_args(args: &[String]) -> i32 {
             if r.cell.deep { " [deep]" } else { "" },
         );
     }
-    let json = render_json(&results, smoke);
-    if let Some(dir) = Path::new(&out_path).parent() {
-        if !dir.as_os_str().is_empty() {
-            std::fs::create_dir_all(dir).expect("create output directory");
-        }
-    }
-    std::fs::write(&out_path, &json).expect("write sweep output");
-    if let (Some(path), Some(rec)) = (&trace_out, &recorder) {
-        if let Some(dir) = Path::new(path).parent() {
-            if !dir.as_os_str().is_empty() {
-                std::fs::create_dir_all(dir).expect("create trace directory");
-            }
-        }
-        std::fs::write(path, rec.export_jsonl()).expect("write telemetry JSONL");
-        let perfetto = format!("{path}.trace.json");
-        std::fs::write(&perfetto, rec.export_chrome_trace()).expect("write Perfetto trace");
-        let stats = rec.ring_stats();
-        eprintln!(
-            "rare: telemetry -> {path} + {perfetto} ({} recorded, {} dropped)",
-            stats.recorded, stats.dropped
-        );
-    }
+    args.write(&render_json(&results, smoke), recorder.as_deref(), None);
     eprintln!(
-        "wrote {} cells on {threads} thread(s) in {:.2}s to {out_path}",
+        "wrote {} cells on {threads} thread(s) in {:.2}s to {}",
         results.len(),
-        wall.as_secs_f64()
+        wall.as_secs_f64(),
+        args.out
     );
     if smoke {
         let failed = results.iter().filter(|r| !r.certified).count();
@@ -390,16 +335,5 @@ mod tests {
         assert_eq!(cells.len(), 5 * SHALLOW_EPS.len());
         assert!(cells.iter().all(|c| !c.deep && c.exact > 0.0));
         assert!(cells.iter().all(|c| c.wires <= 12));
-    }
-
-    /// JSON rendering is total: non-finite driver outputs (a cell that
-    /// never failed has infinite relative CI) render as `null`, never
-    /// as invalid JSON tokens.
-    #[test]
-    fn num_renders_non_finite_as_null() {
-        assert_eq!(num(f64::INFINITY), "null");
-        assert_eq!(num(f64::NAN), "null");
-        assert_eq!(num(0.0), "0.0");
-        assert_eq!(num(3.25e-11), "3.250000e-11");
     }
 }

@@ -20,15 +20,12 @@
 //! for a telemetry event log plus Perfetto trace of the sweep).
 
 use std::fmt::Write as _;
-use std::path::Path;
-use std::rc::Rc;
 
 use socbus_channel::{BridgeMode, FaultSpec};
+use socbus_chaos::ctx::{num, push_rows, run_cells, Run, RunArgs, RunCtx};
 use socbus_codes::Scheme;
-use socbus_exec::{default_threads, parse_threads, run_shards};
 use socbus_noc::link::{simulate_link_with, LinkConfig, LinkReport};
 use socbus_noc::traffic::UniformTraffic;
-use socbus_telemetry::{Recorder, Telemetry};
 
 /// Data bits per transferred word.
 pub const DATA_BITS: usize = 16;
@@ -92,72 +89,26 @@ pub fn sweep_cells() -> Vec<(Scheme, &'static str, FaultSpec)> {
     cells
 }
 
-/// Runs one sweep cell with the given telemetry handle — the shard body.
-fn run_cell(scheme: Scheme, spec: &FaultSpec, tel: Telemetry) -> LinkReport {
-    let cfg = LinkConfig::new(scheme, DATA_BITS, 0.0).with_fault(spec.clone());
-    simulate_link_with(
-        &cfg,
-        UniformTraffic::new(DATA_BITS, SEED ^ 0xA5).take(WORDS),
-        SEED,
-        tel,
-    )
-}
+/// One (scheme, fault) run of the sweep.
+pub type SweepRun = (Scheme, &'static str, FaultSpec, LinkReport);
 
-/// Runs the whole sweep on up to `threads` workers; reports come back in
+/// Runs the (scheme, fault) cells under `ctx`, one sub-run per cell with
+/// health scope `scheme/fault`; reports, and the recording, come back in
 /// grid order, identically for every thread count.
 #[must_use]
-pub fn run_sweep_parallel(threads: usize) -> Vec<(Scheme, &'static str, FaultSpec, LinkReport)> {
-    let cells = sweep_cells();
-    run_shards(threads, &cells, |_, (scheme, fault_name, spec)| {
-        (
-            *scheme,
-            *fault_name,
-            spec.clone(),
-            run_cell(*scheme, spec, Telemetry::off()),
-        )
+pub fn run_sweep(cells: &[(Scheme, &'static str, FaultSpec)], ctx: &RunCtx) -> Run<SweepRun> {
+    run_cells(ctx, cells, |&(scheme, fault_name, ref spec), probe| {
+        let cfg = LinkConfig::new(scheme, DATA_BITS, 0.0).with_fault(spec.clone());
+        let traffic = UniformTraffic::new(DATA_BITS, SEED ^ 0xA5).take(WORDS);
+        let tel = probe.open(&format!("{}/{fault_name}", scheme.name()));
+        let report = simulate_link_with(&cfg, traffic, SEED, tel);
+        (scheme, fault_name, spec.clone(), report)
     })
-}
-
-/// [`run_sweep_parallel`] with telemetry: per-shard recorders, absorbed
-/// in grid order at merge (see `Recorder::absorb`), so the combined
-/// recording is thread-count invariant too.
-#[must_use]
-pub fn run_sweep_traced(
-    threads: usize,
-) -> (Vec<(Scheme, &'static str, FaultSpec, LinkReport)>, Recorder) {
-    let cells = sweep_cells();
-    let sharded = run_shards(threads, &cells, |_, (scheme, fault_name, spec)| {
-        let rec = Rc::new(Recorder::new());
-        let report = run_cell(*scheme, spec, Telemetry::from_recorder(&rec));
-        let rec = Rc::try_unwrap(rec)
-            .ok()
-            .expect("simulate_link_with released every telemetry handle");
-        (*scheme, *fault_name, spec.clone(), report, rec)
-    });
-    let combined = Recorder::new();
-    let runs = sharded
-        .into_iter()
-        .map(|(scheme, fault_name, spec, report, rec)| {
-            combined.absorb(&rec);
-            (scheme, fault_name, spec, report)
-        })
-        .collect();
-    (runs, combined)
-}
-
-/// Formats an `f64` for the JSON output. Exponential with fixed
-/// precision keeps the rendering deterministic and diff-friendly.
-fn num(x: f64) -> String {
-    if x == 0.0 {
-        "0.0".to_owned()
-    } else {
-        format!("{x:.6e}")
-    }
 }
 
 /// Renders the sweep JSON (the `results/BENCH_reliability.json` format).
 #[must_use]
-pub fn render_json(runs: &[(Scheme, &'static str, FaultSpec, LinkReport)]) -> String {
+pub fn render_json(runs: &[SweepRun]) -> String {
     let mut json = String::new();
     json.push_str("{\n");
     let _ = writeln!(json, "  \"data_bits\": {DATA_BITS},");
@@ -165,12 +116,7 @@ pub fn render_json(runs: &[(Scheme, &'static str, FaultSpec, LinkReport)]) -> St
     let _ = writeln!(json, "  \"seed\": {SEED},");
     let _ = writeln!(json, "  \"lambda\": {LAMBDA},");
     json.push_str("  \"runs\": [\n");
-    let mut first = true;
-    for (scheme, fault_name, spec, r) in runs {
-        if !first {
-            json.push_str(",\n");
-        }
-        first = false;
+    push_rows(&mut json, runs, |json, (scheme, fault_name, spec, r)| {
         json.push_str("    {");
         let _ = write!(json, "\"scheme\": \"{}\", ", scheme.name());
         let _ = write!(json, "\"fault\": \"{fault_name}\", ");
@@ -188,7 +134,7 @@ pub fn render_json(runs: &[(Scheme, &'static str, FaultSpec, LinkReport)]) -> St
             num(r.energy_per_word(LAMBDA))
         );
         json.push('}');
-    }
+    });
     json.push_str("\n  ]\n}\n");
     json
 }
@@ -198,42 +144,20 @@ pub fn render_json(runs: &[(Scheme, &'static str, FaultSpec, LinkReport)]) -> St
 /// Returns the process exit code.
 #[must_use]
 pub fn main_with_args(args: &[String]) -> i32 {
-    let mut threads = default_threads();
-    let mut trace_out: Option<String> = None;
-    let mut out_path = "results/BENCH_reliability.json".to_owned();
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--threads" => {
-                let Some(n) = it.next().and_then(|v| parse_threads(v)) else {
-                    eprintln!("reliability: --threads needs a positive integer");
-                    return 2;
-                };
-                threads = n;
-            }
-            "--trace-out" => {
-                let Some(path) = it.next() else {
-                    eprintln!("reliability: --trace-out needs a path");
-                    return 2;
-                };
-                trace_out = Some(path.clone());
-            }
-            other if other.starts_with("--") => {
-                eprintln!("reliability: unknown flag {other}");
-                return 2;
-            }
-            other => out_path = other.to_owned(),
-        }
-    }
-    let started = std::time::Instant::now();
-    let (runs, recorder) = if trace_out.is_some() {
-        let (runs, rec) = run_sweep_traced(threads);
-        (runs, Some(rec))
-    } else {
-        (run_sweep_parallel(threads), None)
+    let args = match RunArgs::parse(
+        "reliability",
+        args,
+        &["--threads", "--trace-out"],
+        "results/BENCH_reliability.json",
+        None,
+    ) {
+        Ok(args) => args,
+        Err(code) => return code,
     };
+    let started = std::time::Instant::now();
+    let run = run_sweep(&sweep_cells(), &args.ctx());
     let wall = started.elapsed();
-    for (scheme, fault_name, _, r) in &runs {
+    for (scheme, fault_name, _, r) in &run.outcomes {
         eprintln!(
             "{:<14} {:<11} residual {:>10.3e}  corrected {:>6}  detected {:>6}",
             scheme.name(),
@@ -243,34 +167,15 @@ pub fn main_with_args(args: &[String]) -> i32 {
             r.detected,
         );
     }
-    let json = render_json(&runs);
-    if let Some(dir) = Path::new(&out_path).parent() {
-        if !dir.as_os_str().is_empty() {
-            std::fs::create_dir_all(dir).expect("create output directory");
-        }
-    }
-    std::fs::write(&out_path, &json).expect("write sweep output");
-    if let (Some(path), Some(rec)) = (&trace_out, &recorder) {
-        if let Some(dir) = Path::new(path).parent() {
-            if !dir.as_os_str().is_empty() {
-                std::fs::create_dir_all(dir).expect("create trace directory");
-            }
-        }
-        std::fs::write(path, rec.export_jsonl()).expect("write telemetry JSONL");
-        let perfetto = format!("{path}.trace.json");
-        std::fs::write(&perfetto, rec.export_chrome_trace()).expect("write Perfetto trace");
-        let stats = rec.ring_stats();
-        eprintln!(
-            "reliability: telemetry -> {path} + {perfetto} ({} recorded, {} dropped)",
-            stats.recorded, stats.dropped
-        );
-    }
+    args.write_run(&render_json(&run.outcomes), &run);
     let schemes = Scheme::catalog().len();
     let faults = fault_suite().len();
     eprintln!(
-        "wrote {} runs ({schemes} schemes x {faults} fault models) on {threads} thread(s) in {:.2}s to {out_path}",
-        runs.len(),
-        wall.as_secs_f64()
+        "wrote {} runs ({schemes} schemes x {faults} fault models) on {} thread(s) in {:.2}s to {}",
+        run.outcomes.len(),
+        args.threads,
+        wall.as_secs_f64(),
+        args.out
     );
     0
 }
@@ -306,6 +211,6 @@ mod tests {
     fn sweep_shard_types_are_send() {
         fn assert_send<T: Send>() {}
         assert_send::<(Scheme, &'static str, FaultSpec)>();
-        assert_send::<(Scheme, &'static str, FaultSpec, LinkReport)>();
+        assert_send::<SweepRun>();
     }
 }

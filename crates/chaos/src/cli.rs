@@ -42,7 +42,7 @@ use std::rc::Rc;
 use socbus_codes::Scheme;
 use socbus_noc::link::{DegradationAction, DegradationPolicy, PromotePolicy, Protocol};
 use socbus_noc::{ControlPolicy, OperatingPoint};
-use socbus_telemetry::{Recorder, Telemetry};
+use socbus_telemetry::{HealthAggregator, HealthConfig, HealthReport, Recorder, Telemetry};
 
 use crate::monitor::Violation;
 use crate::replay::Repro;
@@ -274,19 +274,48 @@ pub fn main_with_args(args: &[String]) -> i32 {
                     return 2;
                 }
             };
+            let recorder = Rc::new(Recorder::new());
+            let tel = Telemetry::from_recorder(&recorder);
             // Mesh reproducers replay through the same subcommand,
             // dispatched on the header line.
-            if text.starts_with("socbus-mesh-repro") {
-                let recorder = Rc::new(Recorder::new());
-                let outcome =
-                    crate::mesh::replay_mesh_text_with(&text, Telemetry::from_recorder(&recorder));
-                if outcome.is_ok() {
-                    // The replay's health pass: incident report next to
-                    // the repro, and its counter tracks in the trace.
-                    let mut health = socbus_telemetry::HealthReport::new();
-                    health.push_scope(socbus_telemetry::HealthAggregator::scope_from_recorder(
+            let mesh = text.starts_with("socbus-mesh-repro");
+            let outcome = if mesh {
+                crate::mesh::replay_mesh_text_with(&text, tel).map(|found| {
+                    found.map(|v| {
+                        let at = v.link.map_or_else(|| "e2e".into(), |l| l.to_string());
+                        format!(
+                            "{} at link {at} cycle {} — {}",
+                            v.kind.name(),
+                            v.cycle,
+                            v.detail
+                        )
+                    })
+                })
+            } else {
+                replay_text_with(&text, tel).map(|found| {
+                    found.map(|v| {
+                        let at = v.hop.map_or_else(|| "e2e".into(), |h| h.to_string());
+                        format!(
+                            "{} at hop {at} word {} — {}",
+                            v.kind.name(),
+                            v.word,
+                            v.detail
+                        )
+                    })
+                })
+            };
+            if outcome.is_ok() {
+                // Every successfully parsed reproducer gets a Perfetto
+                // trace next to it, reproduced or not — the trace of a
+                // non-reproducing run is exactly what shows the fix. A
+                // mesh replay also gets its health pass: an incident
+                // report next to the repro, its counter tracks in the
+                // trace.
+                let mut health = HealthReport::new();
+                if mesh {
+                    health.push_scope(HealthAggregator::scope_from_recorder(
                         file,
-                        &socbus_telemetry::HealthConfig::default(),
+                        &HealthConfig::default(),
                         &recorder,
                     ));
                     let health_path = format!("{file}.health.json");
@@ -294,59 +323,17 @@ pub fn main_with_args(args: &[String]) -> i32 {
                         Ok(()) => eprintln!("incident report written to {health_path}"),
                         Err(e) => eprintln!("chaos: cannot write {health_path}: {e}"),
                     }
-                    let trace_path = format!("{file}.trace.json");
-                    match std::fs::write(
-                        &trace_path,
-                        recorder.export_chrome_trace_with_counters(&health.counter_samples()),
-                    ) {
-                        Ok(()) => {
-                            eprintln!("trace written to {trace_path} (load in ui.perfetto.dev)");
-                        }
-                        Err(e) => eprintln!("chaos: cannot write {trace_path}: {e}"),
-                    }
                 }
-                return match outcome {
-                    Ok(Some(v)) => {
-                        println!(
-                            "reproduced: {} at link {} cycle {} — {}",
-                            v.kind.name(),
-                            v.link.map_or_else(|| "e2e".into(), |l| l.to_string()),
-                            v.cycle,
-                            v.detail
-                        );
-                        0
-                    }
-                    Ok(None) => {
-                        println!("did NOT reproduce (the bug may be fixed)");
-                        1
-                    }
-                    Err(e) => {
-                        eprintln!("chaos: {e}");
-                        2
-                    }
-                };
-            }
-            let recorder = Rc::new(Recorder::new());
-            let outcome = replay_text_with(&text, Telemetry::from_recorder(&recorder));
-            if outcome.is_ok() {
-                // Every successfully parsed reproducer gets a Perfetto
-                // trace next to it, reproduced or not — the trace of a
-                // non-reproducing run is exactly what shows the fix.
                 let trace_path = format!("{file}.trace.json");
-                match std::fs::write(&trace_path, recorder.export_chrome_trace()) {
+                let trace = recorder.export_chrome_trace_with_counters(&health.counter_samples());
+                match std::fs::write(&trace_path, trace) {
                     Ok(()) => eprintln!("trace written to {trace_path} (load in ui.perfetto.dev)"),
                     Err(e) => eprintln!("chaos: cannot write {trace_path}: {e}"),
                 }
             }
             match outcome {
-                Ok(Some(v)) => {
-                    println!(
-                        "reproduced: {} at hop {} word {} — {}",
-                        v.kind.name(),
-                        v.hop.map_or_else(|| "e2e".into(), |h| h.to_string()),
-                        v.word,
-                        v.detail
-                    );
+                Ok(Some(found)) => {
+                    println!("reproduced: {found}");
                     0
                 }
                 Ok(None) => {

@@ -44,6 +44,9 @@
 //! [`monitor`] (the invariants), [`shrink`] (ddmin + word truncation),
 //! [`replay`] (the `socbus-chaos-repro v1` file format), [`mesh`] (the
 //! mesh campaign: families, invariants, `socbus-mesh-repro v1`),
+//! [`campaign`] (the soak and controller campaigns), [`ctx`] (the run
+//! context, sharded driver and command line every sharded workload —
+//! these campaigns and the mesh, DVS and reliability benches — runs on),
 //! [`cli`] (the `chaos` binary's entry point).
 //!
 //! The harness self-test is [`socbus_codes::SabotagedHamming`] (scheme
@@ -66,6 +69,7 @@
 
 pub mod campaign;
 pub mod cli;
+pub mod ctx;
 pub mod mesh;
 pub mod monitor;
 pub mod replay;
@@ -74,18 +78,17 @@ pub mod schedule;
 pub mod shrink;
 
 pub use campaign::{
-    campaign_cells, control_cells, control_smoke_cells, run_campaign, run_campaign_parallel,
-    run_campaign_traced, run_campaign_with, run_control_parallel, run_control_traced, FULL_WORDS,
-    HOPS, SMOKE_WORDS,
+    campaign_cells, control_cells, control_smoke_cells, run_campaign, FULL_WORDS, HOPS, SMOKE_WORDS,
 };
 pub use cli::{
     build_case, build_control_case, control_policy_for, main_with_args, protocol_for, write_repro,
 };
+pub use ctx::{run_cells, Observe, Run, RunArgs, RunCtx};
 pub use mesh::{
     build_mesh_case, mesh_cells, mesh_smoke_cells, mesh_topology, replay_mesh_text,
-    run_mesh_campaign_parallel, run_mesh_campaign_traced, run_mesh_case, run_mesh_case_with,
-    shrink_mesh, write_mesh_repro, MeshCaseConfig, MeshCaseOutcome, MeshFamily, MeshInvariant,
-    MeshMonitor, MeshRepro, MeshSchedule, MeshViolation,
+    run_mesh_campaign, run_mesh_case, run_mesh_case_with, shrink_mesh, write_mesh_repro,
+    MeshCaseConfig, MeshCaseOutcome, MeshFamily, MeshInvariant, MeshMonitor, MeshRepro,
+    MeshSchedule, MeshViolation,
 };
 pub use monitor::{InvariantKind, InvariantStats, Monitor, Violation};
 pub use replay::{ExpectedViolation, Repro};

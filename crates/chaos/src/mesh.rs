@@ -40,7 +40,6 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use socbus_channel::FaultSpec;
 use socbus_codes::{DecodeStatus, Scheme};
-use socbus_exec::{default_threads, parse_threads, run_shards};
 use socbus_noc::link::{LinkConfig, Protocol};
 use socbus_noc::mesh::{
     CycleReport, EndToEnd, MeshConfig, MeshPattern, MeshReport, MeshSim, PacketKey,
@@ -49,9 +48,14 @@ use socbus_telemetry::{
     HealthAggregator, HealthConfig, HealthReport, Recorder, ScopeReport, Telemetry,
 };
 
+use crate::campaign::push_invariants;
 use crate::cli::{protocol_for, DEFAULT_DATA_BITS, SHRINK_BUDGET};
+use crate::ctx::{num, push_rows, run_cells, Run, RunArgs, RunCtx};
 use crate::monitor::InvariantStats;
-use crate::replay::{kv, parse_f64, parse_num, parse_protocol, parse_spec, spec_str};
+use crate::replay::{
+    check_data_bits, check_prob, check_spec, kv, parse_f64, parse_num, parse_protocol, parse_spec,
+    spec_str,
+};
 use crate::runner::activation_seed;
 
 /// Mesh side length of a campaign cell.
@@ -1380,7 +1384,7 @@ impl MeshRepro {
             }
         }
         let missing = |what: &str| format!("missing {what}");
-        Ok(MeshRepro {
+        let repro = MeshRepro {
             case: MeshCaseConfig {
                 name: name.ok_or_else(|| missing("name"))?,
                 scheme: scheme.ok_or_else(|| missing("scheme"))?,
@@ -1402,8 +1406,55 @@ impl MeshRepro {
                 schedule: MeshSchedule { events },
             },
             expect: expect.ok_or_else(|| missing("expect"))?,
-        })
+        };
+        check_mesh_case(&repro.case)?;
+        Ok(repro)
     }
+}
+
+/// The most mesh nodes a repro file may ask for: far past any mesh the
+/// campaigns run, small enough that building the mesh allocates little.
+const MAX_MESH_NODES: usize = 1 << 12;
+
+/// Rejects a parsed mesh case the simulator would assert on: a data
+/// width outside 1..=128, a mesh smaller than 2×2 (or past
+/// [`MAX_MESH_NODES`]), a probability that is not one, a hotspot node
+/// off the mesh, or an event naming a link the mesh lacks.
+fn check_mesh_case(c: &MeshCaseConfig) -> Result<(), String> {
+    check_data_bits(c.data_bits)?;
+    let nodes = c.width.saturating_mul(c.height);
+    if c.width < 2 || c.height < 2 || nodes > MAX_MESH_NODES {
+        return Err(format!(
+            "mesh {}x{} must be at least 2x2 and at most {MAX_MESH_NODES} nodes",
+            c.width, c.height
+        ));
+    }
+    check_prob("eps", c.eps)?;
+    check_prob("rate", c.rate)?;
+    if let MeshPattern::Hotspot { node, fraction } = c.pattern {
+        if node >= nodes {
+            return Err(format!("hotspot node {node} of a {nodes}-node mesh"));
+        }
+        check_prob("hotspot fraction", fraction)?;
+    }
+    let links = mesh_topology(c.width, c.height).len();
+    for e in &c.schedule.events {
+        let link = match &e.action {
+            MeshAction::Activate { link, spec, .. } => {
+                check_spec(spec)?;
+                *link
+            }
+            MeshAction::LinkDown { link } | MeshAction::LinkUp { link } => *link,
+            MeshAction::Deactivate { .. } => continue,
+        };
+        if link >= links {
+            return Err(format!(
+                "event at={} names link {link} of a {links}-link mesh",
+                e.at_cycle
+            ));
+        }
+    }
+    Ok(())
 }
 
 fn parse_pattern(rest: &str) -> Result<MeshPattern, String> {
@@ -1524,16 +1575,6 @@ pub fn replay_mesh_text_with(text: &str, tel: Telemetry) -> Result<Option<MeshVi
 // The campaign
 // ---------------------------------------------------------------------
 
-/// Formats an `f64` for the JSON output (same convention as the soak
-/// campaign: fixed-precision exponential, deterministic).
-fn num(x: f64) -> String {
-    if x == 0.0 {
-        "0.0".to_owned()
-    } else {
-        format!("{x:.6e}")
-    }
-}
-
 /// The static shard list: one mesh cell per (scheme, family) grid
 /// position, seeded deterministically from that position.
 #[must_use]
@@ -1608,82 +1649,27 @@ pub fn build_mesh_case(
     }
 }
 
-/// Runs the mesh campaign over an explicit cell list on up to `threads`
-/// workers; outcomes merge in grid order, so the rendered JSON is
-/// byte-identical for every thread count.
+/// Runs the mesh campaign over `cells` at `cycles` injection cycles
+/// under `ctx`, one sub-run per cell with its scope named after the
+/// case. When health runs, each scope folds after the drive's final
+/// flush and is cross-checked against the monitor's ledger (the
+/// **health-consistent** invariant) before the monitor flushes again,
+/// as [`run_mesh_case_health`] does.
 #[must_use]
-pub fn run_mesh_campaign_parallel(
+pub fn run_mesh_campaign(
     cells: &[(Scheme, MeshFamily, u64)],
     cycles: u64,
-    threads: usize,
-) -> Vec<(String, MeshCaseOutcome)> {
-    run_shards(threads, cells, |_, &(scheme, family, seed)| {
+    ctx: &RunCtx,
+) -> Run<(String, MeshCaseOutcome)> {
+    run_cells(ctx, cells, |&(scheme, family, seed), probe| {
         let cfg = build_mesh_case(scheme, family, seed, cycles);
-        (cfg.name.clone(), run_mesh_case(&cfg))
+        let (mut monitor, report) = drive_mesh_case(&cfg, probe.open(&cfg.name));
+        if let Some(scope) = probe.fold() {
+            monitor.check_health_agreement(scope);
+            monitor.flush_telemetry();
+        }
+        (cfg.name, finish_outcome(monitor, report))
     })
-}
-
-/// [`run_mesh_campaign_parallel`] with per-cell private recorders
-/// merged in grid order (same discipline as the soak campaign's traced
-/// runner).
-#[must_use]
-pub fn run_mesh_campaign_traced(
-    cells: &[(Scheme, MeshFamily, u64)],
-    cycles: u64,
-    threads: usize,
-) -> (Vec<(String, MeshCaseOutcome)>, Recorder) {
-    let sharded = run_shards(threads, cells, |_, &(scheme, family, seed)| {
-        let cfg = build_mesh_case(scheme, family, seed, cycles);
-        let name = cfg.name.clone();
-        let rec = Rc::new(Recorder::new());
-        let out = run_mesh_case_with(&cfg, Telemetry::from_recorder(&rec));
-        let rec = Rc::try_unwrap(rec)
-            .ok()
-            .expect("run_mesh_case_with released every telemetry handle");
-        (name, out, rec)
-    });
-    let combined = Recorder::new();
-    let outcomes = sharded
-        .into_iter()
-        .map(|(name, out, rec)| {
-            combined.absorb(&rec);
-            (name, out)
-        })
-        .collect();
-    (outcomes, combined)
-}
-
-/// [`run_mesh_campaign_traced`] with the health monitor in the loop:
-/// every cell runs under its own recorder, its stream folds through the
-/// health aggregator into one incident-report scope per cell, and the
-/// health-consistent invariant is checked cell by cell. Scopes are
-/// pushed and recorders absorbed in grid order, so both the incident
-/// report and the merged recorder are byte-identical for every thread
-/// count.
-#[must_use]
-pub fn run_mesh_campaign_health(
-    cells: &[(Scheme, MeshFamily, u64)],
-    cycles: u64,
-    threads: usize,
-    health_cfg: &HealthConfig,
-) -> (Vec<(String, MeshCaseOutcome)>, HealthReport, Recorder) {
-    let sharded = run_shards(threads, cells, |_, &(scheme, family, seed)| {
-        let cfg = build_mesh_case(scheme, family, seed, cycles);
-        let name = cfg.name.clone();
-        let (out, scope, rec) = run_mesh_case_health(&cfg, health_cfg);
-        (name, out, scope, rec)
-    });
-    let combined = Recorder::new();
-    let mut health = HealthReport::new();
-    let outcomes = sharded
-        .into_iter()
-        .map(|(name, out, scope, rec)| {
-            combined.absorb(&rec);
-            health.push_scope(scope);
-            (name, out)
-        })
-        .collect();
-    (outcomes, health, combined)
 }
 
 /// Renders the mesh campaign JSON.
@@ -1695,12 +1681,7 @@ pub fn render_mesh_json(cycles: u64, outcomes: &[(String, MeshCaseOutcome)]) -> 
     let _ = writeln!(json, "  \"mesh\": \"{MESH_WIDTH}x{MESH_HEIGHT}\",");
     let _ = writeln!(json, "  \"cycles_per_case\": {cycles},");
     json.push_str("  \"cases\": [\n");
-    let mut first = true;
-    for (name, out) in outcomes {
-        if !first {
-            json.push_str(",\n");
-        }
-        first = false;
+    push_rows(&mut json, outcomes, |json, (name, out)| {
         json.push_str("    {");
         let _ = write!(json, "\"case\": \"{name}\", ");
         let _ = write!(json, "\"violations\": {}, ", out.violations.len());
@@ -1731,42 +1712,18 @@ pub fn render_mesh_json(cycles: u64, outcomes: &[(String, MeshCaseOutcome)]) -> 
             out.report.latency_quantile(0.99)
         );
         json.push('}');
-    }
+    });
     json.push_str("\n  ],\n");
-    json.push_str("  \"invariants\": {\n");
-    let mut first = true;
-    for kind in MeshInvariant::all() {
-        if !first {
-            json.push_str(",\n");
-        }
-        first = false;
-        let (checked, violated) = outcomes
-            .iter()
-            .flat_map(|(_, out)| out.stats.iter())
-            .filter(|(k, _)| *k == kind)
-            .fold((0u64, 0u64), |(c, v), (_, s)| {
-                (c + s.checked, v + s.violated)
-            });
-        let _ = write!(
-            json,
-            "    \"{}\": {{\"checked\": {checked}, \"violated\": {violated}}}",
-            kind.name()
-        );
-    }
-    json.push_str("\n  },\n");
+    let stats = outcomes.iter().flat_map(|(_, out)| out.stats.iter());
+    push_invariants(
+        &mut json,
+        MeshInvariant::all().map(|k| (k, k.name())),
+        stats,
+    );
     let violations: usize = outcomes.iter().map(|(_, out)| out.violations.len()).sum();
     let _ = writeln!(json, "  \"violations\": {violations}");
     json.push_str("}\n");
     json
-}
-
-/// Creates the parent directory of `path` if it has one.
-fn ensure_parent(path: &str) {
-    if let Some(dir) = Path::new(path).parent() {
-        if !dir.as_os_str().is_empty() {
-            std::fs::create_dir_all(dir).expect("create output directory");
-        }
-    }
 }
 
 /// The mesh campaign entry point behind `chaos mesh`. Every cell runs
@@ -1777,54 +1734,27 @@ fn ensure_parent(path: &str) {
 /// Returns the process exit code (nonzero iff any invariant violated).
 #[must_use]
 pub fn mesh_main(args: &[String]) -> i32 {
-    let mut smoke = false;
-    let mut threads = default_threads();
-    let mut trace_out: Option<String> = None;
-    let mut health_out = "results/BENCH_mesh_chaos.health.json".to_owned();
-    let mut out_path = "results/BENCH_mesh_chaos.json".to_owned();
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--smoke" => smoke = true,
-            "--threads" => {
-                let Some(n) = it.next().and_then(|v| parse_threads(v)) else {
-                    eprintln!("chaos mesh: --threads needs a positive integer");
-                    return 2;
-                };
-                threads = n;
-            }
-            "--trace-out" => {
-                let Some(path) = it.next() else {
-                    eprintln!("chaos mesh: --trace-out needs a path");
-                    return 2;
-                };
-                trace_out = Some(path.clone());
-            }
-            "--health-out" => {
-                let Some(path) = it.next() else {
-                    eprintln!("chaos mesh: --health-out needs a path");
-                    return 2;
-                };
-                health_out = path.clone();
-            }
-            other if other.starts_with("--") => {
-                eprintln!("chaos mesh: unknown flag {other}");
-                return 2;
-            }
-            other => out_path = other.to_owned(),
-        }
-    }
-    let (cells, cycles) = if smoke {
+    let cmd = "chaos mesh";
+    let args = match RunArgs::parse(
+        cmd,
+        args,
+        &["--smoke", "--threads", "--trace-out", "--health-out"],
+        "results/BENCH_mesh_chaos.json",
+        Some("results/BENCH_mesh_chaos.health.json"),
+    ) {
+        Ok(args) => args,
+        Err(code) => return code,
+    };
+    let (cells, cycles) = if args.smoke {
         (mesh_smoke_cells(), SMOKE_MESH_CYCLES)
     } else {
         (mesh_cells(), FULL_MESH_CYCLES)
     };
-    let health_cfg = HealthConfig::default();
     let started = std::time::Instant::now();
-    let (outcomes, health, recorder) =
-        run_mesh_campaign_health(&cells, cycles, threads, &health_cfg);
+    let run = run_mesh_campaign(&cells, cycles, &args.ctx());
     let wall = started.elapsed();
-    for ((name, out), scope) in outcomes.iter().zip(&health.scopes) {
+    let health = run.health.as_ref().expect("the mesh campaign folds health");
+    for ((name, out), scope) in run.outcomes.iter().zip(&health.scopes) {
         eprintln!(
             "{name:<26} injected {:>4}  delivered {:>4}  lost {:>2}  retx {:>4}  \
              incidents {}  violations {}",
@@ -1836,42 +1766,18 @@ pub fn mesh_main(args: &[String]) -> i32 {
             out.violations.len()
         );
     }
-    let json = render_mesh_json(cycles, &outcomes);
-    ensure_parent(&out_path);
-    std::fs::write(&out_path, &json).expect("write mesh campaign output");
-    ensure_parent(&health_out);
-    std::fs::write(&health_out, health.serialize()).expect("write incident report");
-    let incidents: usize = health.scopes.iter().map(|s| s.incidents.len()).sum();
-    let alerts: usize = health.scopes.iter().map(|s| s.alerts.len()).sum();
+    args.write_run(&render_mesh_json(cycles, &run.outcomes), &run);
+    let violations: usize = run
+        .outcomes
+        .iter()
+        .map(|(_, out)| out.violations.len())
+        .sum();
     eprintln!(
-        "chaos mesh: incidents -> {health_out} ({} scope(s), {incidents} incident(s), \
-         {alerts} alert(s))",
-        health.scopes.len()
-    );
-    if let Some(path) = &trace_out {
-        ensure_parent(path);
-        std::fs::write(path, recorder.export_jsonl()).expect("write telemetry JSONL");
-        let perfetto = format!("{path}.trace.json");
-        // Health scores and budget burn ride along as counter tracks.
-        std::fs::write(
-            &perfetto,
-            recorder.export_chrome_trace_with_counters(&health.counter_samples()),
-        )
-        .expect("write Perfetto trace");
-        let stats = recorder.ring_stats();
-        eprintln!(
-            "chaos mesh: telemetry -> {path} + {perfetto} ({} recorded, {} dropped)",
-            stats.recorded, stats.dropped
-        );
-        if let Some(warning) = stats.overflow_warning() {
-            eprintln!("chaos mesh: {warning}");
-        }
-    }
-    let violations: usize = outcomes.iter().map(|(_, out)| out.violations.len()).sum();
-    eprintln!(
-        "chaos mesh: {} cases x {cycles} cycles on {threads} thread(s) in {:.2}s -> {out_path} ({violations} violation(s))",
-        outcomes.len(),
-        wall.as_secs_f64()
+        "{cmd}: {} cases x {cycles} cycles on {} thread(s) in {:.2}s -> {} ({violations} violation(s))",
+        run.outcomes.len(),
+        args.threads,
+        wall.as_secs_f64(),
+        args.out
     );
     if violations == 0 {
         return 0;
@@ -1880,13 +1786,13 @@ pub fn mesh_main(args: &[String]) -> i32 {
     // violating cell to a reproducer, then replay it under telemetry so
     // a Perfetto trace and an incident report of the minimal failure
     // land next to it.
-    for (&(scheme, family, seed), (name, out)) in cells.iter().zip(&outcomes) {
+    for (&(scheme, family, seed), (name, out)) in cells.iter().zip(&run.outcomes) {
         if let Some(v) = out.violations.first() {
-            eprintln!("chaos mesh: {name} violated: {}", v.detail);
+            eprintln!("{cmd}: {name} violated: {}", v.detail);
             let cfg = build_mesh_case(scheme, family, seed, cycles);
             match write_mesh_repro(&cfg, v, Path::new("results/repro")) {
                 Ok(file) => {
-                    eprintln!("chaos mesh: reproducer written to {}", file.display());
+                    eprintln!("{cmd}: reproducer written to {}", file.display());
                     let rec = Rc::new(Recorder::new());
                     let replayed = std::fs::read_to_string(&file).ok().and_then(|text| {
                         replay_mesh_text_with(&text, Telemetry::from_recorder(&rec)).ok()
@@ -1895,20 +1801,20 @@ pub fn mesh_main(args: &[String]) -> i32 {
                         let trace = format!("{}.trace.json", file.display());
                         std::fs::write(&trace, rec.export_chrome_trace())
                             .expect("write repro trace");
-                        eprintln!("chaos mesh: trace written to {trace}");
+                        eprintln!("{cmd}: trace written to {trace}");
                         let mut repro_health = HealthReport::new();
                         repro_health.push_scope(HealthAggregator::scope_from_recorder(
                             name,
-                            &health_cfg,
+                            &HealthConfig::default(),
                             &rec,
                         ));
                         let health_path = format!("{}.health.json", file.display());
                         std::fs::write(&health_path, repro_health.serialize())
                             .expect("write repro incident report");
-                        eprintln!("chaos mesh: incident report written to {health_path}");
+                        eprintln!("{cmd}: incident report written to {health_path}");
                     }
                 }
-                Err(e) => eprintln!("chaos mesh: shrink failed: {e}"),
+                Err(e) => eprintln!("{cmd}: shrink failed: {e}"),
             }
             break;
         }
@@ -2123,25 +2029,6 @@ mod tests {
         m.check_health_agreement(&scope(vec![down_entity("link:2")], vec![]));
         assert_eq!(m.violations.len(), 1);
         assert!(m.violations[0].detail.contains("no incident blames"));
-    }
-
-    #[test]
-    fn mesh_health_campaign_is_thread_count_invariant() {
-        let cells: Vec<_> = mesh_smoke_cells().into_iter().take(2).collect();
-        let cfg = HealthConfig::default();
-        let (o1, h1, r1) = run_mesh_campaign_health(&cells, 40, 1, &cfg);
-        let (o8, h8, r8) = run_mesh_campaign_health(&cells, 40, 8, &cfg);
-        assert_eq!(h1.serialize(), h8.serialize());
-        assert_eq!(r1.export_jsonl(), r8.export_jsonl());
-        assert_eq!(render_mesh_json(40, &o1), render_mesh_json(40, &o8));
-    }
-
-    #[test]
-    fn mesh_campaign_json_is_thread_count_invariant() {
-        let cells: Vec<_> = mesh_smoke_cells().into_iter().take(2).collect();
-        let one = run_mesh_campaign_parallel(&cells, 40, 1);
-        let many = run_mesh_campaign_parallel(&cells, 40, 8);
-        assert_eq!(render_mesh_json(40, &one), render_mesh_json(40, &many));
     }
 
     #[test]

@@ -308,7 +308,7 @@ impl Repro {
             }
         }
         let missing = |what: &str| format!("missing {what}");
-        Ok(Repro {
+        let repro = Repro {
             case: CaseConfig {
                 name: name.ok_or_else(|| missing("name"))?,
                 scheme: scheme.ok_or_else(|| missing("scheme"))?,
@@ -324,7 +324,101 @@ impl Repro {
                 schedule: FaultSchedule { events },
             },
             expect: expect.ok_or_else(|| missing("expect"))?,
-        })
+        };
+        check_case(&repro.case)?;
+        Ok(repro)
+    }
+}
+
+/// The most hops a repro file may ask for: far past any path the
+/// campaigns run, small enough that building the path allocates little.
+const MAX_HOPS: usize = 1 << 10;
+
+/// Rejects a parsed case the simulator would assert on: a data width
+/// outside the traffic generator's 1..=128, no hops (or more than
+/// [`MAX_HOPS`]), a probability that is not one, an event naming a hop
+/// the path lacks, or a controller policy that fails
+/// [`ControlPolicy::validate`].
+fn check_case(c: &CaseConfig) -> Result<(), String> {
+    check_data_bits(c.data_bits)?;
+    if !(1..=MAX_HOPS).contains(&c.hops) {
+        return Err(format!("hops {} is outside 1..={MAX_HOPS}", c.hops));
+    }
+    check_prob("eps", c.eps)?;
+    if let Some(policy) = &c.controller {
+        policy
+            .validate(c.data_bits)
+            .map_err(|e| format!("controller: {e}"))?;
+    }
+    for e in &c.schedule.events {
+        let hop = match &e.action {
+            ScheduleAction::Activate { hop, spec, .. } => {
+                check_spec(spec)?;
+                *hop
+            }
+            ScheduleAction::ForceDegrade { hop } => *hop,
+            ScheduleAction::Deactivate { .. } => continue,
+        };
+        if hop >= c.hops {
+            return Err(format!(
+                "event at={} names hop {hop} of a {}-hop path",
+                e.at_word, c.hops
+            ));
+        }
+    }
+    Ok(())
+}
+
+/// Rejects a data width outside the traffic generator's 1..=128.
+pub(crate) fn check_data_bits(data_bits: usize) -> Result<(), String> {
+    if (1..=128).contains(&data_bits) {
+        Ok(())
+    } else {
+        Err(format!("data_bits {data_bits} is outside 1..=128"))
+    }
+}
+
+/// Rejects `p` unless it is a finite probability in `[0, 1]`.
+pub(crate) fn check_prob(what: &str, p: f64) -> Result<(), String> {
+    if (0.0..=1.0).contains(&p) {
+        Ok(())
+    } else {
+        Err(format!("{what} {p:?} is not a probability in [0, 1]"))
+    }
+}
+
+/// Rejects a fault spec the injector would panic on: a probability out
+/// of range (for a droop, both `eps` and `eps * scale`), or a bridge with
+/// no wire after it.
+pub(crate) fn check_spec(spec: &FaultSpec) -> Result<(), String> {
+    match *spec {
+        FaultSpec::Iid { eps } => check_prob("eps", eps),
+        FaultSpec::Burst {
+            eps_good,
+            eps_bad,
+            p_enter,
+            p_exit,
+        } => {
+            check_prob("eps_good", eps_good)?;
+            check_prob("eps_bad", eps_bad)?;
+            check_prob("p_enter", p_enter)?;
+            check_prob("p_exit", p_exit)
+        }
+        // The bridge shorts `wire` with `wire + 1`, which must exist.
+        FaultSpec::Bridge { wire, .. } if wire == usize::MAX => {
+            Err(format!("bridge wire {wire} has no neighbour"))
+        }
+        FaultSpec::StuckAt { .. } | FaultSpec::Bridge { .. } => Ok(()),
+        FaultSpec::Droop { eps, scale, .. } => {
+            check_prob("eps", eps)?;
+            if scale >= 0.0 {
+                check_prob("eps * scale", eps * scale)
+            } else {
+                Err(format!(
+                    "droop scale {scale:?} is not a non-negative number"
+                ))
+            }
+        }
     }
 }
 

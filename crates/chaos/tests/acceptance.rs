@@ -4,9 +4,14 @@
 //! path the `chaos -- replay` binary uses.
 
 use socbus_channel::FaultSpec;
+use socbus_chaos::mesh::ExpectedMeshViolation;
 use socbus_chaos::schedule::{FaultSchedule, ScheduleAction, ScheduleEvent};
-use socbus_chaos::{build_case, cli, run_case, InvariantKind, Repro, ScheduleFamily};
+use socbus_chaos::{
+    build_case, build_mesh_case, cli, replay_mesh_text, run_case, InvariantKind, MeshFamily,
+    MeshInvariant, MeshRepro, Repro, ScheduleFamily,
+};
 use socbus_codes::Scheme;
+use socbus_noc::mesh::MeshPattern;
 
 /// The full loop: violate → shrink → write file → parse file → re-run →
 /// same violation key; and the file is canonical (byte-identical after a
@@ -134,4 +139,105 @@ fn empty_schedule_is_healthy() {
     cfg.schedule = FaultSchedule::default();
     let out = run_case(&cfg);
     assert!(out.violations.is_empty());
+}
+
+/// A canonical repro edited in one field must be rejected at parse time
+/// — `chaos replay` exits 2 with a message — instead of passing the
+/// canonical-form check and panicking inside the simulator. Every edit
+/// below keeps the file canonical, so the error can only come from the
+/// field checks.
+#[test]
+fn replay_rejects_out_of_range_fields() {
+    let case = build_case(Scheme::Sabotaged, ScheduleFamily::BurstTrain, 1, 200, 3);
+    let path = Repro {
+        case,
+        expect: socbus_chaos::ExpectedViolation {
+            kind: InvariantKind::SilentCorruption,
+            hop: Some(0),
+            word: 5,
+        },
+    }
+    .serialize();
+    let mut case = build_mesh_case(Scheme::Dap, MeshFamily::MixedMesh, 3, 120);
+    case.pattern = MeshPattern::Hotspot {
+        node: 4,
+        fraction: 0.4,
+    };
+    let mesh = MeshRepro {
+        case,
+        expect: ExpectedMeshViolation {
+            kind: MeshInvariant::BoundedProgress,
+            link: Some(3),
+            cycle: 99,
+        },
+    }
+    .serialize();
+    assert!(
+        replay_mesh_text(&mesh).is_ok(),
+        "the unedited mesh repro replays"
+    );
+
+    // (text to find, replacement): one field out of range per edit.
+    let path_edits = [
+        ("\nhops 3\n", "\nhops 0\n"),
+        ("\ndata_bits 16\n", "\ndata_bits 0\n"),
+        ("\ndata_bits 16\n", "\ndata_bits 300\n"),
+        ("\neps 0.001\n", "\neps 5.0\n"),
+        ("\nexpect ", "\nevent at=0 force-degrade hop=7\nexpect "),
+        (
+            "\nexpect ",
+            "\nevent at=0 activate id=1 hop=9 spec=iid eps=0.01\nexpect ",
+        ),
+        (
+            "\nexpect ",
+            "\nevent at=0 activate id=1 hop=0 spec=iid eps=-3.0\nexpect ",
+        ),
+        (
+            "\nexpect ",
+            "\nevent at=0 activate id=1 hop=0 spec=bridge wire=18446744073709551615 mode=or\nexpect ",
+        ),
+        (
+            "\nwords ",
+            "\ncontroller target=0.01 window=50 dwell=2 lower=0.05 raise=0.2 storm=0.4\nwords ",
+        ),
+    ];
+    let mesh_edits = [
+        ("\nwidth 3\n", "\nwidth 0\n"),
+        ("\nrate 0.1\n", "\nrate 5.0\n"),
+        ("\nrate 0.1\n", "\nrate -1.0\n"),
+        ("node=4 ", "node=99 "),
+        ("fraction=0.4\n", "fraction=2.0\n"),
+        ("\nexpect ", "\nevent at=50 link-down link=999\nexpect "),
+        (
+            "\nexpect ",
+            "\nevent at=50 activate id=1 link=999 spec=iid eps=0.01\nexpect ",
+        ),
+    ];
+    let edit = |text: &str, (from, to): (&str, &str)| {
+        let edited = text.replacen(from, to, 1);
+        assert_ne!(edited, text, "{from:?} is in the repro");
+        edited
+    };
+    for e in path_edits {
+        let err = cli::replay_text(&edit(&path, e)).expect_err(e.1);
+        assert!(!err.contains("canonical"), "{err}");
+    }
+    for e in mesh_edits {
+        let err = replay_mesh_text(&edit(&mesh, e)).expect_err(e.1);
+        assert!(!err.contains("canonical"), "{err}");
+    }
+
+    let dir = std::env::temp_dir().join("socbus-chaos-rejects");
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let first = [
+        ("path.txt", edit(&path, path_edits[0])),
+        ("mesh.txt", edit(&mesh, mesh_edits[0])),
+    ];
+    for (name, text) in first {
+        let file = dir.join(name);
+        std::fs::write(&file, text).expect("write edited repro");
+        let args = ["replay".to_owned(), file.display().to_string()];
+        assert_eq!(cli::main_with_args(&args), 2, "{name}");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
 }

@@ -9,8 +9,8 @@ use proptest::prelude::*;
 use socbus_chaos::runner::CaseOutcome;
 use socbus_chaos::schedule::ScheduleFamily;
 use socbus_chaos::{
-    build_case, build_control_case, control_policy_for, run_case, run_control_parallel,
-    InvariantKind,
+    build_case, build_control_case, control_policy_for, run_campaign, run_case, InvariantKind,
+    Observe, RunCtx,
 };
 use socbus_codes::Scheme;
 use socbus_noc::link::Protocol;
@@ -62,8 +62,11 @@ proptest! {
             .into_iter()
             .map(|family| (scheme, family, seed))
             .collect();
-        let one = run_control_parallel(&cells, 800, 1);
-        let eight = run_control_parallel(&cells, 800, 8);
+        let run = |threads| {
+            run_campaign(&cells, 800, build_control_case, &RunCtx::new(threads, Observe::Off))
+                .outcomes
+        };
+        let (one, eight) = (run(1), run(8));
         prop_assert_eq!(one.len(), eight.len());
         let mut moved = 0usize;
         for ((name1, out1), (name8, out8)) in one.iter().zip(eight.iter()) {

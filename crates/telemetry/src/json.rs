@@ -1,7 +1,13 @@
 //! A minimal JSON parser — just enough to validate the exporters'
 //! output and the checked-in JSONL schema (the build environment has no
 //! serde). Parses the full JSON grammar into an order-preserving tree;
-//! numbers are `f64`.
+//! numbers are `f64`. Nesting is capped at [`MAX_DEPTH`] so hostile input
+//! cannot exhaust the stack, and a number must parse to a finite value:
+//! JSON cannot write infinity, so accepting `1e999` would break the
+//! parse–serialize round trip.
+
+/// The deepest array/object nesting [`parse`] accepts.
+pub const MAX_DEPTH: usize = 128;
 
 /// A parsed JSON value. Object member order is preserved.
 #[derive(Clone, Debug, PartialEq)]
@@ -76,12 +82,13 @@ impl Json {
 ///
 /// # Errors
 ///
-/// Returns a byte-offset-tagged message on malformed input or trailing
-/// garbage.
+/// Returns a byte-offset-tagged message on malformed input, trailing
+/// garbage, nesting deeper than [`MAX_DEPTH`], or a number that does not
+/// parse to a finite value.
 pub fn parse(text: &str) -> Result<Json, String> {
     let bytes = text.as_bytes();
     let mut pos = 0;
-    let value = parse_value(bytes, &mut pos)?;
+    let value = parse_value(bytes, &mut pos, 0)?;
     skip_ws(bytes, &mut pos);
     if pos != bytes.len() {
         return Err(format!("trailing garbage at byte {pos}"));
@@ -109,11 +116,16 @@ fn expect(bytes: &[u8], pos: &mut usize, ch: u8) -> Result<(), String> {
     }
 }
 
-fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
+/// Parses the value at `pos`, which sits inside `depth` containers.
+fn parse_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> {
     skip_ws(bytes, pos);
+    let open = matches!(bytes.get(*pos), Some(b'{' | b'['));
+    if open && depth == MAX_DEPTH {
+        return Err(format!("nesting deeper than {MAX_DEPTH} at byte {}", *pos));
+    }
     match bytes.get(*pos) {
-        Some(b'{') => parse_object(bytes, pos),
-        Some(b'[') => parse_array(bytes, pos),
+        Some(b'{') => parse_object(bytes, pos, depth + 1),
+        Some(b'[') => parse_array(bytes, pos, depth + 1),
         Some(b'"') => parse_string(bytes, pos).map(Json::Str),
         Some(b't') => parse_lit(bytes, pos, "true", Json::Bool(true)),
         Some(b'f') => parse_lit(bytes, pos, "false", Json::Bool(false)),
@@ -143,9 +155,10 @@ fn parse_number(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
         *pos += 1;
     }
     let text = std::str::from_utf8(&bytes[start..*pos]).map_err(|e| e.to_string())?;
-    text.parse::<f64>()
-        .map(Json::Num)
-        .map_err(|_| format!("bad number {text:?} at byte {start}"))
+    match text.parse::<f64>() {
+        Ok(value) if value.is_finite() => Ok(Json::Num(value)),
+        _ => Err(format!("bad number {text:?} at byte {start}")),
+    }
 }
 
 fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
@@ -201,7 +214,7 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
     }
 }
 
-fn parse_array(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
+fn parse_array(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> {
     expect(bytes, pos, b'[')?;
     let mut items = Vec::new();
     skip_ws(bytes, pos);
@@ -210,7 +223,7 @@ fn parse_array(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
         return Ok(Json::Arr(items));
     }
     loop {
-        items.push(parse_value(bytes, pos)?);
+        items.push(parse_value(bytes, pos, depth)?);
         skip_ws(bytes, pos);
         match bytes.get(*pos) {
             Some(b',') => *pos += 1,
@@ -223,7 +236,7 @@ fn parse_array(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
     }
 }
 
-fn parse_object(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
+fn parse_object(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> {
     expect(bytes, pos, b'{')?;
     let mut members = Vec::new();
     skip_ws(bytes, pos);
@@ -236,7 +249,7 @@ fn parse_object(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
         let key = parse_string(bytes, pos)?;
         skip_ws(bytes, pos);
         expect(bytes, pos, b':')?;
-        let value = parse_value(bytes, pos)?;
+        let value = parse_value(bytes, pos, depth)?;
         members.push((key, value));
         skip_ws(bytes, pos);
         match bytes.get(*pos) {
@@ -307,6 +320,31 @@ mod tests {
         assert!(parse("{\"a\" 1}").is_err());
         assert!(parse("1 2").is_err(), "trailing garbage");
         assert!(parse("\"unterminated").is_err());
+    }
+
+    /// Hostile nesting is an error, not a stack overflow: 100,000 open
+    /// brackets or objects fail at the cap, while the cap itself parses.
+    #[test]
+    fn nesting_is_capped() {
+        for open in ["[", "{\"a\":"] {
+            let err = parse(&open.repeat(100_000)).expect_err("too deep");
+            assert!(err.contains("nesting deeper than 128"), "{err}");
+        }
+        let at_cap = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(parse(&at_cap).is_ok());
+        let past_cap = format!("[{at_cap}]");
+        assert!(parse(&past_cap).is_err());
+    }
+
+    /// A number that overflows to infinity has no JSON spelling, so it
+    /// is rejected rather than parsed to a value `num` renders as null.
+    #[test]
+    fn numbers_must_be_finite() {
+        for bad in ["1e999", "-1e999", "[1, 2e400]"] {
+            assert!(parse(bad).is_err(), "{bad}");
+        }
+        assert_eq!(parse("1e308").unwrap(), Json::Num(1e308));
+        assert_eq!(parse("1e-999").unwrap(), Json::Num(0.0));
     }
 
     #[test]
