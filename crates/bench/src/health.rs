@@ -22,7 +22,8 @@
 //! the campaign JSON must not drift, and the health monitor must not
 //! perturb the simulation it watches (same per-case reports on both
 //! sides). The verdict plus an FNV-1a checksum of the incident report
-//! land in `results/BENCH_health.json`.
+//! land in `results/BENCH_health.json`, with the host they were taken on
+//! (`host_parallelism`, `profile`, `code_version`; see [`crate::host`]).
 //!
 //! Run with `cargo run --release -p socbus-bench --bin health`
 //! (`--smoke` for the five-cell grid, `--runs N`, `--reps N`,
@@ -131,13 +132,15 @@ impl HealthGateOutcome {
         self.overhead_pct() <= gate_pct && self.violations == 0
     }
 
-    /// Renders the `results/BENCH_health.json` format. Wall times are
-    /// environment-dependent by nature; everything else is
+    /// Renders the `results/BENCH_health.json` format: the host it ran
+    /// on ([`crate::host::json_members`]), then the measurement. Wall
+    /// times are environment-dependent by nature; everything else is
     /// deterministic.
     #[must_use]
     pub fn render_json(&self, gate_pct: f64) -> String {
         let mut json = String::new();
         json.push_str("{\n");
+        json.push_str(&crate::host::json_members());
         let _ = writeln!(json, "  \"cells\": {},", self.cells);
         let _ = writeln!(json, "  \"cycles_per_case\": {},", self.cycles);
         let _ = writeln!(json, "  \"runs\": {},", self.runs);
@@ -398,6 +401,8 @@ mod tests {
         assert_eq!(outcome.scopes, 1);
         let json = outcome.render_json(3.0);
         assert!(json.contains("\"cells\": 1,"));
+        assert!(json.starts_with("{\n  \"host_parallelism\": "));
+        assert!(json.contains("\"profile\": \""));
         assert!(json.contains("\"health_checksum\": \"0x"));
         // The checksum is a real digest of the incident report, not a
         // placeholder.

@@ -449,12 +449,20 @@ pub struct LinkEngine {
     words_done: u64,
     tel: Telemetry,
     scheme_label: String,
+    /// Set by every site that changes `scheme_label`, so the per-word
+    /// batch lookup compares labels only after a change.
+    label_changed: bool,
     hop_label: String,
     /// Per-scheme-label metric batches (a scheme switch mid-run starts a
     /// new batch so counters stay split by the label they occurred
     /// under). Flushed by [`LinkEngine::flush_telemetry`].
     tel_batches: Vec<(String, LinkTelemetryBatch)>,
 }
+
+/// Word latencies below this many cycles are counted in a dense array.
+/// Every protocol the chaos campaigns and benchmarks run fits: the
+/// slowest word of their ARQ backoff (three retries) takes 17 cycles.
+const DENSE_CYCLES: usize = 32;
 
 /// Locally accumulated per-word metrics, flushed to the sink once per
 /// run — keeps the per-word telemetry cost to one span call plus local
@@ -471,9 +479,31 @@ struct LinkTelemetryBatch {
     /// paper's undetected WER and of the health monitor's
     /// `undetected_wer` SLO.
     silent: u64,
-    /// Word-latency histogram as (cycles, occurrences) — word latencies
-    /// are small integers, so this stays a handful of entries.
-    cycles_hist: std::collections::BTreeMap<u64, u64>,
+    /// Word-latency histogram: `cycles_hist[c]` words took `c` cycles.
+    cycles_hist: [u64; DENSE_CYCLES],
+    /// Words that took [`DENSE_CYCLES`] or more cycles, as (cycles,
+    /// occurrences): only a slow backoff protocol reaches these.
+    long_cycles: std::collections::BTreeMap<u64, u64>,
+}
+
+impl LinkTelemetryBatch {
+    fn count_cycles(&mut self, cycles: u64) {
+        match usize::try_from(cycles)
+            .ok()
+            .and_then(|c| self.cycles_hist.get_mut(c))
+        {
+            Some(n) => *n += 1,
+            None => *self.long_cycles.entry(cycles).or_insert(0) += 1,
+        }
+    }
+
+    /// Every observed latency with its word count, in ascending cycles.
+    fn cycle_counts(&self) -> impl Iterator<Item = (u64, u64)> + '_ {
+        (0..)
+            .zip(self.cycles_hist)
+            .filter(|&(_, n)| n > 0)
+            .chain(self.long_cycles.iter().map(|(&c, &n)| (c, n)))
+    }
 }
 
 impl LinkEngine {
@@ -525,6 +555,7 @@ impl LinkEngine {
             words_done: 0,
             tel: Telemetry::off(),
             scheme_label: scheme.name(),
+            label_changed: false,
             hop_label: "0".to_owned(),
             tel_batches: Vec::new(),
         }
@@ -573,7 +604,7 @@ impl LinkEngine {
             if b.silent > 0 {
                 tel.counter("link.silent", &labels, b.silent);
             }
-            for (&cycles, &n) in &b.cycles_hist {
+            for (cycles, n) in b.cycle_counts() {
                 #[allow(clippy::cast_precision_loss)]
                 tel.observe_n("link.word_cycles", &labels, cycles as f64, n);
             }
@@ -581,12 +612,16 @@ impl LinkEngine {
     }
 
     /// The batch metrics accumulate into: the last one if its scheme
-    /// label is still current, else a fresh one for the new label.
+    /// label is still current, else a fresh one for the new label. The
+    /// labels are compared only when there is no batch yet or the label
+    /// has changed since the last word.
     fn active_batch(&mut self) -> &mut LinkTelemetryBatch {
-        let stale = !matches!(self.tel_batches.last(), Some((l, _)) if *l == self.scheme_label);
-        if stale {
-            self.tel_batches
-                .push((self.scheme_label.clone(), LinkTelemetryBatch::default()));
+        if std::mem::take(&mut self.label_changed) || self.tel_batches.is_empty() {
+            let stale = !matches!(self.tel_batches.last(), Some((l, _)) if *l == self.scheme_label);
+            if stale {
+                self.tel_batches
+                    .push((self.scheme_label.clone(), LinkTelemetryBatch::default()));
+            }
         }
         &mut self.tel_batches.last_mut().expect("just ensured").1
     }
@@ -678,7 +713,7 @@ impl LinkEngine {
                         b.silent += 1;
                     }
                 }
-                *b.cycles_hist.entry(word_cycles).or_insert(0) += 1;
+                b.count_cycles(word_cycles);
             }
             let trouble =
                 tries > 0 || matches!(status, DecodeStatus::Corrected | DecodeStatus::Detected);
@@ -888,6 +923,7 @@ impl LinkEngine {
             self.dec = to_point.scheme.build(self.data_bits);
             self.bus_state = Word::zero(self.enc.wires());
             self.scheme_label = to_point.scheme.name();
+            self.label_changed = true;
         }
         report.control.push(transition);
         if self.tel.is_enabled() {
@@ -912,6 +948,7 @@ impl LinkEngine {
                 self.dec = scheme.build(self.data_bits);
                 self.bus_state = Word::zero(self.enc.wires());
                 self.scheme_label = scheme.name();
+                self.label_changed = true;
             }
         }
     }
@@ -947,6 +984,7 @@ impl LinkEngine {
                 self.dec = scheme.build(self.data_bits);
                 self.bus_state = Word::zero(self.enc.wires());
                 self.scheme_label = scheme.name();
+                self.label_changed = true;
             }
         }
         action
@@ -1326,6 +1364,54 @@ mod tests {
             .expect("cycle histogram");
         assert_eq!(hist.count, 2_000);
         assert_eq!(hist.sum, traced_report.cycles as f64);
+    }
+
+    /// Word latencies on both sides of the dense array's end flush as
+    /// one `observe_n` call per latency, in ascending cycle order.
+    #[test]
+    fn word_latencies_flush_in_ascending_cycle_order() {
+        use socbus_telemetry::sink::{Labels, TelemetrySink};
+        use std::cell::RefCell;
+        use std::rc::Rc;
+        #[derive(Default)]
+        struct Latencies(RefCell<Vec<(f64, u64)>>);
+        impl TelemetrySink for Latencies {
+            fn counter_add(&self, _: &'static str, _: Labels<'_>, _: u64) {}
+            fn gauge_set(&self, _: &'static str, _: Labels<'_>, _: f64) {}
+            fn observe(&self, name: &'static str, labels: Labels<'_>, value: f64) {
+                self.observe_n(name, labels, value, 1);
+            }
+            fn observe_n(&self, name: &'static str, _: Labels<'_>, value: f64, n: u64) {
+                if name == "link.word_cycles" {
+                    self.0.borrow_mut().push((value, n));
+                }
+            }
+            fn event(&self, _: &'static str, _: Labels<'_>, _: u64) {}
+            fn span(&self, _: &'static str, _: Labels<'_>, _: u64, _: u64) {}
+        }
+        // Retries cost 12, 14, 18, 26, 26 and 26 cycles: latencies 1, 13,
+        // 27, 45, 71, 97 and 123.
+        let cfg = LinkConfig::new(Scheme::Parity, 8, 3e-2).with_protocol(Protocol::ArqBackoff {
+            timeout_cycles: 10,
+            backoff_base: 2,
+            backoff_cap: 16,
+            max_retries: 6,
+        });
+        let mut engine = LinkEngine::new(&cfg, &[], 5);
+        let sink = Rc::new(Latencies::default());
+        engine.set_telemetry(Telemetry::new(Rc::clone(&sink) as Rc<dyn TelemetrySink>), 0);
+        let mut report = LinkReport::default();
+        for data in UniformTraffic::new(8, 11).take(4_000) {
+            engine.transfer(data, &mut report);
+        }
+        engine.flush_telemetry();
+        let calls = sink.0.borrow();
+        assert!(calls.windows(2).all(|w| w[0].0 < w[1].0), "{calls:?}");
+        assert!(calls.iter().any(|&(c, _)| c < DENSE_CYCLES as f64));
+        assert!(calls.iter().any(|&(c, _)| c >= DENSE_CYCLES as f64));
+        assert_eq!(calls.iter().map(|&(_, n)| n).sum::<u64>(), 4_000);
+        let cycles: f64 = calls.iter().map(|&(c, n)| c * n as f64).sum();
+        assert_eq!(cycles, report.cycles as f64);
     }
 
     #[test]

@@ -77,13 +77,25 @@ fn hop(labels: &[(String, String)]) -> Option<u64> {
         .and_then(|(_, v)| v.parse::<u64>().ok())
 }
 
-/// Every interned label set rendered once: its JSON object and its hop
-/// track, if it names one.
-fn rendered_sets(inner: &Inner) -> Vec<(String, Option<u64>)> {
+/// One interned event key rendered once, however many records name it.
+struct RenderedKey {
+    /// The escaped event name.
+    name: String,
+    /// The label set as a JSON object.
+    labels: String,
+    /// The hop track the labels name, if any.
+    hop: Option<u64>,
+}
+
+fn rendered_keys(inner: &Inner) -> Vec<RenderedKey> {
     inner
-        .labels
+        .keys
         .iter()
-        .map(|set| (labels_json(set), hop(set)))
+        .map(|(name, set)| RenderedKey {
+            name: escape(name),
+            labels: labels_json(set),
+            hop: hop(set),
+        })
         .collect()
 }
 
@@ -92,30 +104,25 @@ impl Recorder {
     #[must_use]
     pub fn export_jsonl(&self) -> String {
         let inner = self.inner.borrow();
-        let sets = rendered_sets(&inner);
+        let keys = rendered_keys(&inner);
         let mut out = String::new();
         out.push_str("{\"type\": \"meta\", \"version\": 1, \"clock\": \"cycles\"}\n");
         for e in &inner.events {
-            let labels = &sets[e.labels as usize].0;
-            match e.end {
-                Some(end) => {
-                    let _ = writeln!(
-                        out,
-                        "{{\"type\": \"span\", \"name\": \"{}\", \"begin\": {}, \"end\": {end}, \
-                         \"labels\": {labels}}}",
-                        escape(e.name),
-                        e.begin
-                    );
-                }
-                None => {
-                    let _ = writeln!(
-                        out,
-                        "{{\"type\": \"event\", \"name\": \"{}\", \"at\": {}, \
-                         \"labels\": {labels}}}",
-                        escape(e.name),
-                        e.begin
-                    );
-                }
+            let RenderedKey { name, labels, .. } = &keys[e.key as usize];
+            if e.span {
+                let _ = writeln!(
+                    out,
+                    "{{\"type\": \"span\", \"name\": \"{name}\", \"begin\": {}, \"end\": {}, \
+                     \"labels\": {labels}}}",
+                    e.begin, e.end
+                );
+            } else {
+                let _ = writeln!(
+                    out,
+                    "{{\"type\": \"event\", \"name\": \"{name}\", \"at\": {}, \
+                     \"labels\": {labels}}}",
+                    e.begin
+                );
             }
         }
         for ((name, labels), metric) in &inner.metrics {
@@ -177,13 +184,12 @@ impl Recorder {
     #[must_use]
     pub fn export_chrome_trace_with_counters(&self, counters: &[CounterSample]) -> String {
         let inner = self.inner.borrow();
-        let sets = rendered_sets(&inner);
-        let hops = || inner.events.iter().map(|e| sets[e.labels as usize].1);
+        let keys = rendered_keys(&inner);
+        let hops = || inner.events.iter().map(|e| keys[e.key as usize].hop);
         let control_tid = match hops().flatten().max() {
             Some(highest) if highest >= CONTROL_TID => highest.saturating_add(1),
             _ => CONTROL_TID,
         };
-        let tid = |e: &EventRecord| sets[e.labels as usize].1.unwrap_or(control_tid);
         let mut tids: Vec<u64> = hops().map(|h| h.unwrap_or(control_tid)).collect();
         tids.sort_unstable();
         tids.dedup();
@@ -218,8 +224,9 @@ impl Recorder {
             );
         }
         for e in &inner.events {
+            let key = &keys[e.key as usize];
             push(
-                chrome_event(e, tid(e), &sets[e.labels as usize].0),
+                chrome_event(e, key, key.hop.unwrap_or(control_tid)),
                 &mut first,
             );
         }
@@ -320,21 +327,21 @@ impl Recorder {
     }
 }
 
-fn chrome_event(e: &EventRecord, tid: u64, args: &str) -> String {
-    match e.end {
-        Some(end) => format!(
-            "{{\"ph\": \"X\", \"pid\": 0, \"tid\": {tid}, \"name\": \"{}\", \"ts\": {}, \
-             \"dur\": {}, \"args\": {args}}}",
-            escape(e.name),
+fn chrome_event(e: &EventRecord, key: &RenderedKey, tid: u64) -> String {
+    let RenderedKey { name, labels, .. } = key;
+    if e.span {
+        format!(
+            "{{\"ph\": \"X\", \"pid\": 0, \"tid\": {tid}, \"name\": \"{name}\", \"ts\": {}, \
+             \"dur\": {}, \"args\": {labels}}}",
             e.begin,
-            end.saturating_sub(e.begin)
-        ),
-        None => format!(
-            "{{\"ph\": \"i\", \"pid\": 0, \"tid\": {tid}, \"name\": \"{}\", \"ts\": {}, \
-             \"s\": \"t\", \"args\": {args}}}",
-            escape(e.name),
+            e.end.saturating_sub(e.begin)
+        )
+    } else {
+        format!(
+            "{{\"ph\": \"i\", \"pid\": 0, \"tid\": {tid}, \"name\": \"{name}\", \"ts\": {}, \
+             \"s\": \"t\", \"args\": {labels}}}",
             e.begin
-        ),
+        )
     }
 }
 

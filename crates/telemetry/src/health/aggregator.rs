@@ -377,14 +377,18 @@ impl HealthAggregator {
     /// same logical sequence the JSONL exporter writes.
     pub fn ingest_recorder(&mut self, rec: &Recorder) {
         let inner = rec.inner.borrow();
-        // Each interned label set's hop is parsed once, not per event.
-        let hops: Vec<Option<u64>> = inner.labels.iter().map(hop).collect();
+        // Each interned key's hop is parsed once, not per event.
+        let keys: Vec<_> = inner
+            .keys
+            .iter()
+            .map(|(name, labels)| (name, labels, hop(labels)))
+            .collect();
         for e in &inner.events {
-            if e.end.is_some() {
+            if e.span {
                 continue;
             }
-            let hop = hops[e.labels as usize];
-            self.observe_labeled(e.name, inner.labels.get(e.labels), hop, e.begin);
+            let (name, labels, hop) = keys[e.key as usize];
+            self.observe_labeled(name, labels, hop, e.begin);
         }
         for ((name, _labels), metric) in &inner.metrics {
             match metric {

@@ -20,11 +20,12 @@
 //!
 //! # Event storage
 //!
-//! Each recorder stores every distinct sorted label set once
-//! (`LabelSets`); a ring record names its set by a `u32` id, so
-//! recording a span copies 48 bytes and allocates nothing once its set
-//! has been seen. Ids are private to one recorder and never reach an
-//! export: every reader resolves them back to the sorted pairs.
+//! Each recorder stores every distinct pair of event name and sorted
+//! label set once (`EventKeys`); a ring record names its pair by a
+//! `u32` key, so recording a span copies 24 bytes and allocates nothing
+//! once its key has been seen. Keys are private to one recorder and
+//! never reach an export: every reader resolves each key back to its
+//! name and sorted pairs once, however many records name it.
 
 use std::cell::RefCell;
 use std::collections::BTreeMap;
@@ -126,20 +127,26 @@ fn empty_like(like: &Metric) -> Metric {
     }
 }
 
-/// Names one interned label set within its recorder's [`LabelSets`].
-pub(crate) type LabelId = u32;
+/// Names one interned event name and label set within its recorder's
+/// [`EventKeys`].
+pub(crate) type KeyId = u32;
 
-/// One recorded span or instant event: a plain copy with nothing on the
-/// heap.
+/// One recorded span or instant event: a plain 24-byte copy with nothing
+/// on the heap.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub(crate) struct EventRecord {
-    pub name: &'static str,
-    /// The event's sorted label set, interned in the same recorder.
-    pub labels: LabelId,
     pub begin: u64,
-    /// `None` for instantaneous events.
-    pub end: Option<u64>,
+    /// The span's last cycle; equal to `begin` for an instant event.
+    pub end: u64,
+    /// The event's name and sorted label set, interned in the same
+    /// recorder.
+    pub key: KeyId,
+    /// A span, not an instant event. A flag rather than a sentinel
+    /// `end`, because a span may end at any cycle.
+    pub span: bool,
 }
+
+const _: () = assert!(size_of::<EventRecord>() == 24);
 
 /// A `(key, value)` label pair, borrowed or owned.
 trait Pair {
@@ -172,16 +179,16 @@ fn hash_str(h: u64, s: &str) -> u64 {
     h
 }
 
-/// Hashes a label set independently of its order: the pairs' own hashes
-/// are summed, so a lookup never has to sort. The constants are fixed,
-/// so a set hashes alike in every recorder and [`Recorder::absorb`] can
-/// reuse a shard's hashes.
-fn hash_set<P: Pair>(pairs: &[P]) -> u64 {
+/// Hashes an event key: its name, then its label set independently of
+/// the set's order (the pairs' own hashes are summed, so a lookup never
+/// has to sort). The constants are fixed, so a key hashes alike in every
+/// recorder and [`Recorder::absorb`] can reuse a shard's hashes.
+fn hash_key<P: Pair>(name: &str, pairs: &[P]) -> u64 {
     let sum = pairs.iter().fold(0u64, |sum, p| {
         let (k, v) = p.kv();
         sum.wrapping_add(hash_str(hash_str(0, k), v))
     });
-    mix(sum, pairs.len() as u64)
+    mix(hash_str(sum, name), pairs.len() as u64)
 }
 
 /// Whether `pairs`, in any order, are exactly the sorted pairs of `set`,
@@ -205,56 +212,58 @@ fn same_set<P: Pair>(set: &[(String, String)], pairs: &[P]) -> bool {
     })
 }
 
-/// Every distinct label set one recorder has seen, stored once, sorted,
-/// and named by its index. An open-addressing index over an
-/// order-independent hash finds a known set without sorting or
-/// allocating; a hit always compares the pairs exactly, so a hash
-/// collision can never merge two sets.
-pub(crate) struct LabelSets {
-    /// Sets by id, each sorted by `(key, value)`.
-    sets: Vec<OwnedLabels>,
-    /// `hashes[id]` = [`hash_set`] of `sets[id]`.
+/// Every distinct event key one recorder has seen — an event name and
+/// its label set — stored once, the set sorted, and named by its index.
+/// An open-addressing index over [`hash_key`] finds a known key without
+/// sorting or allocating; a hit always compares the name and the pairs
+/// exactly, so a hash collision can never merge two keys.
+pub(crate) struct EventKeys {
+    /// Keys by id: the event name and its pairs sorted by `(key, value)`.
+    keys: Vec<(&'static str, OwnedLabels)>,
+    /// `hashes[id]` = [`hash_key`] of `keys[id]`.
     hashes: Vec<u64>,
     /// Each slot holds `id + 1`, 0 when empty. The length is 0 or a
-    /// power of two at least twice `sets.len()`.
+    /// power of two at least twice `keys.len()`.
     slots: Vec<u32>,
 }
 
-impl LabelSets {
+impl EventKeys {
     fn new() -> Self {
-        LabelSets {
-            sets: Vec::new(),
+        EventKeys {
+            keys: Vec::new(),
             hashes: Vec::new(),
             slots: Vec::new(),
         }
     }
 
-    /// The sorted pairs of set `id`.
-    pub(crate) fn get(&self, id: LabelId) -> &[(String, String)] {
-        &self.sets[id as usize]
+    /// The name and sorted pairs of key `id`.
+    pub(crate) fn get(&self, id: KeyId) -> (&'static str, &[(String, String)]) {
+        let (name, set) = &self.keys[id as usize];
+        (name, set)
     }
 
-    /// Number of interned sets.
-    pub(crate) fn len(&self) -> usize {
-        self.sets.len()
+    /// Number of interned keys.
+    fn len(&self) -> usize {
+        self.keys.len()
     }
 
-    /// Every set's sorted pairs, in id order.
-    pub(crate) fn iter(&self) -> impl Iterator<Item = &[(String, String)]> {
-        self.sets.iter().map(Vec::as_slice)
+    /// Every key's name and sorted pairs, in id order.
+    pub(crate) fn iter(&self) -> impl Iterator<Item = (&'static str, &[(String, String)])> {
+        self.keys.iter().map(|(name, set)| (*name, set.as_slice()))
     }
 
-    /// The id of `pairs` in any order, interning the set on first sight.
-    /// `hash` is [`hash_set`] of `pairs` when the caller already knows it.
-    fn intern<P: Pair>(&mut self, pairs: &[P], hash: Option<u64>) -> LabelId {
-        let hash = hash.unwrap_or_else(|| hash_set(pairs));
-        match self.find(pairs, hash) {
+    /// The id of `name` with `pairs` in any order, interning the key on
+    /// first sight. `hash` is [`hash_key`] of both when the caller
+    /// already knows it.
+    fn intern<P: Pair>(&mut self, name: &'static str, pairs: &[P], hash: Option<u64>) -> KeyId {
+        let hash = hash.unwrap_or_else(|| hash_key(name, pairs));
+        match self.find(name, pairs, hash) {
             Some(id) => id,
-            None => self.insert(pairs, hash),
+            None => self.insert(name, pairs, hash),
         }
     }
 
-    fn find<P: Pair>(&self, pairs: &[P], hash: u64) -> Option<LabelId> {
+    fn find<P: Pair>(&self, name: &str, pairs: &[P], hash: u64) -> Option<KeyId> {
         if self.slots.is_empty() {
             return None;
         }
@@ -262,19 +271,20 @@ impl LabelSets {
         let mut i = home(self.slots.len(), hash);
         loop {
             let id = self.slots[i].checked_sub(1)?;
-            if self.hashes[id as usize] == hash && same_set(&self.sets[id as usize], pairs) {
+            let (known, set) = &self.keys[id as usize];
+            if self.hashes[id as usize] == hash && *known == name && same_set(set, pairs) {
                 return Some(id);
             }
             i = (i + 1) & mask;
         }
     }
 
-    fn insert<P: Pair>(&mut self, pairs: &[P], hash: u64) -> LabelId {
-        // Slots store `id + 1`, so the largest id is `LabelId::MAX - 1`.
-        let id = LabelId::try_from(self.sets.len())
+    fn insert<P: Pair>(&mut self, name: &'static str, pairs: &[P], hash: u64) -> KeyId {
+        // Slots store `id + 1`, so the largest id is `KeyId::MAX - 1`.
+        let id = KeyId::try_from(self.keys.len())
             .ok()
-            .filter(|&id| id < LabelId::MAX)
-            .expect("fewer than 2^32 - 1 distinct label sets");
+            .filter(|&id| id < KeyId::MAX)
+            .expect("fewer than 2^32 - 1 distinct event keys");
         let mut sorted: OwnedLabels = pairs
             .iter()
             .map(|p| {
@@ -283,9 +293,9 @@ impl LabelSets {
             })
             .collect();
         sorted.sort_unstable();
-        self.sets.push(sorted);
+        self.keys.push((name, sorted));
         self.hashes.push(hash);
-        if 2 * self.sets.len() > self.slots.len() {
+        if 2 * self.keys.len() > self.slots.len() {
             self.slots = vec![0; (2 * self.slots.len()).max(16)];
             for (id, &hash) in (0..).zip(&self.hashes) {
                 place(&mut self.slots, id, hash);
@@ -304,7 +314,7 @@ fn home(len: usize, hash: u64) -> usize {
 }
 
 /// Puts `id` in the first free slot at or after `hash`'s home.
-fn place(slots: &mut [u32], id: LabelId, hash: u64) {
+fn place(slots: &mut [u32], id: KeyId, hash: u64) {
     let mask = slots.len() - 1;
     let mut i = home(slots.len(), hash);
     while slots[i] != 0 {
@@ -350,8 +360,8 @@ pub(crate) struct Inner {
     /// The ring, oldest first. Its storage grows on demand and never
     /// past `capacity` records.
     pub events: VecDeque<EventRecord>,
-    /// The label sets `events` name.
-    pub labels: LabelSets,
+    /// The names and label sets `events` name.
+    pub keys: EventKeys,
     /// Logical ring capacity.
     pub capacity: usize,
     pub dropped: u64,
@@ -390,7 +400,7 @@ impl Recorder {
             inner: RefCell::new(Inner {
                 metrics: BTreeMap::new(),
                 events: VecDeque::new(),
-                labels: LabelSets::new(),
+                keys: EventKeys::new(),
                 capacity,
                 dropped: 0,
                 bounds: Vec::new(),
@@ -475,7 +485,7 @@ impl Recorder {
     /// first); `other`'s drop tally carries over.
     ///
     /// Only the records that survive are copied — at most `capacity` of
-    /// them, the newest — and each of `other`'s label sets is looked up
+    /// them, the newest — and each of `other`'s event keys is looked up
     /// here once, however many records name it. The drop tally is what
     /// appending the records one by one would evict.
     ///
@@ -528,28 +538,24 @@ impl Recorder {
         let evicted = inner.events.len() - (survivors - copied);
         inner.events.drain(..evicted);
         inner.reserve(copied);
-        let mut ids: Vec<Option<LabelId>> = vec![None; other.labels.len()];
+        let mut ids: Vec<Option<KeyId>> = vec![None; other.keys.len()];
         for record in other.events.range(incoming - copied..) {
-            let set = record.labels as usize;
-            let id = *ids[set].get_or_insert_with(|| {
-                inner
-                    .labels
-                    .intern(&other.labels.sets[set], Some(other.labels.hashes[set]))
+            let key = record.key as usize;
+            let id = *ids[key].get_or_insert_with(|| {
+                let (name, set) = other.keys.get(record.key);
+                inner.keys.intern(name, set, Some(other.keys.hashes[key]))
             });
-            inner.events.push_back(EventRecord {
-                labels: id,
-                ..*record
-            });
+            inner.events.push_back(EventRecord { key: id, ..*record });
         }
     }
 
-    fn push_event(&self, name: &'static str, labels: Labels<'_>, begin: u64, end: Option<u64>) {
+    fn push_event(&self, name: &'static str, labels: Labels<'_>, begin: u64, end: u64, span: bool) {
         let mut inner = self.inner.borrow_mut();
         if inner.capacity == 0 {
             inner.dropped += 1;
             return;
         }
-        let labels = inner.labels.intern(labels, None);
+        let key = inner.keys.intern(name, labels, None);
         if inner.events.len() == inner.capacity {
             inner.events.pop_front();
             inner.dropped += 1;
@@ -557,10 +563,10 @@ impl Recorder {
             inner.reserve(1);
         }
         inner.events.push_back(EventRecord {
-            name,
-            labels,
             begin,
             end,
+            key,
+            span,
         });
     }
 }
@@ -628,11 +634,11 @@ impl TelemetrySink for Recorder {
     }
 
     fn event(&self, name: &'static str, labels: Labels<'_>, at: u64) {
-        self.push_event(name, labels, at, None);
+        self.push_event(name, labels, at, at, false);
     }
 
     fn span(&self, name: &'static str, labels: Labels<'_>, begin: u64, end: u64) {
-        self.push_event(name, labels, begin, Some(end));
+        self.push_event(name, labels, begin, end, true);
     }
 }
 
@@ -832,7 +838,9 @@ mod tests {
                     let inner = main.inner.borrow();
                     for (e, &at) in inner.events.iter().zip(&model) {
                         assert_eq!(e.begin, at);
-                        let labels = inner.labels.get(e.labels);
+                        assert_eq!(e.span, at >= 100);
+                        let (name, labels) = inner.keys.get(e.key);
+                        assert_eq!(name, if at < 100 { "own" } else { "in" });
                         assert_eq!(labels[0], ("hop".to_owned(), hop(at)));
                         assert_eq!(labels.len(), if at < 100 { 1 } else { 2 });
                     }
@@ -842,44 +850,155 @@ mod tests {
     }
 
     #[test]
-    fn label_sets_intern_each_set_once_in_any_order() {
-        let mut sets = LabelSets::new();
-        let ab = sets.intern(&[("b", "2"), ("a", "1")], None);
-        assert_eq!(sets.intern(&[("a", "1"), ("b", "2")], None), ab);
+    fn event_keys_intern_each_key_once_in_any_order() {
+        let mut keys = EventKeys::new();
+        let ab = keys.intern("e", &[("b", "2"), ("a", "1")], None);
+        assert_eq!(keys.intern("e", &[("a", "1"), ("b", "2")], None), ab);
         let owned = |pairs: &[(&str, &str)]| -> OwnedLabels {
             pairs
                 .iter()
                 .map(|&(k, v)| (k.to_owned(), v.to_owned()))
                 .collect()
         };
-        assert_eq!(sets.get(ab), owned(&[("a", "1"), ("b", "2")]));
+        assert_eq!(keys.get(ab), ("e", &owned(&[("a", "1"), ("b", "2")])[..]));
+        // The same set under another name is another key.
+        let other = keys.intern("f", &[("a", "1"), ("b", "2")], None);
+        assert_ne!(other, ab);
+        assert_eq!(keys.get(other).0, "f");
         // A repeated pair is a different set from two distinct values.
-        let xx = sets.intern(&[("k", "x"), ("k", "x")], None);
-        let yx = sets.intern(&[("k", "y"), ("k", "x")], None);
+        let xx = keys.intern("e", &[("k", "x"), ("k", "x")], None);
+        let yx = keys.intern("e", &[("k", "y"), ("k", "x")], None);
         assert_ne!(xx, yx);
-        assert_eq!(sets.intern(&[("k", "x"), ("k", "y")], None), yx);
-        assert_eq!(sets.get(yx), owned(&[("k", "x"), ("k", "y")]));
-        // Enough sets to rebuild the index several times.
+        assert_eq!(keys.intern("e", &[("k", "x"), ("k", "y")], None), yx);
+        assert_eq!(keys.get(yx).1, owned(&[("k", "x"), ("k", "y")]));
+        // Enough keys to rebuild the index several times.
         let values: Vec<String> = (0..1_000).map(|i| i.to_string()).collect();
-        let ids: Vec<LabelId> = values
+        let ids: Vec<KeyId> = values
             .iter()
-            .map(|v| sets.intern(&[("hop", v.as_str())], None))
+            .map(|v| keys.intern("e", &[("hop", v.as_str())], None))
             .collect();
         for (v, &id) in values.iter().zip(&ids) {
-            assert_eq!(sets.intern(&[("hop", v.as_str())], None), id);
-            assert_eq!(sets.get(id), owned(&[("hop", v)]));
+            assert_eq!(keys.intern("e", &[("hop", v.as_str())], None), id);
+            assert_eq!(keys.get(id).1, owned(&[("hop", v)]));
         }
-        assert_eq!(sets.len(), 1_003);
+        assert_eq!(keys.len(), 1_004);
         // More pairs than one claim word holds, in two orders, and the
         // same pairs with one value changed.
-        let keys: Vec<String> = (0..70).map(|i| format!("k{i:02}")).collect();
-        let forward: Vec<(&str, &str)> = keys.iter().map(|k| (k.as_str(), "v")).collect();
+        let names: Vec<String> = (0..70).map(|i| format!("k{i:02}")).collect();
+        let forward: Vec<(&str, &str)> = names.iter().map(|k| (k.as_str(), "v")).collect();
         let mut backward = forward.clone();
         backward.reverse();
-        let wide = sets.intern(&forward, None);
-        assert_eq!(sets.intern(&backward, None), wide);
+        let wide = keys.intern("e", &forward, None);
+        assert_eq!(keys.intern("e", &backward, None), wide);
         backward[0].1 = "w";
-        assert_ne!(sets.intern(&backward, None), wide);
+        assert_ne!(keys.intern("e", &backward, None), wide);
+    }
+
+    /// Every event name a recorder sees shares a handful of label sets,
+    /// so a hash that left the name out would pile each set's names
+    /// into one probe chain.
+    #[test]
+    fn key_hash_covers_the_name() {
+        let set = [("hop", "0"), ("scheme", "DAP")];
+        let names = [
+            "link.word",
+            "link.retry",
+            "link.degrade",
+            "control.transition",
+            "mesh.accept",
+            "mesh.queue_high",
+            "",
+        ];
+        let mut hashes: Vec<u64> = names.iter().map(|n| hash_key(n, &set)).collect();
+        hashes.sort_unstable();
+        hashes.dedup();
+        assert_eq!(hashes.len(), names.len());
+        let reversed = [("scheme", "DAP"), ("hop", "0")];
+        assert_eq!(
+            hash_key("link.word", &reversed),
+            hash_key("link.word", &set)
+        );
+    }
+
+    /// Shards that met the same names and label sets in different
+    /// first-seen orders (so their key ids differ) absorb into exactly
+    /// what one recorder that saw everything exports.
+    #[test]
+    fn shards_absorb_alike_whatever_order_they_met_their_keys() {
+        type Cell = &'static [(&'static str, &'static str, bool)];
+        let cells: [Cell; 4] = [
+            &[("link.word", "0", true), ("link.retry", "1", false)],
+            &[
+                ("link.retry", "1", false),
+                ("link.word", "1", true),
+                ("link.word", "0", true),
+            ],
+            &[("mesh.accept", "2", false), ("link.retry", "0", false)],
+            &[
+                ("link.word", "2", true),
+                ("mesh.accept", "2", false),
+                ("link.word", "0", true),
+                ("link.retry", "1", false),
+            ],
+        ];
+        let record = |r: &Recorder, cell: Cell, at: u64| {
+            for (i, &(name, hop, span)) in (0..).zip(cell) {
+                let labels = [("hop", hop), ("scheme", "DAP")];
+                if span {
+                    r.span(name, &labels, at + i, at + i + 3);
+                } else {
+                    r.event(name, &labels, at + i);
+                }
+            }
+        };
+        let sequential = Recorder::new();
+        let merged = Recorder::new();
+        // The merge target has met one key of its own first.
+        for r in [&sequential, &merged] {
+            r.event("mesh.accept", &[("hop", "2"), ("scheme", "DAP")], 0);
+        }
+        for (at, cell) in (0..).step_by(10).zip(cells) {
+            record(&sequential, cell, at);
+            let shard = Recorder::new();
+            record(&shard, cell, at);
+            merged.absorb(&shard);
+        }
+        assert_eq!(merged.export_jsonl(), sequential.export_jsonl());
+        assert_eq!(
+            merged.export_chrome_trace(),
+            sequential.export_chrome_trace()
+        );
+        assert_eq!(merged.inner.borrow().keys.len(), 6);
+    }
+
+    /// The span flag, not the cycles, tells a span from an instant
+    /// event: a zero-length span and an event at its cycle, under one
+    /// name and label set, export as one of each, and a span may end at
+    /// any cycle.
+    #[test]
+    fn a_zero_length_span_and_an_event_at_its_cycle_stay_apart() {
+        let r = Recorder::new();
+        let labels = [("hop", "0")];
+        r.span("link.word", &labels, 5, 5);
+        r.event("link.word", &labels, 5);
+        r.span("link.word", &labels, 6, u64::MAX);
+        let jsonl = r.export_jsonl();
+        let lines: Vec<&str> = jsonl.lines().skip(1).take(3).collect();
+        assert_eq!(
+            lines,
+            [
+                "{\"type\": \"span\", \"name\": \"link.word\", \"begin\": 5, \"end\": 5, \
+                 \"labels\": {\"hop\": \"0\"}}",
+                "{\"type\": \"event\", \"name\": \"link.word\", \"at\": 5, \
+                 \"labels\": {\"hop\": \"0\"}}",
+                "{\"type\": \"span\", \"name\": \"link.word\", \"begin\": 6, \
+                 \"end\": 18446744073709551615, \"labels\": {\"hop\": \"0\"}}",
+            ]
+        );
+        let trace = r.export_chrome_trace();
+        assert_eq!(trace.matches("\"ph\": \"X\"").count(), 2);
+        assert_eq!(trace.matches("\"ph\": \"i\"").count(), 1);
+        assert_eq!(r.inner.borrow().keys.len(), 1, "one key for all three");
     }
 
     #[test]

@@ -4,11 +4,13 @@
 //! retries — makes zero allocations for every catalog scheme, including
 //! the double-error path of BCH-DEC.
 //!
-//! The same holds with telemetry on: once a link's label set is
-//! interned and the recorder's ring is full, a word's `link.word` span
-//! and `link.retry` events are copies into the ring. Absorbing a shard
-//! into a full recorder costs a fixed number of allocations per call,
-//! however many events the shard holds.
+//! The same holds with telemetry on: once a link's event keys (name and
+//! label set) are interned and the recorder's ring is full, a word's
+//! `link.word` span and `link.retry` events are 24-byte copies into the
+//! ring. Absorbing a shard into a full recorder costs a fixed number of
+//! allocations per call, however many events the shard holds, and a
+//! recorder's live heap is its ring's slots at 24 bytes each plus a
+//! small key table.
 //!
 //! The mesh fabric built from those links stays within a small fixed
 //! budget per cycle: `MeshSim::step` allocates the vectors of the
@@ -31,38 +33,50 @@ use socbus::noc::mesh::{MeshConfig, MeshSim};
 use socbus_chaos::protocol_for;
 use socbus_telemetry::{Recorder, Telemetry, TelemetrySink};
 
-/// The system allocator, counting the allocations each thread makes so
-/// the test harness's own threads cannot disturb a count.
+/// The system allocator, counting the allocations each thread makes and
+/// the bytes it holds, so the test harness's own threads cannot disturb
+/// a count.
 struct CountingAlloc;
 
 thread_local! {
     static ALLOCS: Cell<u64> = const { Cell::new(0) };
+    /// Bytes allocated minus bytes freed on this thread.
+    static LIVE: Cell<i64> = const { Cell::new(0) };
 }
 
-fn count_one() {
+/// Counts one allocation that changes this thread's live bytes by
+/// `grown` (negative when a reallocation shrinks).
+fn count_one(grown: i64) {
     // `try_with`: a thread tearing down its locals may still allocate.
     let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
+    let _ = LIVE.try_with(|n| n.set(n.get() + grown));
+}
+
+#[allow(clippy::cast_possible_wrap)]
+fn bytes(size: usize) -> i64 {
+    size as i64
 }
 
 // SAFETY: every call forwards to `System` with the caller's arguments;
-// the counter is a plain thread-local `Cell` that never allocates.
+// the counters are plain thread-local `Cell`s that never allocate.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count_one();
+        count_one(bytes(layout.size()));
         System.alloc(layout)
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        count_one();
+        count_one(bytes(layout.size()));
         System.alloc_zeroed(layout)
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count_one();
+        count_one(bytes(new_size) - bytes(layout.size()));
         System.realloc(ptr, layout, new_size)
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        let _ = LIVE.try_with(|n| n.set(n.get() - bytes(layout.size())));
         System.dealloc(ptr, layout);
     }
 }
@@ -72,6 +86,10 @@ static GLOBAL: CountingAlloc = CountingAlloc;
 
 fn allocs() -> u64 {
     ALLOCS.with(Cell::get)
+}
+
+fn live_bytes() -> i64 {
+    LIVE.with(Cell::get)
 }
 
 /// Words carried before counting starts, and words counted.
@@ -198,6 +216,35 @@ fn absorbing_known_label_sets_costs_a_fixed_allocation_count() {
         per_call.iter().all(|&n| n == per_call[0] && n <= 2),
         "allocations per absorb grew with the shard: {per_call:?}"
     );
+}
+
+/// A traced 2 000-word, three-hop path cell's event stream: 6 000
+/// `link.word` spans grow a default recorder's ring to 8 192 slots of
+/// 24 bytes, and its six event keys (plus their index) fit in a few
+/// KiB, so the recorder holds under 8 192 × 24 B + 16 KiB.
+#[test]
+fn a_traced_path_cells_recorder_holds_24_bytes_per_slot() {
+    let before = live_bytes();
+    let rec = Recorder::new();
+    for word in 0..2_000u64 {
+        for hop in ["0", "1", "2"] {
+            let labels = [("scheme", "DAP"), ("hop", hop)];
+            rec.span("link.word", &labels, word, word + 1);
+            if word % 500 == 0 {
+                rec.event("link.retry", &labels, word);
+            }
+        }
+    }
+    let held = live_bytes() - before;
+    assert_eq!(rec.ring_stats().recorded, 6_012);
+    let bound = 8_192 * 24 + 16 * 1_024;
+    assert!(
+        held <= bound,
+        "the recorder holds {held} B over {} events (bound {bound} B)",
+        rec.ring_stats().recorded
+    );
+    drop(rec);
+    assert_eq!(live_bytes(), before, "dropping the recorder frees it all");
 }
 
 /// Mesh cycles stepped before counting starts, and cycles counted.
