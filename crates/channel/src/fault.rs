@@ -181,6 +181,15 @@ pub trait FaultModel {
     /// Corrupts the word on the wires at the given cycle index.
     fn corrupt(&mut self, cycle: u64, word: Word) -> Word;
 
+    /// [`FaultModel::corrupt`], also returning on how many wires the
+    /// output differs from `word`. The default compares the two words; a
+    /// model that flips wires one draw at a time counts its flips
+    /// instead, with the same draws.
+    fn corrupt_counted(&mut self, cycle: u64, word: Word) -> (Word, u32) {
+        let out = self.corrupt(cycle, word);
+        (out, word.hamming_distance(out))
+    }
+
     /// Adjusts any ε-driven randomness as if the wire swing were
     /// multiplied by `factor` (> 1 lowers ε). Persistent hard faults are
     /// voltage-independent and ignore this — which is exactly why the
@@ -191,6 +200,23 @@ pub trait FaultModel {
 
     /// Restores the model to its initial (post-seed) state.
     fn reset(&mut self) {}
+}
+
+/// Flips each wire of `word` with probability `eps`, one draw per wire
+/// in wire order, and counts the flips: each wire flips at most once, so
+/// the count is the output's distance from `word`. Always inlined, so a
+/// `corrupt` that drops the count compiles to the uncounted loop.
+#[inline(always)]
+fn flip_each(rng: &mut StdRng, eps: f64, word: Word) -> (Word, u32) {
+    let mut out = word;
+    let mut flipped = 0;
+    for i in 0..word.width() {
+        if rng.gen::<f64>() < eps {
+            out.set_bit(i, !out.bit(i));
+            flipped += 1;
+        }
+    }
+    (out, flipped)
 }
 
 /// The paper's memoryless channel as a [`FaultModel`].
@@ -230,13 +256,11 @@ impl FaultModel for IidFault {
     }
 
     fn corrupt(&mut self, _cycle: u64, word: Word) -> Word {
-        let mut out = word;
-        for i in 0..word.width() {
-            if self.rng.gen::<f64>() < self.eps {
-                out.set_bit(i, !out.bit(i));
-            }
-        }
-        out
+        flip_each(&mut self.rng, self.eps, word).0
+    }
+
+    fn corrupt_counted(&mut self, _cycle: u64, word: Word) -> (Word, u32) {
+        flip_each(&mut self.rng, self.eps, word)
     }
 
     fn rescale_swing(&mut self, factor: f64) {
@@ -300,14 +324,9 @@ impl GilbertElliott {
     pub fn in_burst(&self) -> bool {
         self.in_burst
     }
-}
 
-impl FaultModel for GilbertElliott {
-    fn label(&self) -> String {
-        format!("burst(good={},bad={})", self.eps_good, self.eps_bad)
-    }
-
-    fn corrupt(&mut self, _cycle: u64, word: Word) -> Word {
+    /// Steps the two-state chain once and returns the state's ε.
+    fn advance(&mut self) -> f64 {
         let flip = if self.in_burst {
             self.p_exit
         } else {
@@ -316,18 +335,27 @@ impl FaultModel for GilbertElliott {
         if self.rng.gen::<f64>() < flip {
             self.in_burst = !self.in_burst;
         }
-        let eps = if self.in_burst {
+        if self.in_burst {
             self.eps_bad
         } else {
             self.eps_good
-        };
-        let mut out = word;
-        for i in 0..word.width() {
-            if self.rng.gen::<f64>() < eps {
-                out.set_bit(i, !out.bit(i));
-            }
         }
-        out
+    }
+}
+
+impl FaultModel for GilbertElliott {
+    fn label(&self) -> String {
+        format!("burst(good={},bad={})", self.eps_good, self.eps_bad)
+    }
+
+    fn corrupt(&mut self, _cycle: u64, word: Word) -> Word {
+        let eps = self.advance();
+        flip_each(&mut self.rng, eps, word).0
+    }
+
+    fn corrupt_counted(&mut self, _cycle: u64, word: Word) -> (Word, u32) {
+        let eps = self.advance();
+        flip_each(&mut self.rng, eps, word)
     }
 
     fn rescale_swing(&mut self, factor: f64) {
@@ -470,13 +498,12 @@ impl FaultModel for DroopFault {
 
     fn corrupt(&mut self, cycle: u64, word: Word) -> Word {
         let eps = self.eps_at(cycle);
-        let mut out = word;
-        for i in 0..word.width() {
-            if self.rng.gen::<f64>() < eps {
-                out.set_bit(i, !out.bit(i));
-            }
-        }
-        out
+        flip_each(&mut self.rng, eps, word).0
+    }
+
+    fn corrupt_counted(&mut self, cycle: u64, word: Word) -> (Word, u32) {
+        let eps = self.eps_at(cycle);
+        flip_each(&mut self.rng, eps, word)
     }
 
     fn rescale_swing(&mut self, factor: f64) {
@@ -582,7 +609,8 @@ impl FaultInjector {
     }
 
     /// Attaches a telemetry handle. When enabled, [`FaultInjector::transmit`]
-    /// batches per-family corruption counts locally (one branch plus two
+    /// batches per-family corruption counts locally (each slot's flip
+    /// count from [`FaultModel::corrupt_counted`], one branch plus two
     /// adds per corrupted word), and [`FaultInjector::flush_telemetry`]
     /// reports them as `fault.corruptions` / `fault.flipped_bits`; when
     /// disabled (the default), the hot loop is byte-for-byte the
@@ -647,11 +675,15 @@ impl FaultInjector {
         for class in [FaultClass::Soft, FaultClass::Bridge, FaultClass::Stuck] {
             for s in &mut self.slots {
                 if s.enabled && s.class == class {
-                    let before = w;
-                    w = s.model.corrupt(cycle, w);
-                    if watching && w != before {
-                        s.corruptions += 1;
-                        s.flipped_bits += u64::from(before.hamming_distance(w));
+                    if watching {
+                        let (out, flipped) = s.model.corrupt_counted(cycle, w);
+                        if flipped > 0 {
+                            s.corruptions += 1;
+                            s.flipped_bits += u64::from(flipped);
+                        }
+                        w = out;
+                    } else {
+                        w = s.model.corrupt(cycle, w);
                     }
                 }
             }
@@ -1105,6 +1137,41 @@ mod tests {
         // iid flips wire 0 to 1, so the stuck-at-1 pass sees it already
         // high and changes nothing — no stuck_at corruption counted.
         assert_eq!(recorder.counter_value("fault.corruptions", &stuck), 0);
+    }
+
+    /// The soft models count their flips inside the draw loop: the
+    /// counted form draws exactly what `corrupt` draws, and its count is
+    /// the distance the default compare would report.
+    #[test]
+    fn soft_models_count_their_flips_with_the_same_draws() {
+        let specs = [
+            FaultSpec::Iid { eps: 0.2 },
+            FaultSpec::Burst {
+                eps_good: 0.01,
+                eps_bad: 0.4,
+                p_enter: 0.2,
+                p_exit: 0.3,
+            },
+            FaultSpec::Droop {
+                eps: 0.05,
+                scale: 6.0,
+                start: 10,
+                duration: 20,
+            },
+        ];
+        for spec in &specs {
+            let (mut plain, mut counted) = (spec.build(3), spec.build(3));
+            let mut flips = 0;
+            for cycle in 0..200u64 {
+                let word = Word::from_bits(u128::from(cycle.wrapping_mul(0x9E37_79B9)), 40);
+                let out = plain.corrupt(cycle, word);
+                let (same, flipped) = counted.corrupt_counted(cycle, word);
+                assert_eq!(same, out, "{} at cycle {cycle}", spec.label());
+                assert_eq!(flipped, word.hamming_distance(out));
+                flips += flipped;
+            }
+            assert!(flips > 0, "{} flipped nothing", spec.label());
+        }
     }
 
     #[test]

@@ -614,8 +614,7 @@ mod tests {
             .take(words)
             .enumerate()
         {
-            let step = sim.step(data);
-            monitor.observe(i as u64, &step);
+            monitor.observe(i as u64, sim.step(data));
         }
         let report = sim.finish();
         monitor.finish(&report);

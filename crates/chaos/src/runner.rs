@@ -120,8 +120,7 @@ pub fn run_case_with(cfg: &CaseConfig, tel: Telemetry) -> CaseOutcome {
             emit_schedule_event(&tel, action, word);
             next_event += 1;
         }
-        let step = sim.step(data);
-        monitor.observe(word, &step);
+        monitor.observe(word, sim.step(data));
     }
     let report = sim.finish();
     monitor.finish(&report);

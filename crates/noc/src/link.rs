@@ -43,7 +43,7 @@ use crate::control::{ControlPolicy, ControlTransition, Controller};
 use socbus_channel::{FaultInjector, FaultSpec};
 use socbus_codes::{BusCode, DecodeStatus, Scheme};
 use socbus_model::{word_transition_energy, EnergyCoeff, Word};
-use socbus_telemetry::Telemetry;
+use socbus_telemetry::{EventKey, EventKind, Telemetry};
 
 /// Link-level protocol.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -455,8 +455,28 @@ pub struct LinkEngine {
     hop_label: String,
     /// Per-scheme-label metric batches (a scheme switch mid-run starts a
     /// new batch so counters stay split by the label they occurred
-    /// under). Flushed by [`LinkEngine::flush_telemetry`].
+    /// under), the last one holding the word's event keys. Flushed by
+    /// [`LinkEngine::flush_telemetry`].
     tel_batches: Vec<(String, LinkTelemetryBatch)>,
+}
+
+/// The events a link records per word, each under a key its active
+/// batch holds.
+#[derive(Clone, Copy)]
+enum WordEvent {
+    /// The `link.word` span.
+    Word,
+    /// A `link.retry` instant event.
+    Retry,
+}
+
+impl WordEvent {
+    fn name_and_kind(self) -> (&'static str, EventKind) {
+        match self {
+            WordEvent::Word => ("link.word", EventKind::Span),
+            WordEvent::Retry => ("link.retry", EventKind::Instant),
+        }
+    }
 }
 
 /// Word latencies below this many cycles are counted in a dense array.
@@ -469,6 +489,11 @@ const DENSE_CYCLES: usize = 32;
 /// arithmetic.
 #[derive(Default)]
 struct LinkTelemetryBatch {
+    /// Each [`WordEvent`]'s key under this batch's label, resolved at
+    /// the event's first occurrence, so a link that never retries interns
+    /// no `link.retry` key; dropped wherever the scheme label is set or
+    /// the handle replaced.
+    keys: [Option<EventKey>; 2],
     words: u64,
     retransmits: u64,
     corrected: u64,
@@ -572,6 +597,15 @@ impl LinkEngine {
         self.injector.set_telemetry(tel.clone());
         self.tel = tel;
         self.hop_label = hop.to_string();
+        self.drop_keys();
+    }
+
+    /// Forgets the held event keys; the next traced word resolves them
+    /// under the current labels and handle.
+    fn drop_keys(&mut self) {
+        if let Some((_, batch)) = self.tel_batches.last_mut() {
+            batch.keys = [None; 2];
+        }
     }
 
     /// Emits the locally batched counters and latency histogram, plus
@@ -611,11 +645,15 @@ impl LinkEngine {
         }
     }
 
-    /// The batch metrics accumulate into: the last one if its scheme
-    /// label is still current, else a fresh one for the new label. The
-    /// labels are compared only when there is no batch yet or the label
-    /// has changed since the last word.
-    fn active_batch(&mut self) -> &mut LinkTelemetryBatch {
+    /// The batch metrics accumulate into and the key `event` goes under;
+    /// `None` only with telemetry off, so sites call it inside their
+    /// `is_enabled` guard and the untraced path never does. The batch is
+    /// the last one if its scheme label is still current, else a fresh
+    /// one for the new label; the labels are compared only when there is
+    /// no batch yet or the label has changed since the last word. A key
+    /// is resolved once per batch and again after
+    /// [`LinkEngine::drop_keys`].
+    fn active_batch(&mut self, event: WordEvent) -> Option<(&mut LinkTelemetryBatch, EventKey)> {
         if std::mem::take(&mut self.label_changed) || self.tel_batches.is_empty() {
             let stale = !matches!(self.tel_batches.last(), Some((l, _)) if *l == self.scheme_label);
             if stale {
@@ -623,7 +661,18 @@ impl LinkEngine {
                     .push((self.scheme_label.clone(), LinkTelemetryBatch::default()));
             }
         }
-        &mut self.tel_batches.last_mut().expect("just ensured").1
+        let batch = &mut self.tel_batches.last_mut()?.1;
+        let held = &mut batch.keys[event as usize];
+        if held.is_none() {
+            let labels = [
+                ("scheme", self.scheme_label.as_str()),
+                ("hop", self.hop_label.as_str()),
+            ];
+            let (name, kind) = event.name_and_kind();
+            *held = self.tel.key(name, &labels, kind);
+        }
+        let key = (*held)?;
+        Some((batch, key))
     }
 
     /// Transfers one word, driving the protocol to completion, and
@@ -669,11 +718,9 @@ impl LinkEngine {
                     report.retransmits += 1;
                     tries += 1;
                     if self.tel.is_enabled() {
-                        let labels = [
-                            ("scheme", self.scheme_label.as_str()),
-                            ("hop", self.hop_label.as_str()),
-                        ];
-                        self.tel.event("link.retry", &labels, report.cycles);
+                        if let Some((_, retry)) = self.active_batch(WordEvent::Retry) {
+                            self.tel.record(retry, report.cycles, report.cycles);
+                        }
                     }
                     continue;
                 }
@@ -691,29 +738,25 @@ impl LinkEngine {
                 report.ledger.retry_masked += 1;
             }
             if self.tel.is_enabled() {
-                let labels = [
-                    ("scheme", self.scheme_label.as_str()),
-                    ("hop", self.hop_label.as_str()),
-                ];
-                self.tel
-                    .span("link.word", &labels, cycles_before, report.cycles);
-                let word_cycles = report.cycles - cycles_before;
-                let residual = decoded != data;
-                let b = self.active_batch();
-                b.words += 1;
-                b.retransmits += u64::from(tries);
-                match status {
-                    DecodeStatus::Corrected => b.corrected += 1,
-                    DecodeStatus::Detected => b.detected += 1,
-                    DecodeStatus::Clean | DecodeStatus::Unchecked => {}
-                }
-                if residual {
-                    b.residual += 1;
-                    if status != DecodeStatus::Detected {
-                        b.silent += 1;
+                if let Some((b, word)) = self.active_batch(WordEvent::Word) {
+                    let word_cycles = report.cycles - cycles_before;
+                    let residual = decoded != data;
+                    b.words += 1;
+                    b.retransmits += u64::from(tries);
+                    match status {
+                        DecodeStatus::Corrected => b.corrected += 1,
+                        DecodeStatus::Detected => b.detected += 1,
+                        DecodeStatus::Clean | DecodeStatus::Unchecked => {}
                     }
+                    if residual {
+                        b.residual += 1;
+                        if status != DecodeStatus::Detected {
+                            b.silent += 1;
+                        }
+                    }
+                    b.count_cycles(word_cycles);
+                    self.tel.record(word, cycles_before, report.cycles);
                 }
-                b.count_cycles(word_cycles);
             }
             let trouble =
                 tries > 0 || matches!(status, DecodeStatus::Corrected | DecodeStatus::Detected);
@@ -919,11 +962,7 @@ impl LinkEngine {
             self.swing = to_point.swing;
         }
         if to_point.scheme != from_point.scheme {
-            self.enc = to_point.scheme.build(self.data_bits);
-            self.dec = to_point.scheme.build(self.data_bits);
-            self.bus_state = Word::zero(self.enc.wires());
-            self.scheme_label = to_point.scheme.name();
-            self.label_changed = true;
+            self.switch_scheme(to_point.scheme);
         }
         report.control.push(transition);
         if self.tel.is_enabled() {
@@ -943,14 +982,19 @@ impl LinkEngine {
                 self.injector.rescale_swing(factor);
                 self.swing *= factor;
             }
-            DegradationAction::SwitchScheme(scheme) => {
-                self.enc = scheme.build(self.data_bits);
-                self.dec = scheme.build(self.data_bits);
-                self.bus_state = Word::zero(self.enc.wires());
-                self.scheme_label = scheme.name();
-                self.label_changed = true;
-            }
+            DegradationAction::SwitchScheme(scheme) => self.switch_scheme(scheme),
         }
+    }
+
+    /// Re-provisions the codec pair for `scheme` on an idle bus and
+    /// relabels the link; the held event keys go with the old label.
+    fn switch_scheme(&mut self, scheme: Scheme) {
+        self.enc = scheme.build(self.data_bits);
+        self.dec = scheme.build(self.data_bits);
+        self.bus_state = Word::zero(self.enc.wires());
+        self.scheme_label = scheme.name();
+        self.label_changed = true;
+        self.drop_keys();
     }
 
     /// Undoes ladder rung `rung_index` (a promotion): a swing raise is
@@ -980,11 +1024,7 @@ impl LinkEngine {
                         })
                         .unwrap_or(self.base_scheme)
                 };
-                self.enc = scheme.build(self.data_bits);
-                self.dec = scheme.build(self.data_bits);
-                self.bus_state = Word::zero(self.enc.wires());
-                self.scheme_label = scheme.name();
-                self.label_changed = true;
+                self.switch_scheme(scheme);
             }
         }
         action
@@ -1366,6 +1406,78 @@ mod tests {
         assert_eq!(hist.sum, traced_report.cycles as f64);
     }
 
+    /// A link holds its `link.word` and `link.retry` keys across words
+    /// and resolves them again when its scheme label or its handle
+    /// changes: every event carries the scheme and hop in force when it
+    /// was recorded, none reaches a recorder the link has left, and no
+    /// recorder sees a key it did not issue.
+    #[test]
+    fn held_event_keys_follow_scheme_switches_and_handle_moves() {
+        use socbus_telemetry::{json, Json, Recorder};
+        use std::rc::Rc;
+        let ladder = [Scheme::Hamming, Scheme::Dap, Scheme::ExtHamming];
+        let cfg = LinkConfig::new(Scheme::Parity, 8, 2e-2)
+            .with_protocol(Protocol::DetectRetransmit {
+                rtt_cycles: 2,
+                max_retries: 3,
+            })
+            .with_degradation(DegradationPolicy {
+                window: u64::MAX,
+                trigger: 1.0,
+                ladder: ladder.map(DegradationAction::SwitchScheme).to_vec(),
+                promote: None,
+            });
+        let mut engine = LinkEngine::new(&cfg, &[], 9);
+        let (first, second) = (Rc::new(Recorder::new()), Rc::new(Recorder::new()));
+        engine.set_telemetry(Telemetry::from_recorder(&first), 1);
+        let mut report = LinkReport::default();
+        let mut rungs = ladder.iter();
+        let (mut scheme, mut hop) = (Scheme::Parity, 1);
+        let mut in_force = Vec::new();
+        for (word, data) in (0..400).zip(UniformTraffic::new(8, 4)) {
+            match word {
+                100 | 200 | 350 => {
+                    engine.force_degrade(&mut report).expect("a rung is left");
+                    scheme = *rungs.next().expect("a rung is left");
+                }
+                300 => {
+                    engine.set_telemetry(Telemetry::from_recorder(&second), 2);
+                    hop = 2;
+                }
+                _ => {}
+            }
+            in_force.push((scheme.name(), hop.to_string()));
+            engine.transfer(data, &mut report);
+        }
+        let check = |rec: &Recorder, words: std::ops::Range<usize>| {
+            let (mut word, mut retries) = (words.start, 0);
+            for line in rec.export_jsonl().lines() {
+                let doc = json::parse(line).expect("valid JSONL");
+                let name = doc.get("name").and_then(Json::as_str);
+                if !matches!(name, Some("link.word" | "link.retry")) {
+                    continue;
+                }
+                let labels = doc.get("labels").expect("labels");
+                let label = |k| labels.get(k).and_then(Json::as_str).expect(k).to_owned();
+                assert_eq!(
+                    (label("scheme"), label("hop")),
+                    in_force[word],
+                    "word {word}"
+                );
+                if name == Some("link.word") {
+                    word += 1;
+                } else {
+                    retries += 1;
+                }
+            }
+            assert_eq!(word, words.end, "one span per word, all in this recorder");
+            assert!(retries > 0, "the retry key was exercised");
+            assert_eq!(rec.kind_conflicts(), 0);
+        };
+        check(&first, 0..300);
+        check(&second, 300..400);
+    }
+
     /// Word latencies on both sides of the dense array's end flush as
     /// one `observe_n` call per latency, in ascending cycle order.
     #[test]
@@ -1386,8 +1498,10 @@ mod tests {
                     self.0.borrow_mut().push((value, n));
                 }
             }
-            fn event(&self, _: &'static str, _: Labels<'_>, _: u64) {}
-            fn span(&self, _: &'static str, _: Labels<'_>, _: u64, _: u64) {}
+            fn key(&self, _: &'static str, _: Labels<'_>, _: EventKind) -> EventKey {
+                EventKey::new(0, 0)
+            }
+            fn record(&self, _: EventKey, _: u64, _: u64) {}
         }
         // Retries cost 12, 14, 18, 26, 26 and 26 cycles: latencies 1, 13,
         // 27, 45, 71, 97 and 123.

@@ -49,7 +49,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use socbus_codes::DecodeStatus;
 use socbus_model::Word;
-use socbus_telemetry::Telemetry;
+use socbus_telemetry::{EventKey, EventKind, Telemetry};
 
 use crate::link::{LinkConfig, LinkEngine, LinkReport, WordTrace};
 use crate::traffic::UniformTraffic;
@@ -550,6 +550,9 @@ pub struct MeshSim {
     /// see [`MeshSim::router_track`]), built once; empty when telemetry
     /// is off.
     track_labels: Vec<String>,
+    /// Each router's `mesh.accept` key, resolved at its first accept;
+    /// empty when telemetry is off.
+    accept_keys: Vec<Option<EventKey>>,
     // Running counters (cross-checked against the derived ledger).
     injected: u64,
     delivered: u64,
@@ -654,10 +657,13 @@ impl MeshSim {
             })
             .collect();
         let link_count = links.len();
-        let track_labels = if tel.is_enabled() {
-            (0..link_count + n).map(|track| track.to_string()).collect()
+        let (track_labels, accept_keys) = if tel.is_enabled() {
+            (
+                (0..link_count + n).map(|track| track.to_string()).collect(),
+                vec![None; n],
+            )
         } else {
-            Vec::new()
+            (Vec::new(), Vec::new())
         };
         MeshSim {
             cfg: cfg.clone(),
@@ -694,6 +700,7 @@ impl MeshSim {
             cycle: 0,
             tel,
             track_labels,
+            accept_keys,
             injected: 0,
             delivered: 0,
             duplicates: 0,
@@ -1089,6 +1096,19 @@ impl MeshSim {
         false
     }
 
+    /// Router `node`'s `mesh.accept` key, resolved at its first accept.
+    /// Call it with telemetry on: the keys exist only then.
+    fn accept_key(&mut self, node: usize) -> Option<EventKey> {
+        let held = &mut self.accept_keys[node];
+        if held.is_none() {
+            let track = self.track_labels[self.links.len() + node].as_str();
+            *held = self
+                .tel
+                .key("mesh.accept", &[("hop", track)], EventKind::Instant);
+        }
+        *held
+    }
+
     /// Delivers one copy to the destination NI: duplicate suppression,
     /// the exactly-once ledger, and the ACK back to the source.
     fn accept(&mut self, copy: &Copy, waited: u64, report: &mut CycleReport) {
@@ -1124,8 +1144,9 @@ impl MeshSim {
                 self.delivered_corrupt += 1;
             }
             if self.tel.is_enabled() {
-                let track = self.track_labels[self.router_track(key.dst)].as_str();
-                self.tel.event("mesh.accept", &[("hop", track)], cycle);
+                if let Some(accept) = self.accept_key(key.dst) {
+                    self.tel.record(accept, cycle, cycle);
+                }
             }
         }
         // ACK even duplicates: the first ACK may have raced a timeout.

@@ -133,12 +133,14 @@ pub struct PathStep {
 /// traffic iterator, `PathSim` carries one word at a time ([`PathSim::
 /// step`]), exposes each hop's [`LinkEngine`] between words (so fault
 /// schedules can activate/deactivate fault processes mid-run), and
-/// returns per-word [`PathStep`] traces for online invariant monitors.
+/// lends out per-word [`PathStep`] traces for online invariant monitors.
 pub struct PathSim {
     engines: Vec<LinkEngine>,
     per_hop: Vec<LinkReport>,
     offered: u64,
     end_to_end_errors: u64,
+    /// The last word's trace, refilled in place by every step.
+    last: PathStep,
     tel: Telemetry,
     /// Path-level counter deltas batched since the last flush.
     tel_words: u64,
@@ -193,6 +195,11 @@ impl PathSim {
             per_hop,
             offered: 0,
             end_to_end_errors: 0,
+            last: PathStep {
+                delivered: Word::zero(cfg.link.data_bits),
+                e2e_error: false,
+                hops: Vec::with_capacity(cfg.hops),
+            },
             tel,
             tel_words: 0,
             tel_e2e: 0,
@@ -263,11 +270,12 @@ impl PathSim {
     }
 
     /// Carries one word across every hop, updating all accounting, and
-    /// returns the full trace.
-    pub fn step(&mut self, data: Word) -> PathStep {
+    /// returns the full trace, valid until the next step.
+    pub fn step(&mut self, data: Word) -> &PathStep {
         self.offered += 1;
         let mut word = data;
-        let mut hops = Vec::with_capacity(self.engines.len());
+        let hops = &mut self.last.hops;
+        hops.clear();
         for (engine, hop_report) in self.engines.iter_mut().zip(self.per_hop.iter_mut()) {
             let entered = word;
             hop_report.offered += 1;
@@ -296,11 +304,9 @@ impl PathSim {
                 self.tel.event("path.e2e_error", &[], self.offered);
             }
         }
-        PathStep {
-            delivered: word,
-            e2e_error,
-            hops,
-        }
+        self.last.delivered = word;
+        self.last.e2e_error = e2e_error;
+        &self.last
     }
 
     /// Finalizes the run into a [`PathReport`] (aggregating cycles and

@@ -31,7 +31,8 @@
 use std::fmt::Write as _;
 
 use crate::json::{self, escape, Json};
-use crate::recorder::{EventRecord, Inner, Metric, Recorder};
+use crate::recorder::{Event, Inner, Metric, Recorder};
+use crate::sink::EventKind;
 
 /// The checked-in JSONL schema, embedded so library users and tests
 /// validate against the same bytes CI does.
@@ -81,6 +82,8 @@ fn hop(labels: &[(String, String)]) -> Option<u64> {
 struct RenderedKey {
     /// The escaped event name.
     name: String,
+    /// Whether the key names spans.
+    span: bool,
     /// The label set as a JSON object.
     labels: String,
     /// The hop track the labels name, if any.
@@ -91,8 +94,9 @@ fn rendered_keys(inner: &Inner) -> Vec<RenderedKey> {
     inner
         .keys
         .iter()
-        .map(|(name, set)| RenderedKey {
+        .map(|(name, kind, set)| RenderedKey {
             name: escape(name),
+            span: kind == EventKind::Span,
             labels: labels_json(set),
             hop: hop(set),
         })
@@ -107,9 +111,11 @@ impl Recorder {
         let keys = rendered_keys(&inner);
         let mut out = String::new();
         out.push_str("{\"type\": \"meta\", \"version\": 1, \"clock\": \"cycles\"}\n");
-        for e in &inner.events {
-            let RenderedKey { name, labels, .. } = &keys[e.key as usize];
-            if e.span {
+        for e in inner.events() {
+            let RenderedKey {
+                name, span, labels, ..
+            } = &keys[e.key as usize];
+            if *span {
                 let _ = writeln!(
                     out,
                     "{{\"type\": \"span\", \"name\": \"{name}\", \"begin\": {}, \"end\": {}, \
@@ -164,7 +170,7 @@ impl Recorder {
         let _ = writeln!(
             out,
             "{{\"type\": \"ring\", \"recorded\": {}, \"dropped\": {}, \"capacity\": {}}}",
-            inner.events.len(),
+            inner.ring.len(),
             inner.dropped,
             inner.capacity
         );
@@ -185,7 +191,7 @@ impl Recorder {
     pub fn export_chrome_trace_with_counters(&self, counters: &[CounterSample]) -> String {
         let inner = self.inner.borrow();
         let keys = rendered_keys(&inner);
-        let hops = || inner.events.iter().map(|e| keys[e.key as usize].hop);
+        let hops = || inner.ring.iter().map(|e| keys[e.key as usize].hop);
         let control_tid = match hops().flatten().max() {
             Some(highest) if highest >= CONTROL_TID => highest.saturating_add(1),
             _ => CONTROL_TID,
@@ -223,10 +229,10 @@ impl Recorder {
                 &mut first,
             );
         }
-        for e in &inner.events {
+        for e in inner.events() {
             let key = &keys[e.key as usize];
             push(
-                chrome_event(e, key, key.hop.unwrap_or(control_tid)),
+                chrome_event(&e, key, key.hop.unwrap_or(control_tid)),
                 &mut first,
             );
         }
@@ -254,7 +260,7 @@ impl Recorder {
         let _ = writeln!(
             out,
             "events: {} recorded, {} dropped (ring capacity {})",
-            inner.events.len(),
+            inner.ring.len(),
             inner.dropped,
             inner.capacity
         );
@@ -327,9 +333,11 @@ impl Recorder {
     }
 }
 
-fn chrome_event(e: &EventRecord, key: &RenderedKey, tid: u64) -> String {
-    let RenderedKey { name, labels, .. } = key;
-    if e.span {
+fn chrome_event(e: &Event, key: &RenderedKey, tid: u64) -> String {
+    let RenderedKey {
+        name, span, labels, ..
+    } = key;
+    if *span {
         format!(
             "{{\"ph\": \"X\", \"pid\": 0, \"tid\": {tid}, \"name\": \"{name}\", \"ts\": {}, \
              \"dur\": {}, \"args\": {labels}}}",

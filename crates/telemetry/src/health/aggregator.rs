@@ -44,6 +44,7 @@ use std::collections::BTreeMap;
 use crate::export::CounterSample;
 use crate::json::{self, Json};
 use crate::recorder::{Metric, Recorder};
+use crate::sink::EventKind;
 
 use super::incident::{EntitySummary, Incident, ScopeReport, Severity};
 use super::slo::{latency_slo, undetected_wer_slo, DeliverySlo};
@@ -377,18 +378,19 @@ impl HealthAggregator {
     /// same logical sequence the JSONL exporter writes.
     pub fn ingest_recorder(&mut self, rec: &Recorder) {
         let inner = rec.inner.borrow();
-        // Each interned key's hop is parsed once, not per event.
+        // Each interned key's hop is parsed once, not per event; span
+        // keys carry nothing the fold reads.
         let keys: Vec<_> = inner
             .keys
             .iter()
-            .map(|(name, labels)| (name, labels, hop(labels)))
+            .map(|(name, kind, labels)| {
+                (kind == EventKind::Instant).then(|| (name, labels, hop(labels)))
+            })
             .collect();
-        for e in &inner.events {
-            if e.span {
-                continue;
+        for e in &inner.ring {
+            if let Some((name, labels, hop)) = keys[e.key as usize] {
+                self.observe_labeled(name, labels, hop, e.begin);
             }
-            let (name, labels, hop) = keys[e.key as usize];
-            self.observe_labeled(name, labels, hop, e.begin);
         }
         for ((name, _labels), metric) in &inner.metrics {
             match metric {

@@ -73,4 +73,4 @@ pub use health::{
 pub use json::Json;
 pub use quantile::Quantiles;
 pub use recorder::{Recorder, RingStats};
-pub use sink::{Labels, NoopSink, Telemetry, TelemetrySink};
+pub use sink::{EventKey, EventKind, Labels, NoopSink, Telemetry, TelemetrySink};

@@ -20,18 +20,28 @@
 //!
 //! # Event storage
 //!
-//! Each recorder stores every distinct pair of event name and sorted
-//! label set once (`EventKeys`); a ring record names its pair by a
-//! `u32` key, so recording a span copies 24 bytes and allocates nothing
-//! once its key has been seen. Keys are private to one recorder and
-//! never reach an export: every reader resolves each key back to its
-//! name and sorted pairs once, however many records name it.
+//! Each recorder stores every distinct event key — an event name, its
+//! sorted label set and its kind (span or instant) — once
+//! (`EventKeys`), and hands it out as an [`EventKey`] that also names
+//! the recorder. A ring record is 16 bytes: the first cycle, the length
+//! as a `u32`, and the key's index. A span whose length does not fit
+//! below `u32::MAX`, or that ends before it begins, stores `u32::MAX`
+//! and keeps its exact end in `long_ends`, a FIFO in ring order that is
+//! popped, drained and absorbed together with its records; every reader
+//! walks the two in step ([`Inner::events`]).
+//!
+//! Recording under a held key copies 16 bytes and neither hashes nor
+//! allocates once the ring has grown; recording by name costs one hash
+//! and one probe first. Keys never reach an export: every reader
+//! resolves each key back to its name, kind and sorted pairs once,
+//! however many records name it.
 
 use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::collections::VecDeque;
+use std::sync::atomic::{AtomicU64, Ordering};
 
-use crate::sink::{Labels, TelemetrySink};
+use crate::sink::{EventKey, EventKind, Labels, TelemetrySink};
 
 /// Default ring capacity (events). At the soak campaign's smoke size a
 /// full run fits; longer runs drop oldest-first and count the loss.
@@ -131,22 +141,32 @@ fn empty_like(like: &Metric) -> Metric {
 /// [`EventKeys`].
 pub(crate) type KeyId = u32;
 
-/// One recorded span or instant event: a plain 24-byte copy with nothing
+/// One recorded span or instant event: a plain 16-byte copy with nothing
 /// on the heap.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub(crate) struct EventRecord {
     pub begin: u64,
-    /// The span's last cycle; equal to `begin` for an instant event.
-    pub end: u64,
-    /// The event's name and sorted label set, interned in the same
+    /// `end - begin`, or [`LONG`] when that is not below `u32::MAX` or
+    /// the span ends before it begins; the end then waits in
+    /// [`Inner::long_ends`].
+    pub len: u32,
+    /// The event's name, kind and sorted label set, interned in the same
     /// recorder.
     pub key: KeyId,
-    /// A span, not an instant event. A flag rather than a sentinel
-    /// `end`, because a span may end at any cycle.
-    pub span: bool,
 }
 
-const _: () = assert!(size_of::<EventRecord>() == 24);
+const _: () = assert!(size_of::<EventRecord>() == 16);
+
+/// The length a record stores when its end is kept in `long_ends`.
+const LONG: u32 = u32::MAX;
+
+/// A ring record with its end restored.
+pub(crate) struct Event {
+    pub begin: u64,
+    /// The last cycle; `begin` for an instant event.
+    pub end: u64,
+    pub key: KeyId,
+}
 
 /// A `(key, value)` label pair, borrowed or owned.
 trait Pair {
@@ -179,16 +199,18 @@ fn hash_str(h: u64, s: &str) -> u64 {
     h
 }
 
-/// Hashes an event key: its name, then its label set independently of
-/// the set's order (the pairs' own hashes are summed, so a lookup never
-/// has to sort). The constants are fixed, so a key hashes alike in every
-/// recorder and [`Recorder::absorb`] can reuse a shard's hashes.
-fn hash_key<P: Pair>(name: &str, pairs: &[P]) -> u64 {
+/// Hashes an event key: its name and kind, then its label set
+/// independently of the set's order (the pairs' own hashes are summed,
+/// so a lookup never has to sort). The constants are fixed, so a key
+/// hashes alike in every recorder and [`Recorder::absorb`] can reuse a
+/// shard's hashes.
+fn hash_key<P: Pair>(name: &str, kind: EventKind, pairs: &[P]) -> u64 {
     let sum = pairs.iter().fold(0u64, |sum, p| {
         let (k, v) = p.kv();
         sum.wrapping_add(hash_str(hash_str(0, k), v))
     });
-    mix(hash_str(sum, name), pairs.len() as u64)
+    let named = mix(hash_str(sum, name), kind as u64);
+    mix(named, pairs.len() as u64)
 }
 
 /// Whether `pairs`, in any order, are exactly the sorted pairs of `set`,
@@ -212,14 +234,16 @@ fn same_set<P: Pair>(set: &[(String, String)], pairs: &[P]) -> bool {
     })
 }
 
-/// Every distinct event key one recorder has seen — an event name and
-/// its label set — stored once, the set sorted, and named by its index.
-/// An open-addressing index over [`hash_key`] finds a known key without
-/// sorting or allocating; a hit always compares the name and the pairs
-/// exactly, so a hash collision can never merge two keys.
+/// Every distinct event key one recorder has seen — an event name, its
+/// kind and its label set — stored once, the set sorted, and named by
+/// its index. An open-addressing index over [`hash_key`] finds a known
+/// key without sorting or allocating; a hit always compares the name,
+/// the kind and the pairs exactly, so a hash collision can never merge
+/// two keys.
 pub(crate) struct EventKeys {
-    /// Keys by id: the event name and its pairs sorted by `(key, value)`.
-    keys: Vec<(&'static str, OwnedLabels)>,
+    /// Keys by id: the event name, its kind and its pairs sorted by
+    /// `(key, value)`.
+    keys: Vec<(&'static str, EventKind, OwnedLabels)>,
     /// `hashes[id]` = [`hash_key`] of `keys[id]`.
     hashes: Vec<u64>,
     /// Each slot holds `id + 1`, 0 when empty. The length is 0 or a
@@ -236,10 +260,10 @@ impl EventKeys {
         }
     }
 
-    /// The name and sorted pairs of key `id`.
-    pub(crate) fn get(&self, id: KeyId) -> (&'static str, &[(String, String)]) {
-        let (name, set) = &self.keys[id as usize];
-        (name, set)
+    /// The name, kind and sorted pairs of key `id`.
+    pub(crate) fn get(&self, id: KeyId) -> (&'static str, EventKind, &[(String, String)]) {
+        let (name, kind, set) = &self.keys[id as usize];
+        (name, *kind, set)
     }
 
     /// Number of interned keys.
@@ -247,23 +271,33 @@ impl EventKeys {
         self.keys.len()
     }
 
-    /// Every key's name and sorted pairs, in id order.
-    pub(crate) fn iter(&self) -> impl Iterator<Item = (&'static str, &[(String, String)])> {
-        self.keys.iter().map(|(name, set)| (*name, set.as_slice()))
+    /// Every key's name, kind and sorted pairs, in id order.
+    pub(crate) fn iter(
+        &self,
+    ) -> impl Iterator<Item = (&'static str, EventKind, &[(String, String)])> {
+        self.keys
+            .iter()
+            .map(|(name, kind, set)| (*name, *kind, set.as_slice()))
     }
 
-    /// The id of `name` with `pairs` in any order, interning the key on
-    /// first sight. `hash` is [`hash_key`] of both when the caller
-    /// already knows it.
-    fn intern<P: Pair>(&mut self, name: &'static str, pairs: &[P], hash: Option<u64>) -> KeyId {
-        let hash = hash.unwrap_or_else(|| hash_key(name, pairs));
-        match self.find(name, pairs, hash) {
+    /// The id of `name` of `kind` with `pairs` in any order, interning
+    /// the key on first sight. `hash` is [`hash_key`] of all three when
+    /// the caller already knows it.
+    fn intern<P: Pair>(
+        &mut self,
+        name: &'static str,
+        kind: EventKind,
+        pairs: &[P],
+        hash: Option<u64>,
+    ) -> KeyId {
+        let hash = hash.unwrap_or_else(|| hash_key(name, kind, pairs));
+        match self.find(name, kind, pairs, hash) {
             Some(id) => id,
-            None => self.insert(name, pairs, hash),
+            None => self.insert(name, kind, pairs, hash),
         }
     }
 
-    fn find<P: Pair>(&self, name: &str, pairs: &[P], hash: u64) -> Option<KeyId> {
+    fn find<P: Pair>(&self, name: &str, kind: EventKind, pairs: &[P], hash: u64) -> Option<KeyId> {
         if self.slots.is_empty() {
             return None;
         }
@@ -271,15 +305,25 @@ impl EventKeys {
         let mut i = home(self.slots.len(), hash);
         loop {
             let id = self.slots[i].checked_sub(1)?;
-            let (known, set) = &self.keys[id as usize];
-            if self.hashes[id as usize] == hash && *known == name && same_set(set, pairs) {
+            let (known, known_kind, set) = &self.keys[id as usize];
+            if self.hashes[id as usize] == hash
+                && *known == name
+                && *known_kind == kind
+                && same_set(set, pairs)
+            {
                 return Some(id);
             }
             i = (i + 1) & mask;
         }
     }
 
-    fn insert<P: Pair>(&mut self, name: &'static str, pairs: &[P], hash: u64) -> KeyId {
+    fn insert<P: Pair>(
+        &mut self,
+        name: &'static str,
+        kind: EventKind,
+        pairs: &[P],
+        hash: u64,
+    ) -> KeyId {
         // Slots store `id + 1`, so the largest id is `KeyId::MAX - 1`.
         let id = KeyId::try_from(self.keys.len())
             .ok()
@@ -293,7 +337,7 @@ impl EventKeys {
             })
             .collect();
         sorted.sort_unstable();
-        self.keys.push((name, sorted));
+        self.keys.push((name, kind, sorted));
         self.hashes.push(hash);
         if 2 * self.keys.len() > self.slots.len() {
             self.slots = vec![0; (2 * self.slots.len()).max(16)];
@@ -359,8 +403,11 @@ pub(crate) struct Inner {
     pub metrics: BTreeMap<(String, OwnedLabels), Metric>,
     /// The ring, oldest first. Its storage grows on demand and never
     /// past `capacity` records.
-    pub events: VecDeque<EventRecord>,
-    /// The names and label sets `events` name.
+    pub ring: VecDeque<EventRecord>,
+    /// The exact end of every ring record whose `len` is [`LONG`], in
+    /// ring order.
+    pub long_ends: VecDeque<u64>,
+    /// The names, kinds and label sets `ring` names.
     pub keys: EventKeys,
     /// Logical ring capacity.
     pub capacity: usize,
@@ -376,8 +423,14 @@ pub(crate) struct Inner {
 /// simulators are single-threaded); interior mutability lets a shared
 /// `Rc<Recorder>` receive from many instrumented components at once.
 pub struct Recorder {
+    /// This recorder's identity within the process, carried by every
+    /// [`EventKey`] it issues.
+    id: u64,
     pub(crate) inner: RefCell<Inner>,
 }
+
+/// The next recorder identity; 0 is never issued.
+static NEXT_RECORDER: AtomicU64 = AtomicU64::new(1);
 
 impl Default for Recorder {
     fn default() -> Self {
@@ -397,9 +450,11 @@ impl Recorder {
     #[must_use]
     pub fn with_capacity(capacity: usize) -> Self {
         Recorder {
+            id: NEXT_RECORDER.fetch_add(1, Ordering::Relaxed),
             inner: RefCell::new(Inner {
                 metrics: BTreeMap::new(),
-                events: VecDeque::new(),
+                ring: VecDeque::new(),
+                long_ends: VecDeque::new(),
                 keys: EventKeys::new(),
                 capacity,
                 dropped: 0,
@@ -425,7 +480,7 @@ impl Recorder {
     pub fn ring_stats(&self) -> RingStats {
         let inner = self.inner.borrow();
         RingStats {
-            recorded: inner.events.len(),
+            recorded: inner.ring.len(),
             dropped: inner.dropped,
             capacity: inner.capacity,
         }
@@ -464,7 +519,8 @@ impl Recorder {
     }
 
     /// Updates ignored because a metric name+labels key was reused with
-    /// a different kind.
+    /// a different kind, plus events recorded under a key this recorder
+    /// did not issue.
     #[must_use]
     pub fn kind_conflicts(&self) -> u64 {
         self.inner.borrow().kind_conflicts
@@ -487,7 +543,8 @@ impl Recorder {
     /// Only the records that survive are copied — at most `capacity` of
     /// them, the newest — and each of `other`'s event keys is looked up
     /// here once, however many records name it. The drop tally is what
-    /// appending the records one by one would evict.
+    /// appending the records one by one would evict. Keys `other` issued
+    /// stay `other`'s: this recorder ignores them.
     ///
     /// # Panics
     ///
@@ -530,45 +587,45 @@ impl Recorder {
         }
         inner.kind_conflicts += other.kind_conflicts;
         inner.dropped += other.dropped;
-        let incoming = other.events.len();
-        let total = inner.events.len() + incoming;
+        let incoming = other.ring.len();
+        let total = inner.ring.len() + incoming;
         let survivors = total.min(inner.capacity);
         let copied = incoming.min(inner.capacity);
         inner.dropped += (total - survivors) as u64;
-        let evicted = inner.events.len() - (survivors - copied);
-        inner.events.drain(..evicted);
+        let evicted = inner.ring.len() - (survivors - copied);
+        let long_evicted = long_count(&inner.long_ends, inner.ring.range(..evicted));
+        inner.ring.drain(..evicted);
+        inner.long_ends.drain(..long_evicted);
         inner.reserve(copied);
+        let skipped = incoming - copied;
+        let long_skipped = long_count(&other.long_ends, other.ring.range(..skipped));
+        inner
+            .long_ends
+            .extend(other.long_ends.range(long_skipped..));
         let mut ids: Vec<Option<KeyId>> = vec![None; other.keys.len()];
-        for record in other.events.range(incoming - copied..) {
+        for record in other.ring.range(skipped..) {
             let key = record.key as usize;
             let id = *ids[key].get_or_insert_with(|| {
-                let (name, set) = other.keys.get(record.key);
-                inner.keys.intern(name, set, Some(other.keys.hashes[key]))
+                let (name, kind, set) = other.keys.get(record.key);
+                inner
+                    .keys
+                    .intern(name, kind, set, Some(other.keys.hashes[key]))
             });
-            inner.events.push_back(EventRecord { key: id, ..*record });
+            inner.ring.push_back(EventRecord { key: id, ..*record });
         }
     }
+}
 
-    fn push_event(&self, name: &'static str, labels: Labels<'_>, begin: u64, end: u64, span: bool) {
-        let mut inner = self.inner.borrow_mut();
-        if inner.capacity == 0 {
-            inner.dropped += 1;
-            return;
-        }
-        let key = inner.keys.intern(name, labels, None);
-        if inner.events.len() == inner.capacity {
-            inner.events.pop_front();
-            inner.dropped += 1;
-        } else {
-            inner.reserve(1);
-        }
-        inner.events.push_back(EventRecord {
-            begin,
-            end,
-            key,
-            span,
-        });
+/// How many of `records` keep their end in `long_ends`: none to count
+/// when the FIFO is empty, which it almost always is.
+fn long_count<'a>(
+    long_ends: &VecDeque<u64>,
+    records: impl Iterator<Item = &'a EventRecord>,
+) -> usize {
+    if long_ends.is_empty() {
+        return 0;
     }
+    records.filter(|r| r.len == LONG).count()
 }
 
 /// Smallest ring allocation: a recorder that sees a handful of events
@@ -580,12 +637,49 @@ impl Inner {
     /// already fit under `capacity`: the storage doubles as needed but
     /// never past `capacity` records.
     fn reserve(&mut self, additional: usize) {
-        let need = self.events.len() + additional;
-        let have = self.events.capacity();
+        let need = self.ring.len() + additional;
+        let have = self.ring.capacity();
         if need > have {
             let target = need.max(2 * have).max(MIN_RING).min(self.capacity);
-            self.events.reserve_exact(target - self.events.len());
+            self.ring.reserve_exact(target - self.ring.len());
         }
+    }
+
+    /// Appends one record to a ring of nonzero capacity, evicting the
+    /// oldest (and its long end, if it has one) when the ring is full.
+    fn push(&mut self, begin: u64, end: u64, key: KeyId) {
+        if self.ring.len() == self.capacity {
+            if self.ring.pop_front().is_some_and(|old| old.len == LONG) {
+                self.long_ends.pop_front();
+            }
+            self.dropped += 1;
+        } else {
+            self.reserve(1);
+        }
+        let len = end
+            .checked_sub(begin)
+            .and_then(|len| u32::try_from(len).ok())
+            .filter(|&len| len < LONG)
+            .unwrap_or_else(|| {
+                self.long_ends.push_back(end);
+                LONG
+            });
+        self.ring.push_back(EventRecord { begin, len, key });
+    }
+
+    /// The ring's records oldest first, each with its end: `begin + len`,
+    /// or the next of `long_ends` for a record that stores [`LONG`].
+    pub(crate) fn events(&self) -> impl Iterator<Item = Event> + '_ {
+        let mut long_ends = self.long_ends.iter();
+        self.ring.iter().map(move |r| Event {
+            begin: r.begin,
+            end: if r.len == LONG {
+                *long_ends.next().expect("one long end per long record")
+            } else {
+                r.begin + u64::from(r.len)
+            },
+            key: r.key,
+        })
     }
 }
 
@@ -633,12 +727,29 @@ impl TelemetrySink for Recorder {
         }
     }
 
-    fn event(&self, name: &'static str, labels: Labels<'_>, at: u64) {
-        self.push_event(name, labels, at, at, false);
+    /// A zero-capacity recorder interns nothing: its keys name no entry,
+    /// and recording under one only counts the drop.
+    fn key(&self, name: &'static str, labels: Labels<'_>, kind: EventKind) -> EventKey {
+        let mut inner = self.inner.borrow_mut();
+        let id = if inner.capacity == 0 {
+            KeyId::MAX
+        } else {
+            inner.keys.intern(name, kind, labels, None)
+        };
+        EventKey::new(self.id, id)
     }
 
-    fn span(&self, name: &'static str, labels: Labels<'_>, begin: u64, end: u64) {
-        self.push_event(name, labels, begin, end, true);
+    fn record(&self, key: EventKey, begin: u64, end: u64) {
+        let mut inner = self.inner.borrow_mut();
+        if key.sink() != self.id {
+            inner.kind_conflicts += 1;
+        } else if inner.capacity == 0 {
+            inner.dropped += 1;
+        } else if key.id() as usize >= inner.keys.len() {
+            inner.kind_conflicts += 1;
+        } else {
+            inner.push(begin, end, key.id());
+        }
     }
 }
 
@@ -708,7 +819,7 @@ mod tests {
         assert_eq!(stats.dropped, 1);
         assert_eq!(stats.capacity, 2);
         let inner = r.inner.borrow();
-        assert_eq!(inner.events[0].begin, 1, "oldest event evicted first");
+        assert_eq!(inner.ring[0].begin, 1, "oldest event evicted first");
     }
 
     /// The shard-merge contract: a Recorder crosses threads (`Send`) and
@@ -836,10 +947,10 @@ mod tests {
                     assert_eq!(stats.recorded, model.len());
                     assert_eq!(stats.dropped, dropped + shard.ring_stats().dropped);
                     let inner = main.inner.borrow();
-                    for (e, &at) in inner.events.iter().zip(&model) {
-                        assert_eq!(e.begin, at);
-                        assert_eq!(e.span, at >= 100);
-                        let (name, labels) = inner.keys.get(e.key);
+                    for (e, &at) in inner.events().zip(&model) {
+                        assert_eq!((e.begin, e.end), (at, at));
+                        let (name, kind, labels) = inner.keys.get(e.key);
+                        assert_eq!(kind == EventKind::Span, at >= 100);
                         assert_eq!(name, if at < 100 { "own" } else { "in" });
                         assert_eq!(labels[0], ("hop".to_owned(), hop(at)));
                         assert_eq!(labels.len(), if at < 100 { 1 } else { 2 });
@@ -851,54 +962,61 @@ mod tests {
 
     #[test]
     fn event_keys_intern_each_key_once_in_any_order() {
+        const I: EventKind = EventKind::Instant;
         let mut keys = EventKeys::new();
-        let ab = keys.intern("e", &[("b", "2"), ("a", "1")], None);
-        assert_eq!(keys.intern("e", &[("a", "1"), ("b", "2")], None), ab);
+        let ab = keys.intern("e", I, &[("b", "2"), ("a", "1")], None);
+        assert_eq!(keys.intern("e", I, &[("a", "1"), ("b", "2")], None), ab);
         let owned = |pairs: &[(&str, &str)]| -> OwnedLabels {
             pairs
                 .iter()
                 .map(|&(k, v)| (k.to_owned(), v.to_owned()))
                 .collect()
         };
-        assert_eq!(keys.get(ab), ("e", &owned(&[("a", "1"), ("b", "2")])[..]));
-        // The same set under another name is another key.
-        let other = keys.intern("f", &[("a", "1"), ("b", "2")], None);
+        assert_eq!(
+            keys.get(ab),
+            ("e", I, &owned(&[("a", "1"), ("b", "2")])[..])
+        );
+        // The same set under another name, or as a span, is another key.
+        let other = keys.intern("f", I, &[("a", "1"), ("b", "2")], None);
         assert_ne!(other, ab);
         assert_eq!(keys.get(other).0, "f");
+        let span = keys.intern("e", EventKind::Span, &[("a", "1"), ("b", "2")], None);
+        assert_ne!(span, ab);
+        assert_eq!(keys.get(span).1, EventKind::Span);
         // A repeated pair is a different set from two distinct values.
-        let xx = keys.intern("e", &[("k", "x"), ("k", "x")], None);
-        let yx = keys.intern("e", &[("k", "y"), ("k", "x")], None);
+        let xx = keys.intern("e", I, &[("k", "x"), ("k", "x")], None);
+        let yx = keys.intern("e", I, &[("k", "y"), ("k", "x")], None);
         assert_ne!(xx, yx);
-        assert_eq!(keys.intern("e", &[("k", "x"), ("k", "y")], None), yx);
-        assert_eq!(keys.get(yx).1, owned(&[("k", "x"), ("k", "y")]));
+        assert_eq!(keys.intern("e", I, &[("k", "x"), ("k", "y")], None), yx);
+        assert_eq!(keys.get(yx).2, owned(&[("k", "x"), ("k", "y")]));
         // Enough keys to rebuild the index several times.
         let values: Vec<String> = (0..1_000).map(|i| i.to_string()).collect();
         let ids: Vec<KeyId> = values
             .iter()
-            .map(|v| keys.intern("e", &[("hop", v.as_str())], None))
+            .map(|v| keys.intern("e", I, &[("hop", v.as_str())], None))
             .collect();
         for (v, &id) in values.iter().zip(&ids) {
-            assert_eq!(keys.intern("e", &[("hop", v.as_str())], None), id);
-            assert_eq!(keys.get(id).1, owned(&[("hop", v)]));
+            assert_eq!(keys.intern("e", I, &[("hop", v.as_str())], None), id);
+            assert_eq!(keys.get(id).2, owned(&[("hop", v)]));
         }
-        assert_eq!(keys.len(), 1_004);
+        assert_eq!(keys.len(), 1_005);
         // More pairs than one claim word holds, in two orders, and the
         // same pairs with one value changed.
         let names: Vec<String> = (0..70).map(|i| format!("k{i:02}")).collect();
         let forward: Vec<(&str, &str)> = names.iter().map(|k| (k.as_str(), "v")).collect();
         let mut backward = forward.clone();
         backward.reverse();
-        let wide = keys.intern("e", &forward, None);
-        assert_eq!(keys.intern("e", &backward, None), wide);
+        let wide = keys.intern("e", I, &forward, None);
+        assert_eq!(keys.intern("e", I, &backward, None), wide);
         backward[0].1 = "w";
-        assert_ne!(keys.intern("e", &backward, None), wide);
+        assert_ne!(keys.intern("e", I, &backward, None), wide);
     }
 
     /// Every event name a recorder sees shares a handful of label sets,
-    /// so a hash that left the name out would pile each set's names
-    /// into one probe chain.
+    /// so a hash that left the name or the kind out would pile each
+    /// set's names into one probe chain.
     #[test]
-    fn key_hash_covers_the_name() {
+    fn key_hash_covers_the_name_and_kind() {
         let set = [("hop", "0"), ("scheme", "DAP")];
         let names = [
             "link.word",
@@ -909,14 +1027,17 @@ mod tests {
             "mesh.queue_high",
             "",
         ];
-        let mut hashes: Vec<u64> = names.iter().map(|n| hash_key(n, &set)).collect();
+        let mut hashes: Vec<u64> = names
+            .iter()
+            .flat_map(|n| [EventKind::Span, EventKind::Instant].map(|kind| hash_key(n, kind, &set)))
+            .collect();
         hashes.sort_unstable();
         hashes.dedup();
-        assert_eq!(hashes.len(), names.len());
+        assert_eq!(hashes.len(), 2 * names.len());
         let reversed = [("scheme", "DAP"), ("hop", "0")];
         assert_eq!(
-            hash_key("link.word", &reversed),
-            hash_key("link.word", &set)
+            hash_key("link.word", EventKind::Span, &reversed),
+            hash_key("link.word", EventKind::Span, &set)
         );
     }
 
@@ -971,7 +1092,7 @@ mod tests {
         assert_eq!(merged.inner.borrow().keys.len(), 6);
     }
 
-    /// The span flag, not the cycles, tells a span from an instant
+    /// The key's kind, not the cycles, tells a span from an instant
     /// event: a zero-length span and an event at its cycle, under one
     /// name and label set, export as one of each, and a span may end at
     /// any cycle.
@@ -998,7 +1119,7 @@ mod tests {
         let trace = r.export_chrome_trace();
         assert_eq!(trace.matches("\"ph\": \"X\"").count(), 2);
         assert_eq!(trace.matches("\"ph\": \"i\"").count(), 1);
-        assert_eq!(r.inner.borrow().keys.len(), 1, "one key for all three");
+        assert_eq!(r.inner.borrow().keys.len(), 2, "one key per kind");
     }
 
     #[test]

@@ -18,6 +18,37 @@
 //! test — the compiler sees a `None` that never changes, so the disabled
 //! cost on a hot path is one predictable branch per word. The methods
 //! also each re-check the handle, so unguarded single calls are safe too.
+//!
+//! # Held event keys
+//!
+//! Spans and instant events have one recording path: a sink resolves an
+//! event name, label set and [`EventKind`] to an [`EventKey`] once
+//! ([`Telemetry::key`]), then records each occurrence under it
+//! ([`Telemetry::record`]). [`Telemetry::span`] and [`Telemetry::event`]
+//! do both in one call, which is what a site that fires now and then
+//! wants. A site that fires every word resolves its key when its labels
+//! are set and holds it until they change or the handle is replaced:
+//!
+//! ```
+//! # use std::rc::Rc;
+//! # use socbus_telemetry::{EventKind, Recorder, Telemetry};
+//! let recorder = Rc::new(Recorder::new());
+//! let tel = Telemetry::from_recorder(&recorder);
+//! // Once, while the labels hold (`None` when telemetry is off).
+//! let word = tel.key("link.word", &[("scheme", "DAP"), ("hop", "0")], EventKind::Span);
+//! for cycle in 0..4u64 {
+//!     if let Some(word) = word {
+//!         // Per word: no label hashing, no lookup.
+//!         tel.record(word, cycle, cycle + 1);
+//!     }
+//! }
+//! assert_eq!(recorder.ring_stats().recorded, 4);
+//! ```
+//!
+//! A key names the sink that issued it. Recorded into another sink it is
+//! ignored and tallied as a kind conflict, never stored under some other
+//! key's name, so a site that moves to a new handle must resolve its
+//! keys again.
 
 use std::rc::Rc;
 
@@ -53,11 +84,65 @@ pub trait TelemetrySink {
         }
     }
 
+    /// Resolves an event name, label set and kind to the key
+    /// [`TelemetrySink::record`] takes. Resolving the same triple again,
+    /// labels in any order, gives an equal key.
+    fn key(&self, name: &'static str, labels: Labels<'_>, kind: EventKind) -> EventKey;
+
+    /// Records one occurrence of `key` covering simulated cycles
+    /// `[begin, end]`; an instant event passes `end = begin`. A key this
+    /// sink did not issue is ignored.
+    fn record(&self, key: EventKey, begin: u64, end: u64);
+
     /// Records an instantaneous event at simulated cycle `at`.
-    fn event(&self, name: &'static str, labels: Labels<'_>, at: u64);
+    fn event(&self, name: &'static str, labels: Labels<'_>, at: u64) {
+        self.record(self.key(name, labels, EventKind::Instant), at, at);
+    }
 
     /// Records a span covering simulated cycles `[begin, end]`.
-    fn span(&self, name: &'static str, labels: Labels<'_>, begin: u64, end: u64);
+    fn span(&self, name: &'static str, labels: Labels<'_>, begin: u64, end: u64) {
+        self.record(self.key(name, labels, EventKind::Span), begin, end);
+    }
+}
+
+/// Whether an event key names spans or instant events.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
+pub enum EventKind {
+    /// An interval of simulated cycles.
+    Span,
+    /// One simulated cycle.
+    Instant,
+}
+
+/// An event name, label set and kind as resolved by one sink: a small
+/// `Copy` value a hot site holds instead of re-deriving it per word.
+/// It names the sink that issued it, so a key recorded into any other
+/// sink is recognised and ignored.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct EventKey {
+    sink: u64,
+    id: u32,
+}
+
+impl EventKey {
+    /// Entry `id` of the sink whose identity is `sink` — for sink
+    /// implementations; the numbers mean nothing to anyone else.
+    #[must_use]
+    pub const fn new(sink: u64, id: u32) -> Self {
+        EventKey { sink, id }
+    }
+
+    /// The identity of the sink that issued the key.
+    #[must_use]
+    pub const fn sink(self) -> u64 {
+        self.sink
+    }
+
+    /// The key's entry within its sink.
+    #[must_use]
+    pub const fn id(self) -> u32 {
+        self.id
+    }
 }
 
 /// A sink that drops everything — the dispatch-path stand-in the
@@ -70,8 +155,10 @@ impl TelemetrySink for NoopSink {
     fn gauge_set(&self, _name: &'static str, _labels: Labels<'_>, _value: f64) {}
     fn observe(&self, _name: &'static str, _labels: Labels<'_>, _value: f64) {}
     fn observe_n(&self, _name: &'static str, _labels: Labels<'_>, _value: f64, _n: u64) {}
-    fn event(&self, _name: &'static str, _labels: Labels<'_>, _at: u64) {}
-    fn span(&self, _name: &'static str, _labels: Labels<'_>, _begin: u64, _end: u64) {}
+    fn key(&self, _name: &'static str, _labels: Labels<'_>, _kind: EventKind) -> EventKey {
+        EventKey::new(0, 0)
+    }
+    fn record(&self, _key: EventKey, _begin: u64, _end: u64) {}
 }
 
 /// The cheap, cloneable handle instrumented code carries. `off()` (also
@@ -159,6 +246,25 @@ impl Telemetry {
         }
     }
 
+    /// The key under which `record` stores events named `name` with
+    /// `labels` of `kind`, or `None` when the handle is off. Hold it
+    /// while the labels hold, and resolve it again after switching to
+    /// another handle.
+    #[inline]
+    #[must_use]
+    pub fn key(&self, name: &'static str, labels: Labels<'_>, kind: EventKind) -> Option<EventKey> {
+        self.sink.as_ref().map(|sink| sink.key(name, labels, kind))
+    }
+
+    /// Records one occurrence of `key` covering simulated cycles
+    /// `[begin, end]` (`end = begin` for an instant event).
+    #[inline]
+    pub fn record(&self, key: EventKey, begin: u64, end: u64) {
+        if let Some(sink) = &self.sink {
+            sink.record(key, begin, end);
+        }
+    }
+
     /// Records an instantaneous event at simulated cycle `at`.
     #[inline]
     pub fn event(&self, name: &'static str, labels: Labels<'_>, at: u64) {
@@ -198,6 +304,13 @@ mod tests {
         assert!(tel.is_enabled());
         tel.counter("c", &[("k", "v")], 3);
         tel.span("s", &[], 0, 5);
+        let key = tel.key("s", &[], EventKind::Span).expect("enabled");
+        tel.record(key, 0, 5);
+    }
+
+    #[test]
+    fn an_off_handle_issues_no_key() {
+        assert_eq!(Telemetry::off().key("s", &[], EventKind::Span), None);
     }
 
     #[test]

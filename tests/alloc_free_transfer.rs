@@ -4,13 +4,17 @@
 //! retries — makes zero allocations for every catalog scheme, including
 //! the double-error path of BCH-DEC.
 //!
-//! The same holds with telemetry on: once a link's event keys (name and
-//! label set) are interned and the recorder's ring is full, a word's
-//! `link.word` span and `link.retry` events are 24-byte copies into the
+//! The same holds with telemetry on: a link resolves its event keys
+//! once and holds them, and once the recorder's ring is full, a word's
+//! `link.word` span and `link.retry` events are 16-byte copies into the
 //! ring. Absorbing a shard into a full recorder costs a fixed number of
 //! allocations per call, however many events the shard holds, and a
-//! recorder's live heap is its ring's slots at 24 bytes each plus a
+//! recorder's live heap is its ring's slots at 16 bytes each plus a
 //! small key table.
+//!
+//! A path built from those links lends each word's trace out of one
+//! buffer it refills: after warm-up `PathSim::step` allocates nothing,
+//! traced or not.
 //!
 //! The mesh fabric built from those links stays within a small fixed
 //! budget per cycle: `MeshSim::step` allocates the vectors of the
@@ -30,6 +34,7 @@ use socbus::codes::{Scheme, WordBlock};
 use socbus::model::Word;
 use socbus::noc::link::{LinkConfig, LinkEngine, LinkReport, Protocol};
 use socbus::noc::mesh::{MeshConfig, MeshSim};
+use socbus::noc::{PathConfig, PathSim};
 use socbus_chaos::protocol_for;
 use socbus_telemetry::{Recorder, Telemetry, TelemetrySink};
 
@@ -220,10 +225,10 @@ fn absorbing_known_label_sets_costs_a_fixed_allocation_count() {
 
 /// A traced 2 000-word, three-hop path cell's event stream: 6 000
 /// `link.word` spans grow a default recorder's ring to 8 192 slots of
-/// 24 bytes, and its six event keys (plus their index) fit in a few
-/// KiB, so the recorder holds under 8 192 × 24 B + 16 KiB.
+/// 16 bytes, and its six event keys (plus their index) fit in a few
+/// KiB, so the recorder holds under 8 192 × 16 B + 16 KiB.
 #[test]
-fn a_traced_path_cells_recorder_holds_24_bytes_per_slot() {
+fn a_traced_path_cells_recorder_holds_16_bytes_per_slot() {
     let before = live_bytes();
     let rec = Recorder::new();
     for word in 0..2_000u64 {
@@ -237,7 +242,7 @@ fn a_traced_path_cells_recorder_holds_24_bytes_per_slot() {
     }
     let held = live_bytes() - before;
     assert_eq!(rec.ring_stats().recorded, 6_012);
-    let bound = 8_192 * 24 + 16 * 1_024;
+    let bound = 8_192 * 16 + 16 * 1_024;
     assert!(
         held <= bound,
         "the recorder holds {held} B over {} events (bound {bound} B)",
@@ -245,6 +250,41 @@ fn a_traced_path_cells_recorder_holds_24_bytes_per_slot() {
     );
     drop(rec);
     assert_eq!(live_bytes(), before, "dropping the recorder frees it all");
+}
+
+#[test]
+fn steady_state_path_step_makes_no_allocation() {
+    let k = 16;
+    let link = LinkConfig::new(Scheme::Dap, k, EPS).with_protocol(ARQ);
+    let cfg = PathConfig::new(3, link);
+    let rec = Rc::new(Recorder::with_capacity(RING));
+    for tel in [Telemetry::off(), Telemetry::from_recorder(&rec)] {
+        let mut sim = PathSim::new_with_telemetry(&cfg, 11, tel);
+        let mut state = 5u64;
+        let mut word = || {
+            state = state
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            Word::from_limbs([state, 0, 0, 0], k)
+        };
+        // Warm-up covers the first traced word of each hop and fills the
+        // ring.
+        for _ in 0..RING as u64 + WARM_WORDS {
+            let _ = sim.step(word());
+        }
+        let before = allocs();
+        let mut hops = 0;
+        for _ in 0..WORDS {
+            hops += sim.step(word()).hops.len();
+        }
+        let made = allocs() - before;
+        assert_eq!(hops, 3 * WORDS as usize);
+        assert_eq!(made, 0, "{made} allocations over {WORDS} path words");
+    }
+    assert!(
+        rec.ring_stats().dropped >= 3 * WORDS,
+        "every hop's words recorded"
+    );
 }
 
 /// Mesh cycles stepped before counting starts, and cycles counted.
