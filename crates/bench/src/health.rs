@@ -33,8 +33,9 @@ use std::fmt::Write as _;
 use std::time::{Duration, Instant};
 
 use socbus_chaos::ctx::{write_file, Observe, RunCtx};
+use socbus_chaos::harness::run_grid;
 use socbus_chaos::mesh::{
-    mesh_cells, mesh_smoke_cells, render_mesh_json, run_mesh_campaign, MeshCaseOutcome, MeshFamily,
+    build_mesh_case, mesh_cells, mesh_smoke_cells, render_mesh_json, MeshCaseOutcome, MeshFamily,
     FULL_MESH_CYCLES, SMOKE_MESH_CYCLES,
 };
 use socbus_codes::Scheme;
@@ -196,7 +197,9 @@ pub fn run_gate(
         let start = Instant::now();
         let mut last = None;
         for _ in 0..reps {
-            last = Some(run_mesh_campaign(cells, cycles, &ctx));
+            last = Some(run_grid(&ctx, cells, |s, f, seed| {
+                build_mesh_case(s, f, seed, cycles)
+            }));
         }
         let elapsed = start.elapsed();
         let run = last.expect("reps > 0");

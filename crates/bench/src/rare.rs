@@ -30,7 +30,7 @@ use std::fmt::Write as _;
 use std::rc::Rc;
 
 use socbus_channel::rare::{
-    certify_traced, failure_profile, oracle_catalog, Certification, Method, RareChannel,
+    certify, failure_profile, oracle_catalog, Certification, Method, RareChannel,
 };
 use socbus_chaos::ctx::{num, push_rows, RunArgs};
 use socbus_codes::Scheme;
@@ -152,7 +152,7 @@ pub fn run_sweep(smoke: bool, threads: usize, tel: &Telemetry) -> Vec<CellResult
         .into_iter()
         .enumerate()
         .map(|(i, cell)| {
-            let cert = certify_traced(
+            let cert = certify(
                 cell.scheme,
                 cell.k,
                 RareChannel::Iid { eps: cell.eps },

@@ -42,8 +42,7 @@ pub use fault::{
     GilbertElliott, IidFault, StuckAtFault,
 };
 pub use montecarlo::{
-    mc_shards, word_error_rate, word_error_rate_parallel, word_error_rate_parallel_traced,
-    word_error_rate_traced, WeightedTally, WordErrorEstimate,
+    mc_shards, word_error_rate, word_error_rate_parallel, WeightedTally, WordErrorEstimate,
 };
 pub use rare::{RareChannel, Twist};
 pub use scaling::{scale_voltage, try_scale_voltage, ResidualModel, ScaledDesign, ScalingError};

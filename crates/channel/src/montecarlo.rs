@@ -19,11 +19,6 @@ use rand::{Rng, SeedableRng};
 use socbus_codes::{batch_build, Scheme, WordBlock, BLOCK_WORDS};
 use socbus_exec::{run_shards, shard_seed};
 use socbus_model::Word;
-use socbus_telemetry::Telemetry;
-
-/// Trials between `mc.progress` telemetry events in
-/// [`word_error_rate_traced`]; small runs emit a single final event.
-pub const MC_PROGRESS_CHUNK: u64 = 10_000;
 
 /// Trials per shard in [`word_error_rate_parallel`]. Part of the result
 /// definition: the decomposition (and therefore the merged estimate) is
@@ -82,12 +77,19 @@ impl WordErrorEstimate {
         let (trials, failures) = shards
             .into_iter()
             .fold((0u64, 0u64), |(t, f), s| (t + s.trials, f + s.failures));
+        WordErrorEstimate::from_counts(trials, failures)
+    }
+
+    /// The estimate of `failures` in `trials` (an empty run has rate 0,
+    /// not NaN).
+    fn from_counts(trials: u64, failures: u64) -> WordErrorEstimate {
+        let rate = if trials == 0 {
+            0.0
+        } else {
+            failures as f64 / trials as f64
+        };
         WordErrorEstimate {
-            rate: if trials == 0 {
-                0.0
-            } else {
-                failures as f64 / trials as f64
-            },
+            rate,
             trials,
             failures,
         }
@@ -274,8 +276,8 @@ pub fn mc_shards(trials: u64, root_seed: u64) -> Vec<(u64, u64)> {
     shards
 }
 
-/// Measures the residual word-error rate of `scheme` at width `k` under
-/// i.i.d. per-wire flip probability `eps`, over `trials` random words.
+/// Measures the residual word-error rate of `scheme` at width `k`
+/// under i.i.d. per-wire flip probability `eps`, over `trials` random words.
 ///
 /// Encoder and decoder advance in lockstep (wire errors never desynchronize
 /// the codecs in this crate: decoder state is data-independent).
@@ -293,38 +295,6 @@ pub fn word_error_rate(
     trials: u64,
     seed: u64,
 ) -> WordErrorEstimate {
-    word_error_rate_traced(scheme, k, eps, trials, seed, &Telemetry::off())
-}
-
-/// The scalar (one-`Word`-at-a-time) reference implementation of
-/// [`word_error_rate`]. Kept as the equivalence witness for the batch
-/// path and as the baseline the codec bench measures speedups against.
-#[must_use]
-pub fn word_error_rate_scalar(
-    scheme: Scheme,
-    k: usize,
-    eps: f64,
-    trials: u64,
-    seed: u64,
-) -> WordErrorEstimate {
-    word_error_rate_scalar_traced(scheme, k, eps, trials, seed, &Telemetry::off())
-}
-
-/// [`word_error_rate`] with batch-progress telemetry: every
-/// [`MC_PROGRESS_CHUNK`] trials (and once at the end) it emits an
-/// `mc.progress` event plus `mc.trials`/`mc.failures` counters and an
-/// `mc.rate` gauge, all labeled with the scheme name. The telemetry
-/// stream is identical to the scalar path's: chunk boundaries fall at the
-/// same trial indices even though they land mid-block.
-#[must_use]
-pub fn word_error_rate_traced(
-    scheme: Scheme,
-    k: usize,
-    eps: f64,
-    trials: u64,
-    seed: u64,
-    tel: &Telemetry,
-) -> WordErrorEstimate {
     // Two codec objects (endpoint state must stay independent for
     // stateful codes like BI); native batch codecs share the process-wide
     // codebook cache with the scalar ones, so construction cost per sweep
@@ -334,13 +304,7 @@ pub fn word_error_rate_traced(
     let mut ch = BitFlipChannel::new(eps, seed ^ 0x5EED);
     let mut rng = StdRng::seed_from_u64(seed);
     let mut failures = 0u64;
-    let mut chunk_failures = 0u64;
     let mut done = 0u64;
-    let scheme_name = if tel.is_enabled() {
-        scheme.name()
-    } else {
-        String::new()
-    };
     let mut words = [Word::zero(k); BLOCK_WORDS];
     while done < trials {
         let n = usize::try_from((trials - done).min(BLOCK_WORDS as u64)).expect("n <= 64");
@@ -356,59 +320,22 @@ pub fn word_error_rate_traced(
         ch.corrupt_block(&mut received);
         let out = dec.decode(&received);
         let fail_plane = (0..k).fold(0u64, |acc, i| acc | (out.lane(i) ^ data.lane(i)));
-        if tel.is_enabled() {
-            // Walk the block in trial order so the progress events land
-            // on exactly the scalar path's chunk boundaries.
-            for j in 0..n {
-                if fail_plane >> j & 1 == 1 {
-                    failures += 1;
-                    chunk_failures += 1;
-                }
-                done += 1;
-                if done.is_multiple_of(MC_PROGRESS_CHUNK) || done == trials {
-                    let labels = [("scheme", scheme_name.as_str())];
-                    tel.event("mc.progress", &labels, done);
-                    tel.counter(
-                        "mc.trials",
-                        &labels,
-                        if done.is_multiple_of(MC_PROGRESS_CHUNK) {
-                            MC_PROGRESS_CHUNK
-                        } else {
-                            done % MC_PROGRESS_CHUNK
-                        },
-                    );
-                    tel.counter("mc.failures", &labels, chunk_failures);
-                    chunk_failures = 0;
-                    tel.gauge("mc.rate", &labels, failures as f64 / done as f64);
-                }
-            }
-        } else {
-            failures += u64::from(fail_plane.count_ones());
-            done += n as u64;
-        }
+        failures += u64::from(fail_plane.count_ones());
+        done += n as u64;
     }
-    WordErrorEstimate {
-        // Guard the 0/0 shape explicitly: an empty run has rate 0, not NaN.
-        rate: if trials == 0 {
-            0.0
-        } else {
-            failures as f64 / trials as f64
-        },
-        trials,
-        failures,
-    }
+    WordErrorEstimate::from_counts(trials, failures)
 }
 
-/// [`word_error_rate_scalar`] with the same telemetry contract as
-/// [`word_error_rate_traced`].
+/// The scalar (one-`Word`-at-a-time) reference implementation of
+/// [`word_error_rate`]. Kept as the equivalence witness for the batch
+/// path and as the baseline the codec bench measures speedups against.
 #[must_use]
-pub fn word_error_rate_scalar_traced(
+pub fn word_error_rate_scalar(
     scheme: Scheme,
     k: usize,
     eps: f64,
     trials: u64,
     seed: u64,
-    tel: &Telemetry,
 ) -> WordErrorEstimate {
     // Two codec objects (endpoint state must stay independent for
     // stateful codes like BI), but both route through the process-wide
@@ -420,51 +347,13 @@ pub fn word_error_rate_scalar_traced(
     let mut dec = scheme.build(k);
     let mut ch = BitFlipChannel::new(eps, seed ^ 0x5EED);
     let mut rng = StdRng::seed_from_u64(seed);
-    let mut failures = 0u64;
-    let mut chunk_failures = 0u64;
-    let scheme_name = if tel.is_enabled() {
-        scheme.name()
-    } else {
-        String::new()
-    };
-    for t in 0..trials {
-        let d = Word::from_bits(rng.gen::<u128>(), k);
-        let sent = enc.encode(d);
-        let received = ch.transmit(sent);
-        if dec.decode(received) != d {
-            failures += 1;
-            chunk_failures += 1;
-        }
-        if tel.is_enabled() {
-            let done = t + 1;
-            if done % MC_PROGRESS_CHUNK == 0 || done == trials {
-                let labels = [("scheme", scheme_name.as_str())];
-                tel.event("mc.progress", &labels, done);
-                tel.counter(
-                    "mc.trials",
-                    &labels,
-                    if done % MC_PROGRESS_CHUNK == 0 {
-                        MC_PROGRESS_CHUNK
-                    } else {
-                        done % MC_PROGRESS_CHUNK
-                    },
-                );
-                tel.counter("mc.failures", &labels, chunk_failures);
-                chunk_failures = 0;
-                tel.gauge("mc.rate", &labels, failures as f64 / done as f64);
-            }
-        }
-    }
-    WordErrorEstimate {
-        // Guard the 0/0 shape explicitly: an empty run has rate 0, not NaN.
-        rate: if trials == 0 {
-            0.0
-        } else {
-            failures as f64 / trials as f64
-        },
-        trials,
-        failures,
-    }
+    let failures = (0..trials)
+        .filter(|_| {
+            let d = Word::from_bits(rng.gen::<u128>(), k);
+            dec.decode(ch.transmit(enc.encode(d))) != d
+        })
+        .count() as u64;
+    WordErrorEstimate::from_counts(trials, failures)
 }
 
 /// [`word_error_rate`] on the deterministic parallel engine: the run is
@@ -488,40 +377,10 @@ pub fn word_error_rate_parallel(
     root_seed: u64,
     threads: usize,
 ) -> WordErrorEstimate {
-    word_error_rate_parallel_traced(
-        scheme,
-        k,
-        eps,
-        trials,
-        root_seed,
-        threads,
-        &Telemetry::off(),
-    )
-}
-
-/// [`word_error_rate_parallel`] with merge-time telemetry. Shards run
-/// *untraced* (per-trial progress events from concurrent shards would
-/// interleave nondeterministically); instead, one `mc.progress` event
-/// plus `mc.trials`/`mc.failures` counter increments are emitted **per
-/// shard, at merge time, in shard order**, and the final `mc.rate` gauge
-/// is set once — the recording is byte-identical for every thread count
-/// and the estimate is exactly the untraced one.
-#[must_use]
-#[allow(clippy::too_many_arguments)]
-pub fn word_error_rate_parallel_traced(
-    scheme: Scheme,
-    k: usize,
-    eps: f64,
-    trials: u64,
-    root_seed: u64,
-    threads: usize,
-    tel: &Telemetry,
-) -> WordErrorEstimate {
     let shards = mc_shards(trials, root_seed);
-    let estimates = run_shards(threads, &shards, |_, &(shard_trials, seed)| {
+    WordErrorEstimate::merged(run_shards(threads, &shards, |_, &(shard_trials, seed)| {
         word_error_rate(scheme, k, eps, shard_trials, seed)
-    });
-    merge_traced(scheme, tel, &estimates)
+    }))
 }
 
 /// [`word_error_rate_parallel`] on the scalar reference path — the
@@ -537,34 +396,9 @@ pub fn word_error_rate_parallel_scalar(
     threads: usize,
 ) -> WordErrorEstimate {
     let shards = mc_shards(trials, root_seed);
-    let estimates = run_shards(threads, &shards, |_, &(shard_trials, seed)| {
+    WordErrorEstimate::merged(run_shards(threads, &shards, |_, &(shard_trials, seed)| {
         word_error_rate_scalar(scheme, k, eps, shard_trials, seed)
-    });
-    WordErrorEstimate::merged(estimates)
-}
-
-fn merge_traced(
-    scheme: Scheme,
-    tel: &Telemetry,
-    estimates: &[WordErrorEstimate],
-) -> WordErrorEstimate {
-    if tel.is_enabled() {
-        let scheme_name = scheme.name();
-        let labels = [("scheme", scheme_name.as_str())];
-        let mut done = 0u64;
-        let mut failures = 0u64;
-        for shard in estimates {
-            done += shard.trials;
-            failures += shard.failures;
-            tel.event("mc.progress", &labels, done);
-            tel.counter("mc.trials", &labels, shard.trials);
-            tel.counter("mc.failures", &labels, shard.failures);
-        }
-        if done > 0 {
-            tel.gauge("mc.rate", &labels, failures as f64 / done as f64);
-        }
-    }
-    WordErrorEstimate::merged(estimates.iter().copied())
+    }))
 }
 
 #[cfg(test)]
@@ -777,36 +611,6 @@ mod tests {
         assert_eq!(clean.relative_ci95(), f64::INFINITY);
     }
 
-    /// The traced variant is estimate-identical to the plain one and
-    /// reports chunked trial counters that sum to the total.
-    #[test]
-    fn traced_runs_match_plain_and_report_progress() {
-        use socbus_telemetry::Recorder;
-        use std::rc::Rc;
-        let (k, eps, seed) = (8, 5e-3, 41);
-        let trials = 2 * MC_PROGRESS_CHUNK + 123;
-        let plain = word_error_rate(Scheme::Dap, k, eps, trials, seed);
-        let recorder = Rc::new(Recorder::new());
-        let tel = Telemetry::from_recorder(&recorder);
-        let traced = word_error_rate_traced(Scheme::Dap, k, eps, trials, seed, &tel);
-        assert_eq!(plain, traced, "telemetry must not disturb the estimate");
-        let labels = [("scheme", "DAP")];
-        assert_eq!(recorder.counter_value("mc.trials", &labels), trials);
-        assert_eq!(
-            recorder.counter_value("mc.failures", &labels),
-            traced.failures,
-            "failure counter sums chunk deltas"
-        );
-        assert_eq!(
-            recorder.gauge_value("mc.rate", &labels),
-            Some(traced.rate),
-            "final gauge is the final rate"
-        );
-        // 2 full chunks + the final partial chunk = 3 progress events.
-        let stats = recorder.ring_stats();
-        assert_eq!(stats.recorded, 3);
-    }
-
     /// ISSUE 4 satellite: shard merge preserves tallies exactly and
     /// recomputes (never averages) the rate.
     #[test]
@@ -911,35 +715,6 @@ mod tests {
         assert_eq!(one.trials, trials);
     }
 
-    /// ISSUE 4 satellite (progress-event fix): the merge-time-traced
-    /// parallel run returns the identical estimate to the untraced one,
-    /// and its telemetry is emitted once per shard in shard order.
-    #[test]
-    fn parallel_traced_matches_plain_and_reports_per_shard() {
-        use socbus_telemetry::Recorder;
-        use std::rc::Rc;
-        let (k, eps, seed) = (8, 5e-3, 41);
-        let trials = 2 * MC_SHARD_TRIALS + 123;
-        let plain = word_error_rate_parallel(Scheme::Dap, k, eps, trials, seed, 4);
-        let recorder = Rc::new(Recorder::new());
-        let tel = Telemetry::from_recorder(&recorder);
-        let traced = word_error_rate_parallel_traced(Scheme::Dap, k, eps, trials, seed, 4, &tel);
-        assert_eq!(plain, traced, "telemetry must not disturb the estimate");
-        let labels = [("scheme", "DAP")];
-        assert_eq!(recorder.counter_value("mc.trials", &labels), trials);
-        assert_eq!(
-            recorder.counter_value("mc.failures", &labels),
-            traced.failures
-        );
-        assert_eq!(recorder.gauge_value("mc.rate", &labels), Some(traced.rate));
-        // One progress event per shard — emitted at merge, so the count
-        // and order are fixed by the decomposition, not the scheduler.
-        assert_eq!(
-            recorder.ring_stats().recorded,
-            mc_shards(trials, seed).len()
-        );
-    }
-
     #[test]
     fn parallel_matches_analytic_rate() {
         // The sharded estimator measures the same quantity as the
@@ -962,7 +737,7 @@ mod tests {
     /// ISSUE 10 satellite (remainder handling): the batch path must be
     /// byte-identical to the scalar reference at trial counts that leave
     /// partial final blocks — 1, 63 (sub-block), 65 (one full block plus
-    /// one word), 65537 (crosses MC_PROGRESS_CHUNK with a remainder) —
+    /// one word), 65537 (one word past a shard's worth) —
     /// and at block-aligned counts, across stateless, stateful, and
     /// LUT-decoded schemes.
     #[test]
@@ -987,51 +762,6 @@ mod tests {
         let scalar = word_error_rate_scalar(Scheme::Dap, 8, eps, 65_537, 77);
         assert_eq!(batch, scalar, "DAP at 65537 trials");
         assert!(batch.failures > 0, "test must exercise the failure path");
-    }
-
-    /// ISSUE 10 satellite: batch and scalar telemetry streams agree —
-    /// chunk boundaries fall at the same trial indices even though the
-    /// batch path crosses them mid-block (MC_PROGRESS_CHUNK is not a
-    /// multiple of 64).
-    #[test]
-    fn batch_telemetry_matches_scalar_chunking() {
-        use socbus_telemetry::Recorder;
-        use std::rc::Rc;
-        let (k, eps, seed) = (8, 5e-3, 41);
-        let trials = MC_PROGRESS_CHUNK + 123;
-        let rec_b = Rc::new(Recorder::new());
-        let batch = word_error_rate_traced(
-            Scheme::Dap,
-            k,
-            eps,
-            trials,
-            seed,
-            &Telemetry::from_recorder(&rec_b),
-        );
-        let rec_s = Rc::new(Recorder::new());
-        let scalar = word_error_rate_scalar_traced(
-            Scheme::Dap,
-            k,
-            eps,
-            trials,
-            seed,
-            &Telemetry::from_recorder(&rec_s),
-        );
-        assert_eq!(batch, scalar);
-        let labels = [("scheme", "DAP")];
-        assert_eq!(
-            rec_b.counter_value("mc.trials", &labels),
-            rec_s.counter_value("mc.trials", &labels)
-        );
-        assert_eq!(
-            rec_b.counter_value("mc.failures", &labels),
-            rec_s.counter_value("mc.failures", &labels)
-        );
-        assert_eq!(
-            rec_b.gauge_value("mc.rate", &labels),
-            rec_s.gauge_value("mc.rate", &labels)
-        );
-        assert_eq!(rec_b.ring_stats().recorded, rec_s.ring_stats().recorded);
     }
 
     /// ISSUE 10 satellite: the sharded batch estimator equals the sharded

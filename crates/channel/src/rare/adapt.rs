@@ -185,34 +185,14 @@ pub struct Certification {
 /// estimator in geometrically growing batches merged in batch order —
 /// so the stopping decision depends only on thread-count-invariant
 /// merged tallies and the result is byte-identical at any `threads`.
-#[must_use]
-pub fn certify(
-    scheme: Scheme,
-    k: usize,
-    channel: RareChannel,
-    target_rel: f64,
-    max_words: u64,
-    seed: u64,
-    threads: usize,
-) -> Certification {
-    certify_traced(
-        scheme,
-        k,
-        channel,
-        target_rel,
-        max_words,
-        seed,
-        threads,
-        &Telemetry::off(),
-    )
-}
-
-/// [`certify`] with `mc.rare.*` telemetry: one `mc.rare.certify.batch`
-/// event per batch (value = words done) and final rate/CI gauges, all
-/// emitted from the merge path in batch order.
+///
+/// `tel` records one `mc.rare.certify.batch` event per batch (value =
+/// words done) and the final `mc.rare.rate`/`mc.rare.ci95` gauges, all
+/// from the merge path in batch order, so the recording is
+/// thread-count invariant too.
 #[must_use]
 #[allow(clippy::too_many_arguments)]
-pub fn certify_traced(
+pub fn certify(
     scheme: Scheme,
     k: usize,
     channel: RareChannel,
@@ -249,7 +229,6 @@ pub fn certify_traced(
                     trials,
                     shard_seed(seed ^ 0xCE87, batch_index),
                     threads,
-                    &Telemetry::off(),
                 );
                 merged = WeightedTally::merged([merged, batch]);
                 words += trials;
@@ -372,6 +351,7 @@ mod tests {
             2_000_000,
             7,
             2,
+            &Telemetry::off(),
         );
         assert!(cert.converged, "rel ci {}", cert.rel_ci95);
         assert!(cert.rel_ci95 <= 0.3);
@@ -382,8 +362,9 @@ mod tests {
     #[test]
     fn certify_is_thread_count_invariant() {
         let ch = RareChannel::Iid { eps: 1e-3 };
-        let a = certify(Scheme::Hamming, 8, ch, 0.3, 500_000, 11, 1);
-        let b = certify(Scheme::Hamming, 8, ch, 0.3, 500_000, 11, 8);
+        let off = Telemetry::off();
+        let a = certify(Scheme::Hamming, 8, ch, 0.3, 500_000, 11, 1, &off);
+        let b = certify(Scheme::Hamming, 8, ch, 0.3, 500_000, 11, 8, &off);
         assert_eq!(a, b);
     }
 }

@@ -32,23 +32,18 @@
 //! All estimators shard over `socbus_exec` with merged
 //! `(sum, sum_sq, weighted_trials)` accumulators
 //! ([`crate::montecarlo::WeightedTally`]) in shard order, so results are
-//! byte-identical at any `--threads N`, and emit `mc.rare.*` telemetry.
+//! byte-identical at any `--threads N`; [`certify`] records its batches
+//! as `mc.rare.*` telemetry.
 
 pub mod adapt;
 pub mod exact;
 pub mod split;
 pub mod twist;
 
-pub use adapt::{certify, certify_traced, plan, Certification, Method, Plan};
+pub use adapt::{certify, plan, Certification, Method, Plan};
 pub use exact::{failure_profile, oracle_catalog, FailureProfile};
-pub use split::{
-    split_word_error, split_word_error_parallel, split_word_error_parallel_traced, SplitConfig,
-    SplitEstimate,
-};
-pub use twist::{
-    is_word_error, is_word_error_parallel, is_word_error_parallel_traced, is_word_error_traced,
-    twisted_eps, Twist,
-};
+pub use split::{split_word_error, split_word_error_parallel, SplitConfig, SplitEstimate};
+pub use twist::{is_word_error, is_word_error_parallel, twisted_eps, Twist};
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -144,7 +139,7 @@ impl RareChannel {
 }
 
 /// Seed salt separating the flip-draw RNG stream from the data stream —
-/// the same constant [`crate::montecarlo::word_error_rate_traced`] uses,
+/// the same constant [`crate::montecarlo::word_error_rate`] uses,
 /// which is what lets zero-twist importance sampling reproduce the plain
 /// estimator byte for byte.
 pub(crate) const FLIP_SEED_SALT: u64 = 0x5EED;

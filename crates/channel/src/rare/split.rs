@@ -35,7 +35,6 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use socbus_codes::Scheme;
 use socbus_exec::{run_shards, shard_seed};
-use socbus_telemetry::Telemetry;
 
 /// The level schedule and effort of one splitting run.
 #[derive(Clone, Debug, PartialEq)]
@@ -337,32 +336,6 @@ pub fn split_word_error_parallel(
     root_seed: u64,
     threads: usize,
 ) -> SplitEstimate {
-    split_word_error_parallel_traced(
-        scheme,
-        k,
-        channel,
-        config,
-        root_seed,
-        threads,
-        &Telemetry::off(),
-    )
-}
-
-/// [`split_word_error_parallel`] with merge-time `mc.rare.split.*`
-/// telemetry: one `mc.rare.split.replica` event plus trial/failure
-/// counter increments per replica in replica order, and final rate/CI
-/// gauges — thread-count invariant, like every traced estimator here.
-#[must_use]
-#[allow(clippy::too_many_arguments)]
-pub fn split_word_error_parallel_traced(
-    scheme: Scheme,
-    k: usize,
-    channel: RareChannel,
-    config: &SplitConfig,
-    root_seed: u64,
-    threads: usize,
-    tel: &Telemetry,
-) -> SplitEstimate {
     let shards: Vec<u64> = (0..config.replicas)
         .map(|r| shard_seed(root_seed, r))
         .collect();
@@ -393,22 +366,6 @@ pub fn split_word_error_parallel_traced(
             failures,
         }
     });
-    if tel.is_enabled() {
-        let scheme_name = scheme.name();
-        let labels = [("scheme", scheme_name.as_str())];
-        let mut done = 0u64;
-        for replica in &estimates {
-            done += 1;
-            tel.event("mc.rare.split.replica", &labels, done);
-            tel.counter("mc.rare.split.trials", &labels, replica.trials);
-            tel.counter("mc.rare.split.failures", &labels, replica.failures);
-        }
-        let merged = SplitEstimate::merged(estimates.iter().copied());
-        if merged.replicas > 0 {
-            tel.gauge("mc.rare.split.rate", &labels, merged.rate());
-            tel.gauge("mc.rare.split.ci95", &labels, merged.confidence95());
-        }
-    }
     SplitEstimate::merged(estimates)
 }
 

@@ -30,12 +30,11 @@
 //! suite pins that down.
 
 use super::{RareChannel, TrialStream, FLIP_SEED_SALT};
-use crate::montecarlo::{mc_shards, WeightedTally, MC_PROGRESS_CHUNK};
+use crate::montecarlo::{mc_shards, WeightedTally};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use socbus_codes::{Scheme, BLOCK_WORDS};
 use socbus_exec::run_shards;
-use socbus_telemetry::Telemetry;
 
 /// The sampling-measure tilt of one importance-sampled run.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -97,7 +96,6 @@ fn boosted_occupancy(q: f64, boost: f64) -> f64 {
 /// the burst occupancy `occupancy` fixed by the caller (the *whole-run*
 /// average — every shard of one run must target the same marginal or the
 /// sharded estimate would depend on the decomposition).
-#[allow(clippy::too_many_arguments)]
 fn is_shard(
     scheme: Scheme,
     k: usize,
@@ -106,17 +104,11 @@ fn is_shard(
     occupancy: f64,
     trials: u64,
     seed: u64,
-    tel: &Telemetry,
 ) -> WeightedTally {
     let mut stream = TrialStream::new(scheme, k, seed);
     let mut flip_rng = StdRng::seed_from_u64(seed ^ FLIP_SEED_SALT);
     let wires = stream.wires();
     let mut tally = WeightedTally::zero();
-    let scheme_name = if tel.is_enabled() {
-        scheme.name()
-    } else {
-        String::new()
-    };
     // Per-state twisted parameters are trial-invariant: precompute the
     // (ε, ε_θ, flip-ratio, keep-ratio) tuple per reachable state.
     let params = |eps: f64| -> (f64, f64, f64) {
@@ -148,8 +140,7 @@ fn is_shard(
     // draws happen first (the flip RNG is a separate stream from the data
     // RNG, so its per-stream order is unchanged), then one batch
     // encode/decode, then the tally records per trial in original order —
-    // the float sums and telemetry stay byte-identical to the per-trial
-    // loop.
+    // the float sums stay byte-identical to the per-trial loop.
     let mut patterns: Vec<u128> = Vec::with_capacity(BLOCK_WORDS);
     let mut weights: Vec<f64> = Vec::with_capacity(BLOCK_WORDS);
     let mut done = 0u64;
@@ -188,19 +179,8 @@ fn is_shard(
         let fail_mask = stream.fails_with_patterns(&patterns);
         for (j, &w) in weights.iter().enumerate() {
             tally.record(w, fail_mask >> j & 1 == 1);
-            done += 1;
-            if tel.is_enabled() && (done.is_multiple_of(MC_PROGRESS_CHUNK) || done == trials) {
-                let labels = [("scheme", scheme_name.as_str())];
-                tel.event("mc.rare.progress", &labels, done);
-                tel.gauge("mc.rare.rate", &labels, tally.rate());
-            }
         }
-    }
-    if tel.is_enabled() && trials > 0 {
-        let labels = [("scheme", scheme_name.as_str())];
-        tel.counter("mc.rare.trials", &labels, tally.trials);
-        tel.counter("mc.rare.failures", &labels, tally.failures);
-        tel.gauge("mc.rare.mean_weight", &labels, tally.mean_weight());
+        done += n as u64;
     }
     tally
 }
@@ -220,34 +200,8 @@ pub fn is_word_error(
     trials: u64,
     seed: u64,
 ) -> WeightedTally {
-    is_word_error_traced(scheme, k, channel, twist, trials, seed, &Telemetry::off())
-}
-
-/// [`is_word_error`] with `mc.rare.*` telemetry: an `mc.rare.progress`
-/// event and `mc.rare.rate` gauge every [`MC_PROGRESS_CHUNK`] trials,
-/// plus final `mc.rare.trials`/`mc.rare.failures` counters and the
-/// `mc.rare.mean_weight` self-normalization gauge.
-#[must_use]
-#[allow(clippy::too_many_arguments)]
-pub fn is_word_error_traced(
-    scheme: Scheme,
-    k: usize,
-    channel: RareChannel,
-    twist: Twist,
-    trials: u64,
-    seed: u64,
-    tel: &Telemetry,
-) -> WeightedTally {
-    is_shard(
-        scheme,
-        k,
-        channel,
-        twist,
-        channel.occupancy(trials),
-        trials,
-        seed,
-        tel,
-    )
+    let occupancy = channel.occupancy(trials);
+    is_shard(scheme, k, channel, twist, occupancy, trials, seed)
 }
 
 /// [`is_word_error`] on the deterministic parallel engine: the run is
@@ -265,53 +219,16 @@ pub fn is_word_error_parallel(
     root_seed: u64,
     threads: usize,
 ) -> WeightedTally {
-    is_word_error_parallel_traced(
-        scheme,
-        k,
-        channel,
-        twist,
-        trials,
-        root_seed,
-        threads,
-        &Telemetry::off(),
-    )
-}
-
-/// [`is_word_error_parallel`] with merge-time telemetry: shards run
-/// untraced, and one `mc.rare.progress` event plus
-/// `mc.rare.trials`/`mc.rare.failures` counter increments are emitted
-/// **per shard, at merge time, in shard order**; the final
-/// `mc.rare.rate`, `mc.rare.ci95`, and `mc.rare.mean_weight` gauges are
-/// set once — recording and estimate are thread-count invariant.
-#[must_use]
-#[allow(clippy::too_many_arguments)]
-pub fn is_word_error_parallel_traced(
-    scheme: Scheme,
-    k: usize,
-    channel: RareChannel,
-    twist: Twist,
-    trials: u64,
-    root_seed: u64,
-    threads: usize,
-    tel: &Telemetry,
-) -> WeightedTally {
+    let occupancy = channel.occupancy(trials);
     is_parallel_occ(
-        scheme,
-        k,
-        channel,
-        twist,
-        channel.occupancy(trials),
-        trials,
-        root_seed,
-        threads,
-        tel,
+        scheme, k, channel, twist, occupancy, trials, root_seed, threads,
     )
 }
 
-/// The occupancy-pinned core of [`is_word_error_parallel_traced`]:
-/// callers that merge *multiple* parallel runs into one estimate (the
-/// adaptive driver's geometric batches) must pin one burst occupancy
-/// across every batch or the merged estimate would mix targets.
+/// The occupancy-pinned core of [`is_word_error_parallel`]: callers
+/// that merge *multiple* parallel runs into one estimate (the adaptive
+/// driver's geometric batches) must pin one burst occupancy across
+/// every batch or the merged estimate would mix targets.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn is_parallel_occ(
     scheme: Scheme,
@@ -322,39 +239,11 @@ pub(crate) fn is_parallel_occ(
     trials: u64,
     root_seed: u64,
     threads: usize,
-    tel: &Telemetry,
 ) -> WeightedTally {
     let shards = mc_shards(trials, root_seed);
-    let tallies = run_shards(threads, &shards, |_, &(shard_trials, seed)| {
-        is_shard(
-            scheme,
-            k,
-            channel,
-            twist,
-            occupancy,
-            shard_trials,
-            seed,
-            &Telemetry::off(),
-        )
-    });
-    if tel.is_enabled() {
-        let scheme_name = scheme.name();
-        let labels = [("scheme", scheme_name.as_str())];
-        let mut done = 0u64;
-        for shard in &tallies {
-            done += shard.trials;
-            tel.event("mc.rare.progress", &labels, done);
-            tel.counter("mc.rare.trials", &labels, shard.trials);
-            tel.counter("mc.rare.failures", &labels, shard.failures);
-        }
-        let merged = WeightedTally::merged(tallies.iter().copied());
-        if merged.trials > 0 {
-            tel.gauge("mc.rare.rate", &labels, merged.rate());
-            tel.gauge("mc.rare.ci95", &labels, merged.confidence95());
-            tel.gauge("mc.rare.mean_weight", &labels, merged.mean_weight());
-        }
-    }
-    WeightedTally::merged(tallies)
+    WeightedTally::merged(run_shards(threads, &shards, |_, &(shard_trials, seed)| {
+        is_shard(scheme, k, channel, twist, occupancy, shard_trials, seed)
+    }))
 }
 
 #[cfg(test)]

@@ -22,9 +22,8 @@
 use proptest::prelude::*;
 use socbus_channel::montecarlo::{word_error_rate, word_error_rate_parallel};
 use socbus_channel::rare::{
-    certify, failure_profile, is_word_error, is_word_error_parallel, is_word_error_parallel_traced,
-    oracle_catalog, plan, split_word_error, split_word_error_parallel,
-    split_word_error_parallel_traced, Method, RareChannel, SplitConfig, Twist,
+    certify, failure_profile, is_word_error, is_word_error_parallel, oracle_catalog, plan,
+    split_word_error, split_word_error_parallel, Method, RareChannel, SplitConfig, Twist,
 };
 use socbus_codes::Scheme;
 use socbus_exec::shard_seed;
@@ -55,6 +54,7 @@ fn oracle_cross_check_importance_sampling_covers_exact() {
                 400_000,
                 1000 + i as u64,
                 2,
+                &Telemetry::off(),
             );
             assert!(
                 cert.rate > 0.0,
@@ -242,59 +242,36 @@ fn estimators_are_thread_count_invariant_untraced() {
     let sp1 = split_word_error_parallel(Scheme::Dap, 8, ch, &config, 3, 1);
     let sp8 = split_word_error_parallel(Scheme::Dap, 8, ch, &config, 3, 8);
     assert_eq!(sp1, sp8, "splitting diverged across thread counts");
-    let c1 = certify(Scheme::Hamming, 8, ch, 0.3, 300_000, 3, 1);
-    let c8 = certify(Scheme::Hamming, 8, ch, 0.3, 300_000, 3, 8);
+    let off = Telemetry::off();
+    let c1 = certify(Scheme::Hamming, 8, ch, 0.3, 300_000, 3, 1, &off);
+    let c8 = certify(Scheme::Hamming, 8, ch, 0.3, 300_000, 3, 8, &off);
     assert_eq!(c1, c8, "certify diverged across thread counts");
 }
 
-/// ISSUE 9 satellite (determinism, traced): the traced estimators emit
-/// merge-time telemetry in shard order, so the *entire recording* —
-/// exported JSONL, byte for byte — is thread-count invariant too.
+/// Determinism (traced): `certify` records its batches from the merge
+/// path in batch order, so the *entire recording* — exported JSONL,
+/// byte for byte — is thread-count invariant too.
 #[test]
 fn estimators_are_thread_count_invariant_traced() {
-    let run_is = |threads: usize| {
-        let rec = Rc::new(Recorder::new());
-        let tel = Telemetry::from_recorder(&rec);
-        let tally = is_word_error_parallel_traced(
-            Scheme::Dap,
-            8,
-            RareChannel::Iid { eps: 1e-3 },
-            Twist::theta(3.0),
-            150_000,
-            7,
-            threads,
-            &tel,
+    let ch = RareChannel::Iid { eps: 1e-3 };
+    for scheme in [Scheme::Hamming, Scheme::Dap] {
+        let run = |threads: usize| {
+            let rec = Rc::new(Recorder::new());
+            let tel = Telemetry::from_recorder(&rec);
+            let cert = certify(scheme, 8, ch, 0.3, 300_000, 7, threads, &tel);
+            drop(tel);
+            (cert, rec.export_jsonl())
+        };
+        let (c1, j1) = run(1);
+        let (c8, j8) = run(8);
+        assert_eq!(c1, c8);
+        assert_eq!(
+            j1, j8,
+            "{scheme:?}: certify telemetry diverged across thread counts"
         );
-        (tally, rec.export_jsonl())
-    };
-    let (t1, j1) = run_is(1);
-    let (t8, j8) = run_is(8);
-    assert_eq!(t1, t8);
-    assert_eq!(j1, j8, "traced IS telemetry diverged across thread counts");
-    assert!(j1.contains("mc.rare.progress"), "rare telemetry missing");
-    let run_split = |threads: usize| {
-        let rec = Rc::new(Recorder::new());
-        let tel = Telemetry::from_recorder(&rec);
-        let config = SplitConfig::for_scheme(Scheme::Dap, 8, 2_048, 8);
-        let est = split_word_error_parallel_traced(
-            Scheme::Dap,
-            8,
-            RareChannel::Iid { eps: 1e-3 },
-            &config,
-            7,
-            threads,
-            &tel,
-        );
-        (est, rec.export_jsonl())
-    };
-    let (s1, k1) = run_split(1);
-    let (s8, k8) = run_split(8);
-    assert_eq!(s1, s8);
-    assert_eq!(
-        k1, k8,
-        "traced split telemetry diverged across thread counts"
-    );
-    assert!(k1.contains("mc.rare.split.replica"));
+        assert!(j1.contains("mc.rare.certify.batch"), "batch events missing");
+        assert!(j1.contains("mc.rare.ci95"), "final gauges missing");
+    }
 }
 
 proptest! {

@@ -2,13 +2,18 @@
 //!
 //! ```text
 //! chaos case <scheme> <family> <seed> [words] [hops]
-//!     Run one randomized chaos case. On violation: shrink it and write
-//!     a reproducer under results/repro/, then exit nonzero.
+//!     Run one randomized chaos case (a bad argument or a hop count
+//!     outside 1..=1024 exits 2). On violation: shrink it, write a
+//!     reproducer under results/repro/ and replay it as `chaos replay`
+//!     does, then exit nonzero.
 //! chaos replay <file>
 //!     Re-run a reproducer file; exit 0 iff the recorded violation
 //!     reproduces (byte-identical canonical form is re-checked first).
 //!     Accepts both path (`socbus-chaos-repro v1`) and mesh
-//!     (`socbus-mesh-repro v1`) files, dispatched on the header.
+//!     (`socbus-mesh-repro v1`) files, dispatched on the header. Writes
+//!     `<file>.trace.json` (and, for a mesh, `<file>.health.json`). The
+//!     campaigns below end the same way on a violation: their first
+//!     violating cell is shrunk, written and replayed.
 //! chaos run [--smoke] [--threads N] [--trace-out <path>]
 //!           [--health-out <path>] [out]
 //!     Run the whole soak campaign on the deterministic parallel engine
@@ -37,23 +42,21 @@
 //! without spawning processes.
 
 use std::path::Path;
-use std::rc::Rc;
 
 use socbus_codes::Scheme;
 use socbus_noc::link::{DegradationAction, DegradationPolicy, PromotePolicy, Protocol};
 use socbus_noc::{ControlPolicy, OperatingPoint};
-use socbus_telemetry::{HealthAggregator, HealthConfig, HealthReport, Recorder, Telemetry};
 
-use crate::monitor::Violation;
-use crate::replay::Repro;
-use crate::runner::{run_case, run_case_with, CaseConfig};
+use crate::harness::{replay, tail, Harness, REPRO_DIR};
+use crate::runner::{run_case, CaseConfig};
 use crate::schedule::{FaultSchedule, ScheduleFamily, ScheduleParams};
-use crate::shrink::shrink;
 
 /// Default words per CLI-driven case.
 pub const DEFAULT_WORDS: u64 = 2_000;
 /// Default hops per CLI-driven case.
 pub const DEFAULT_HOPS: usize = 3;
+/// Default seed where a command makes it optional (`trace`).
+const DEFAULT_SEED: u64 = 7;
 /// Default data bits per word.
 pub const DEFAULT_DATA_BITS: usize = 16;
 /// Baseline i.i.d. ε under the schedule.
@@ -203,60 +206,62 @@ pub fn build_control_case(
     cfg
 }
 
-/// Shrinks a violating case and writes the reproducer file. Returns the
-/// path written.
+/// Parses `<scheme> <family> [seed] [words] [hops]` — the arguments of
+/// `chaos case` and `trace` — into a case checked as a repro file's is
+/// ([`Harness::check`]): a missing seed is 7 (only `trace` may omit
+/// it), missing words and hops are [`DEFAULT_WORDS`] and
+/// [`DEFAULT_HOPS`].
 ///
 /// # Errors
 ///
-/// Returns a message if shrinking fails to reproduce or the file cannot
-/// be written.
-pub fn write_repro(
-    cfg: &CaseConfig,
-    violation: &Violation,
-    dir: &Path,
-) -> Result<std::path::PathBuf, String> {
-    let report = shrink(cfg, violation.key(), SHRINK_BUDGET)
-        .ok_or_else(|| format!("case {} does not reproduce {violation:?}", cfg.name))?;
-    let repro = Repro::new(report.case, &report.violation);
-    std::fs::create_dir_all(dir).map_err(|e| format!("create {}: {e}", dir.display()))?;
-    let file = dir.join(format!(
-        "{}.txt",
-        cfg.name.replace(['/', '(', ')', '+'], "_")
-    ));
-    std::fs::write(&file, repro.serialize())
-        .map_err(|e| format!("write {}: {e}", file.display()))?;
-    Ok(file)
-}
-
-/// Replays a reproducer file: parses it, re-checks the canonical form,
-/// re-runs the case, and reports whether the recorded violation fired.
-///
-/// # Errors
-///
-/// Returns a message on parse failure; `Ok(None)` means the case ran but
-/// the violation did *not* reproduce.
-pub fn replay_text(text: &str) -> Result<Option<Violation>, String> {
-    replay_text_with(text, Telemetry::off())
-}
-
-/// [`replay_text`] with a telemetry handle wired through the replayed
-/// case (the `chaos replay` command uses this to produce a Perfetto
-/// trace of every reproducer).
-///
-/// # Errors
-///
-/// Returns a message on parse failure; `Ok(None)` means the case ran but
-/// the violation did *not* reproduce.
-pub fn replay_text_with(text: &str, tel: Telemetry) -> Result<Option<Violation>, String> {
-    let repro = Repro::parse(text)?;
-    if repro.serialize() != text {
-        return Err("file is not in canonical form (was it hand-edited?)".into());
+/// Returns a message naming the first argument that does not parse, or
+/// the check's message (a hop count outside `1..=1024`).
+pub fn parse_case(args: &[&str]) -> Result<CaseConfig, String> {
+    fn num<T: std::str::FromStr>(arg: Option<&&str>, what: &str, default: T) -> Result<T, String> {
+        arg.map_or(Ok(default), |s| {
+            s.parse().map_err(|_| format!("bad {what} {s:?}"))
+        })
     }
-    let key = (repro.expect.kind, repro.expect.hop);
-    Ok(run_case_with(&repro.case, tel)
-        .violations
-        .into_iter()
-        .find(|v| v.key() == key))
+    let name = args.first().copied().unwrap_or_default();
+    let scheme = Scheme::from_name(name).ok_or_else(|| format!("unknown scheme {name:?}"))?;
+    let name = args.get(1).copied().unwrap_or_default();
+    let family =
+        ScheduleFamily::from_name(name).ok_or_else(|| format!("unknown family {name:?}"))?;
+    let seed = num(args.get(2), "seed", DEFAULT_SEED)?;
+    let words = num(args.get(3), "words", DEFAULT_WORDS)?;
+    let hops = num(args.get(4), "hops", DEFAULT_HOPS)?;
+    let case = build_case(scheme, family, seed, words, hops);
+    case.check()?;
+    Ok(case)
+}
+
+/// `chaos case`: runs one case and, on a violation, shrinks it, writes
+/// the reproducer and replays it (the tail every chaos command shares).
+fn case_main(args: &[&str]) -> i32 {
+    let cfg = match parse_case(args) {
+        Ok(cfg) => cfg,
+        Err(e) => {
+            eprintln!("chaos: {e}");
+            return 2;
+        }
+    };
+    let out = run_case(&cfg);
+    println!(
+        "{}: {} words, worst latency {}/{} cycles, e2e residual {}, {} violation(s)",
+        cfg.name,
+        out.report.offered,
+        out.worst_word_cycles,
+        out.budget_cycles,
+        out.report.end_to_end_errors,
+        out.violations.len()
+    );
+    match out.violations.first() {
+        Some(v) => {
+            tail("chaos case", &cfg, v, Path::new(REPRO_DIR));
+            1
+        }
+        None => 0,
+    }
 }
 
 /// The `chaos` binary's entry point. Returns the process exit code.
@@ -266,127 +271,9 @@ pub fn main_with_args(args: &[String]) -> i32 {
         [cmd, rest @ ..] if cmd == "run" => crate::campaign::campaign_main(rest),
         [cmd, rest @ ..] if cmd == "control" => crate::campaign::control_main(rest),
         [cmd, rest @ ..] if cmd == "mesh" => crate::mesh::mesh_main(rest),
-        [cmd, file] if cmd == "replay" => {
-            let text = match std::fs::read_to_string(file) {
-                Ok(t) => t,
-                Err(e) => {
-                    eprintln!("chaos: cannot read {file}: {e}");
-                    return 2;
-                }
-            };
-            let recorder = Rc::new(Recorder::new());
-            let tel = Telemetry::from_recorder(&recorder);
-            // Mesh reproducers replay through the same subcommand,
-            // dispatched on the header line.
-            let mesh = text.starts_with("socbus-mesh-repro");
-            let outcome = if mesh {
-                crate::mesh::replay_mesh_text_with(&text, tel).map(|found| {
-                    found.map(|v| {
-                        let at = v.link.map_or_else(|| "e2e".into(), |l| l.to_string());
-                        format!(
-                            "{} at link {at} cycle {} — {}",
-                            v.kind.name(),
-                            v.cycle,
-                            v.detail
-                        )
-                    })
-                })
-            } else {
-                replay_text_with(&text, tel).map(|found| {
-                    found.map(|v| {
-                        let at = v.hop.map_or_else(|| "e2e".into(), |h| h.to_string());
-                        format!(
-                            "{} at hop {at} word {} — {}",
-                            v.kind.name(),
-                            v.word,
-                            v.detail
-                        )
-                    })
-                })
-            };
-            if outcome.is_ok() {
-                // Every successfully parsed reproducer gets a Perfetto
-                // trace next to it, reproduced or not — the trace of a
-                // non-reproducing run is exactly what shows the fix. A
-                // mesh replay also gets its health pass: an incident
-                // report next to the repro, its counter tracks in the
-                // trace.
-                let mut health = HealthReport::new();
-                if mesh {
-                    health.push_scope(HealthAggregator::scope_from_recorder(
-                        file,
-                        &HealthConfig::default(),
-                        &recorder,
-                    ));
-                    let health_path = format!("{file}.health.json");
-                    match std::fs::write(&health_path, health.serialize()) {
-                        Ok(()) => eprintln!("incident report written to {health_path}"),
-                        Err(e) => eprintln!("chaos: cannot write {health_path}: {e}"),
-                    }
-                }
-                let trace_path = format!("{file}.trace.json");
-                let trace = recorder.export_chrome_trace_with_counters(&health.counter_samples());
-                match std::fs::write(&trace_path, trace) {
-                    Ok(()) => eprintln!("trace written to {trace_path} (load in ui.perfetto.dev)"),
-                    Err(e) => eprintln!("chaos: cannot write {trace_path}: {e}"),
-                }
-            }
-            match outcome {
-                Ok(Some(found)) => {
-                    println!("reproduced: {found}");
-                    0
-                }
-                Ok(None) => {
-                    println!("did NOT reproduce (the bug may be fixed)");
-                    1
-                }
-                Err(e) => {
-                    eprintln!("chaos: {e}");
-                    2
-                }
-            }
-        }
+        [cmd, file] if cmd == "replay" => replay(file),
         [cmd, rest @ ..] if cmd == "case" && (3..=5).contains(&rest.len()) => {
-            let Some(scheme) = Scheme::from_name(&rest[0]) else {
-                eprintln!("chaos: unknown scheme {:?}", rest[0]);
-                return 2;
-            };
-            let Some(family) = ScheduleFamily::from_name(&rest[1]) else {
-                eprintln!("chaos: unknown family {:?}", rest[1]);
-                return 2;
-            };
-            let Ok(seed) = rest[2].parse::<u64>() else {
-                eprintln!("chaos: bad seed {:?}", rest[2]);
-                return 2;
-            };
-            let words = rest
-                .get(3)
-                .and_then(|w| w.parse().ok())
-                .unwrap_or(DEFAULT_WORDS);
-            let hops = rest
-                .get(4)
-                .and_then(|h| h.parse().ok())
-                .unwrap_or(DEFAULT_HOPS);
-            let cfg = build_case(scheme, family, seed, words, hops);
-            let out = run_case(&cfg);
-            println!(
-                "{}: {} words, worst latency {}/{} cycles, e2e residual {}, {} violation(s)",
-                cfg.name,
-                out.report.offered,
-                out.worst_word_cycles,
-                out.budget_cycles,
-                out.report.end_to_end_errors,
-                out.violations.len()
-            );
-            if let Some(v) = out.violations.first() {
-                eprintln!("violation: {}", v.detail);
-                match write_repro(&cfg, v, Path::new("results/repro")) {
-                    Ok(file) => eprintln!("reproducer written to {}", file.display()),
-                    Err(e) => eprintln!("chaos: shrink failed: {e}"),
-                }
-                return 1;
-            }
-            0
+            case_main(&rest.iter().map(String::as_str).collect::<Vec<_>>())
         }
         _ => {
             eprintln!(

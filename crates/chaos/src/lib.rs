@@ -39,15 +39,17 @@
 //! * **mesh-silent-corruption** — the per-link guarantee scoping of
 //!   the path rule.
 //!
-//! Module map: [`schedule`] (the event grammar and random families),
-//! [`runner`] (schedule interpreter over [`socbus_noc::PathSim`]),
-//! [`monitor`] (the invariants), [`shrink`] (ddmin + word truncation),
-//! [`replay`] (the `socbus-chaos-repro v1` file format), [`mesh`] (the
-//! mesh campaign: families, invariants, `socbus-mesh-repro v1`),
-//! [`campaign`] (the soak and controller campaigns), [`ctx`] (the run
-//! context, sharded driver and command line every sharded workload —
-//! these campaigns and the mesh, DVS and reliability benches — runs on),
-//! [`cli`] (the `chaos` binary's entry point).
+//! Module map: [`harness`] (the [`Harness`] trait both case types
+//! implement, and what is written once over it: campaign grid, run, JSON
+//! and command, repro file skeleton, shrink oracle, repro writer and
+//! `chaos replay`, which is every command's on-violation tail); the path
+//! harness in [`schedule`] (event grammar, random families), [`runner`]
+//! (interpreter over [`socbus_noc::PathSim`]), [`monitor`] (invariants),
+//! `shrink` (ddmin + word truncation), [`replay`] (its repro fields and
+//! the grammar both formats share) and [`campaign`] (soak and controller
+//! campaigns); the mesh harness in [`mesh`]; [`ctx`] (the run context,
+//! sharded driver and command line every sharded workload runs on); and
+//! [`cli`] (the `chaos` binary and the case parser `trace` shares).
 //!
 //! The harness self-test is [`socbus_codes::SabotagedHamming`] (scheme
 //! name `Sabotaged`): a decoder that deliberately mis-corrects while
@@ -70,28 +72,25 @@
 pub mod campaign;
 pub mod cli;
 pub mod ctx;
+pub mod harness;
 pub mod mesh;
 pub mod monitor;
 pub mod replay;
 pub mod runner;
 pub mod schedule;
-pub mod shrink;
+mod shrink;
 
 pub use campaign::{
-    campaign_cells, control_cells, control_smoke_cells, run_campaign, FULL_WORDS, HOPS, SMOKE_WORDS,
+    campaign_cells, control_cells, control_smoke_cells, FULL_WORDS, HOPS, SMOKE_WORDS,
 };
-pub use cli::{
-    build_case, build_control_case, control_policy_for, main_with_args, protocol_for, write_repro,
-};
+pub use cli::{build_case, build_control_case, control_policy_for, main_with_args, protocol_for};
 pub use ctx::{run_cells, Observe, Run, RunArgs, RunCtx};
+pub use harness::{run_grid, write_repro, AnyRepro, ExpectedViolation, Harness, Repro};
 pub use mesh::{
-    build_mesh_case, mesh_cells, mesh_smoke_cells, mesh_topology, replay_mesh_text,
-    run_mesh_campaign, run_mesh_case, run_mesh_case_with, shrink_mesh, write_mesh_repro,
+    build_mesh_case, mesh_cells, mesh_smoke_cells, mesh_topology, ExpectedMeshViolation,
     MeshCaseConfig, MeshCaseOutcome, MeshFamily, MeshInvariant, MeshMonitor, MeshRepro,
     MeshSchedule, MeshViolation,
 };
-pub use monitor::{InvariantKind, InvariantStats, Monitor, Violation};
-pub use replay::{ExpectedViolation, Repro};
-pub use runner::{reproduces, run_case, run_case_with, CaseConfig, CaseOutcome};
+pub use monitor::{Invariant, InvariantKind, InvariantStats, Monitor, Violation};
+pub use runner::{run_case, run_case_with, CaseConfig, CaseOutcome};
 pub use schedule::{FaultSchedule, ScheduleAction, ScheduleEvent, ScheduleFamily, ScheduleParams};
-pub use shrink::{shrink, ShrinkReport};

@@ -33,7 +33,6 @@
 
 use std::collections::{BTreeSet, HashMap};
 use std::fmt::Write as _;
-use std::path::Path;
 use std::rc::Rc;
 
 use rand::rngs::StdRng;
@@ -44,19 +43,20 @@ use socbus_noc::link::{LinkConfig, Protocol};
 use socbus_noc::mesh::{
     CycleReport, EndToEnd, MeshConfig, MeshPattern, MeshReport, MeshSim, PacketKey,
 };
-use socbus_telemetry::{
-    HealthAggregator, HealthConfig, HealthReport, Recorder, ScopeReport, Telemetry,
-};
+use socbus_telemetry::{HealthAggregator, HealthConfig, Recorder, ScopeReport, Telemetry};
 
-use crate::campaign::push_invariants;
-use crate::cli::{protocol_for, DEFAULT_DATA_BITS, SHRINK_BUDGET};
-use crate::ctx::{num, push_rows, run_cells, Run, RunArgs, RunCtx};
-use crate::monitor::InvariantStats;
-use crate::replay::{
-    check_data_bits, check_prob, check_spec, kv, parse_f64, parse_num, parse_protocol, parse_spec,
-    spec_str,
+use crate::cli::{protocol_for, DEFAULT_DATA_BITS};
+use crate::ctx::{num, Probe};
+use crate::harness::{
+    campaign, first_violation, grid, need, render, smoke_grid, write_head, write_link, write_seeds,
+    ExpectedViolation, Harness, Repro, Shared,
 };
-use crate::runner::activation_seed;
+use crate::monitor::{Invariant, InvariantStats, Violation};
+use crate::replay::{
+    check_data_bits, check_prob, check_spec, kv, parse_activate, parse_f64, parse_num, spec_str,
+};
+use crate::runner::activate;
+use crate::schedule::{window, FaultWindow, WindowKind};
 
 /// Mesh side length of a campaign cell.
 pub const MESH_WIDTH: usize = 3;
@@ -179,144 +179,6 @@ impl MeshFamily {
             MeshFamily::MixedMesh => "mixed_mesh",
         }
     }
-
-    /// Inverse of [`MeshFamily::name`].
-    #[must_use]
-    pub fn from_name(name: &str) -> Option<MeshFamily> {
-        MeshFamily::all().into_iter().find(|f| f.name() == name)
-    }
-}
-
-/// A window `[at, at + len)` inside the injection phase, with room left
-/// so the aftermath of a deactivation is still observed.
-fn mesh_window(cycles: u64, rng: &mut StdRng) -> (u64, u64) {
-    let cycles = cycles.max(4);
-    let at = rng.gen_range(0..cycles * 3 / 4);
-    let len = rng.gen_range(cycles / 20 + 1..=cycles / 4 + 1);
-    (at, len)
-}
-
-fn push_link_bursts(
-    events: &mut Vec<MeshEvent>,
-    next_id: &mut u32,
-    params: &MeshScheduleParams,
-    rng: &mut StdRng,
-    max_n: usize,
-) {
-    let n = rng.gen_range(1..=max_n);
-    for _ in 0..n {
-        let (at, len) = mesh_window(params.cycles, rng);
-        let id = *next_id;
-        *next_id += 1;
-        events.push(MeshEvent {
-            at_cycle: at,
-            action: MeshAction::Activate {
-                id,
-                link: rng.gen_range(0..params.links),
-                spec: FaultSpec::Burst {
-                    eps_good: rng.gen_range(0.0..2e-3),
-                    eps_bad: rng.gen_range(0.02..0.3),
-                    p_enter: rng.gen_range(0.01..0.2),
-                    p_exit: rng.gen_range(0.05..0.5),
-                },
-            },
-        });
-        events.push(MeshEvent {
-            at_cycle: at + len,
-            action: MeshAction::Deactivate { id },
-        });
-    }
-}
-
-fn push_link_droops(
-    events: &mut Vec<MeshEvent>,
-    next_id: &mut u32,
-    params: &MeshScheduleParams,
-    rng: &mut StdRng,
-    max_n: usize,
-) {
-    let n = rng.gen_range(1..=max_n);
-    for _ in 0..n {
-        let (at, len) = mesh_window(params.cycles, rng);
-        let id = *next_id;
-        *next_id += 1;
-        events.push(MeshEvent {
-            at_cycle: at,
-            action: MeshAction::Activate {
-                id,
-                link: rng.gen_range(0..params.links),
-                spec: FaultSpec::Droop {
-                    eps: rng.gen_range(1e-4..2e-3),
-                    scale: rng.gen_range(30.0..300.0),
-                    start: rng.gen_range(0..8u64),
-                    duration: rng.gen_range(20..200u64),
-                },
-            },
-        });
-        events.push(MeshEvent {
-            at_cycle: at + len,
-            action: MeshAction::Deactivate { id },
-        });
-    }
-}
-
-fn push_link_hard_windows(
-    events: &mut Vec<MeshEvent>,
-    next_id: &mut u32,
-    params: &MeshScheduleParams,
-    rng: &mut StdRng,
-    max_n: usize,
-) {
-    let n = rng.gen_range(1..=max_n);
-    for _ in 0..n {
-        let (at, len) = mesh_window(params.cycles, rng);
-        let id = *next_id;
-        *next_id += 1;
-        let spec = if rng.gen_bool(0.5) {
-            FaultSpec::StuckAt {
-                wire: rng.gen_range(0..params.wires),
-                value: rng.gen_bool(0.5),
-            }
-        } else {
-            FaultSpec::Bridge {
-                wire: rng.gen_range(0..params.wires.saturating_sub(1).max(1)),
-                mode: if rng.gen_bool(0.5) {
-                    socbus_channel::BridgeMode::And
-                } else {
-                    socbus_channel::BridgeMode::Or
-                },
-            }
-        };
-        events.push(MeshEvent {
-            at_cycle: at,
-            action: MeshAction::Activate {
-                id,
-                link: rng.gen_range(0..params.links),
-                spec,
-            },
-        });
-        events.push(MeshEvent {
-            at_cycle: at + len,
-            action: MeshAction::Deactivate { id },
-        });
-    }
-}
-
-fn push_link_down_window(
-    events: &mut Vec<MeshEvent>,
-    params: &MeshScheduleParams,
-    rng: &mut StdRng,
-) {
-    let (at, len) = mesh_window(params.cycles, rng);
-    let link = rng.gen_range(0..params.links);
-    events.push(MeshEvent {
-        at_cycle: at,
-        action: MeshAction::LinkDown { link },
-    });
-    events.push(MeshEvent {
-        at_cycle: at + len,
-        action: MeshAction::LinkUp { link },
-    });
 }
 
 impl MeshSchedule {
@@ -327,16 +189,25 @@ impl MeshSchedule {
         let mut rng = StdRng::seed_from_u64(seed);
         let mut events = Vec::new();
         let mut next_id = 0u32;
+        let mut push = |rng: &mut StdRng, kind, max_n| {
+            for w in FaultWindow::draw(rng, kind, max_n, params.cycles, params.links, params.wires)
+            {
+                let (id, link, spec) = (next_id, w.target, w.spec);
+                next_id += 1;
+                events.push(MeshEvent {
+                    at_cycle: w.at,
+                    action: MeshAction::Activate { id, link, spec },
+                });
+                events.push(MeshEvent {
+                    at_cycle: w.at + w.len,
+                    action: MeshAction::Deactivate { id },
+                });
+            }
+        };
         match family {
-            MeshFamily::LinkBursts => {
-                push_link_bursts(&mut events, &mut next_id, params, &mut rng, 3);
-            }
-            MeshFamily::DroopStorm => {
-                push_link_droops(&mut events, &mut next_id, params, &mut rng, 3);
-            }
-            MeshFamily::HardWindow => {
-                push_link_hard_windows(&mut events, &mut next_id, params, &mut rng, 2);
-            }
+            MeshFamily::LinkBursts => push(&mut rng, WindowKind::Burst, 3),
+            MeshFamily::DroopStorm => push(&mut rng, WindowKind::Droop, 3),
+            MeshFamily::HardWindow => push(&mut rng, WindowKind::Hard, 2),
             MeshFamily::SingleLinkDown => {
                 events.push(MeshEvent {
                     at_cycle: 0,
@@ -346,9 +217,18 @@ impl MeshSchedule {
                 });
             }
             MeshFamily::MixedMesh => {
-                push_link_bursts(&mut events, &mut next_id, params, &mut rng, 1);
-                push_link_hard_windows(&mut events, &mut next_id, params, &mut rng, 1);
-                push_link_down_window(&mut events, params, &mut rng);
+                push(&mut rng, WindowKind::Burst, 1);
+                push(&mut rng, WindowKind::Hard, 1);
+                let (at, len) = window(params.cycles, &mut rng);
+                let link = rng.gen_range(0..params.links);
+                events.push(MeshEvent {
+                    at_cycle: at,
+                    action: MeshAction::LinkDown { link },
+                });
+                events.push(MeshEvent {
+                    at_cycle: at + len,
+                    action: MeshAction::LinkUp { link },
+                });
             }
         }
         let mut schedule = MeshSchedule { events };
@@ -388,22 +268,16 @@ pub enum MeshInvariant {
     HealthConsistent,
 }
 
-impl MeshInvariant {
-    /// All kinds, in reporting order.
-    #[must_use]
-    pub fn all() -> [MeshInvariant; 5] {
-        [
-            MeshInvariant::PacketConservation,
-            MeshInvariant::RerouteDelivers,
-            MeshInvariant::BoundedProgress,
-            MeshInvariant::MeshSilentCorruption,
-            MeshInvariant::HealthConsistent,
-        ]
-    }
+impl Invariant for MeshInvariant {
+    const ALL: [MeshInvariant; 5] = [
+        MeshInvariant::PacketConservation,
+        MeshInvariant::RerouteDelivers,
+        MeshInvariant::BoundedProgress,
+        MeshInvariant::MeshSilentCorruption,
+        MeshInvariant::HealthConsistent,
+    ];
 
-    /// Stable name (used in reports and repro files).
-    #[must_use]
-    pub fn name(self) -> &'static str {
+    fn name(self) -> &'static str {
         match self {
             MeshInvariant::PacketConservation => "packet-conservation",
             MeshInvariant::RerouteDelivers => "reroute-delivers",
@@ -412,36 +286,18 @@ impl MeshInvariant {
             MeshInvariant::HealthConsistent => "health-consistent",
         }
     }
-
-    /// Inverse of [`MeshInvariant::name`].
-    #[must_use]
-    pub fn from_name(name: &str) -> Option<MeshInvariant> {
-        MeshInvariant::all().into_iter().find(|k| k.name() == name)
-    }
 }
 
-/// One observed mesh invariant violation.
-#[derive(Clone, Debug, PartialEq)]
-pub struct MeshViolation {
-    /// Which invariant broke.
-    pub kind: MeshInvariant,
-    /// The link it broke on, or `None` for an end-to-end violation.
-    pub link: Option<usize>,
-    /// The cycle at which it broke (for end-of-run audits, the total
-    /// cycle count).
-    pub cycle: u64,
-    /// Human-readable evidence.
-    pub detail: String,
-}
+/// One observed mesh invariant violation: `site` is the link it broke
+/// on (`None` end to end), `at` the cycle (for end-of-run audits, the
+/// total cycle count).
+pub type MeshViolation = Violation<MeshInvariant>;
 
-impl MeshViolation {
-    /// The identity the shrinker preserves: a shrunken schedule
-    /// reproduces iff it violates the same invariant on the same link.
-    #[must_use]
-    pub fn key(&self) -> (MeshInvariant, Option<usize>) {
-        (self.kind, self.link)
-    }
-}
+/// The violation a mesh repro file promises to reproduce.
+pub type ExpectedMeshViolation = ExpectedViolation<MeshInvariant>;
+
+/// A mesh reproducer: the `socbus-mesh-repro v1` format.
+pub type MeshRepro = Repro<MeshCaseConfig>;
 
 /// Replicates [`MeshSim`]'s directed-link enumeration: node-major, and
 /// East/West/North/South per node (edges only where a neighbour
@@ -568,10 +424,10 @@ impl MeshMonitor {
         ok: bool,
         detail: impl FnOnce() -> String,
     ) {
-        let idx = MeshInvariant::all()
+        let idx = MeshInvariant::ALL
             .iter()
             .position(|k| *k == kind)
-            .expect("kind is in all()");
+            .expect("kind is in ALL");
         self.stats[idx].checked += 1;
         if !ok {
             self.stats[idx].violated += 1;
@@ -581,10 +437,10 @@ impl MeshMonitor {
                 self.tel.counter("monitor.violations", &labels, 1);
                 self.tel.event("monitor.violation", &labels, cycle);
             }
-            self.violations.push(MeshViolation {
+            self.violations.push(Violation {
                 kind,
-                link,
-                cycle,
+                site: link,
+                at: cycle,
                 detail: detail(),
             });
         }
@@ -788,17 +644,17 @@ impl MeshMonitor {
             // been *reported* lost — silence is the violation.
             for key in &flagged {
                 let reported = self.gave_up.contains(key);
-                let idx = MeshInvariant::all()
+                let idx = MeshInvariant::ALL
                     .iter()
                     .position(|k| *k == MeshInvariant::PacketConservation)
-                    .expect("kind is in all()");
+                    .expect("kind is in ALL");
                 self.stats[idx].checked += 1;
                 if !reported {
                     self.stats[idx].violated += 1;
-                    self.violations.push(MeshViolation {
+                    self.violations.push(Violation {
                         kind: MeshInvariant::PacketConservation,
-                        link: None,
-                        cycle,
+                        site: None,
+                        at: cycle,
                         detail: format!("packet {key:?} lost silently (never flagged)"),
                     });
                 }
@@ -836,7 +692,7 @@ impl MeshMonitor {
         if !self.tel.is_enabled() {
             return;
         }
-        for (idx, kind) in MeshInvariant::all().iter().enumerate() {
+        for (idx, kind) in MeshInvariant::ALL.iter().enumerate() {
             let delta = self.stats[idx].checked - self.checks_flushed[idx];
             if delta > 0 {
                 self.tel
@@ -849,10 +705,10 @@ impl MeshMonitor {
     /// Pass/fail tally for one invariant kind.
     #[must_use]
     pub fn stats(&self, kind: MeshInvariant) -> InvariantStats {
-        let idx = MeshInvariant::all()
+        let idx = MeshInvariant::ALL
             .iter()
             .position(|k| *k == kind)
-            .expect("kind is in all()");
+            .expect("kind is in ALL");
         self.stats[idx]
     }
 
@@ -943,31 +799,7 @@ fn apply_mesh_event(
 ) {
     match action {
         MeshAction::Activate { id, link, spec } => {
-            let engine = sim.engine_mut(*link);
-            // A droop window's `start` is relative to activation: pin it
-            // to this link's event clock now (same contract as the path
-            // runner's droop handling).
-            let spec = match *spec {
-                FaultSpec::Droop {
-                    eps,
-                    scale,
-                    start,
-                    duration,
-                } => FaultSpec::Droop {
-                    eps,
-                    scale,
-                    start: engine.injector().cycles().saturating_add(start),
-                    duration,
-                },
-                ref other => other.clone(),
-            };
-            let slot = engine
-                .injector_mut()
-                .push_spec(&spec, activation_seed(sim_seed, *id));
-            let swing = engine.swing();
-            if swing != 1.0 {
-                engine.injector_mut().rescale_swing_slot(slot, swing);
-            }
+            let slot = activate(sim.engine_mut(*link), spec, sim_seed, *id);
             live.insert(*id, (*link, slot));
         }
         MeshAction::Deactivate { id } => {
@@ -985,12 +817,6 @@ fn apply_mesh_event(
             monitor.set_link_down(*link, false);
         }
     }
-}
-
-/// Runs one mesh case untraced.
-#[must_use]
-pub fn run_mesh_case(cfg: &MeshCaseConfig) -> MeshCaseOutcome {
-    run_mesh_case_with(cfg, Telemetry::off())
 }
 
 /// Drives one mesh case to completion and returns the monitor (still
@@ -1038,20 +864,12 @@ fn drive_mesh_case(cfg: &MeshCaseConfig, tel: Telemetry) -> (MeshMonitor, MeshRe
 
 /// Consumes a finished monitor into the case outcome.
 fn finish_outcome(monitor: MeshMonitor, report: MeshReport) -> MeshCaseOutcome {
-    let stats = MeshInvariant::all().map(|k| (k, monitor.stats(k)));
+    let stats = MeshInvariant::ALL.map(|k| (k, monitor.stats(k)));
     MeshCaseOutcome {
         violations: monitor.into_violations(),
         report,
         stats,
     }
-}
-
-/// Runs one mesh case with a telemetry handle wired through both the
-/// simulator (per-link and per-router tracks) and the monitor.
-#[must_use]
-pub fn run_mesh_case_with(cfg: &MeshCaseConfig, tel: Telemetry) -> MeshCaseOutcome {
-    let (monitor, report) = drive_mesh_case(cfg, tel);
-    finish_outcome(monitor, report)
 }
 
 /// Runs one mesh case under a private recorder, folds the recorder's
@@ -1079,383 +897,293 @@ pub fn run_mesh_case_health(
     (outcome, scope, rec)
 }
 
-/// Whether `cfg` produces at least one violation with the given key —
-/// the oracle the shrinker and the replay checker share.
-#[must_use]
-pub fn mesh_reproduces(cfg: &MeshCaseConfig, key: (MeshInvariant, Option<usize>)) -> bool {
-    run_mesh_case(cfg).violations.iter().any(|v| v.key() == key)
-}
-
 // ---------------------------------------------------------------------
 // Shrinking and the repro format
 // ---------------------------------------------------------------------
 
-/// A shrunken mesh case plus the violation it still produces.
-pub struct MeshShrinkReport {
-    /// The reduced case.
-    pub case: MeshCaseConfig,
-    /// The violation it reproduces.
-    pub violation: MeshViolation,
+/// The mesh-only keys of a `socbus-mesh-repro v1` file being parsed.
+#[derive(Default)]
+pub struct MeshDraft {
+    width: Option<usize>,
+    height: Option<usize>,
+    rate: Option<f64>,
+    pattern: Option<MeshPattern>,
+    cycles: Option<u64>,
+    drain_cycles: Option<u64>,
+    e2e: Option<EndToEnd>,
+    auto_down_after: Option<u32>,
+    expect_full_delivery: Option<bool>,
+    events: Vec<MeshEvent>,
 }
 
-fn first_matching(
-    cfg: &MeshCaseConfig,
-    key: (MeshInvariant, Option<usize>),
-) -> Option<MeshViolation> {
-    run_mesh_case(cfg)
-        .violations
-        .into_iter()
-        .find(|v| v.key() == key)
-}
+/// The mesh harness: `socbus-mesh-repro v1` files, link-indexed
+/// violations at cycles, health folded into every campaign cell (and
+/// every replay) and cross-checked against the ledger.
+impl Harness for MeshCaseConfig {
+    type Invariant = MeshInvariant;
+    type Outcome = MeshCaseOutcome;
+    type Draft = MeshDraft;
+    const HEADER: &'static str = "socbus-mesh-repro v1";
+    const SITE: &'static str = "link";
+    const TIME: &'static str = "cycle";
+    const HEALTH: bool = true;
 
-/// Greedy delta-debugging over the schedule and the run length: drop
-/// events one at a time, then halve the injection cycles (discarding
-/// events past the new horizon), re-checking the violation key after
-/// every candidate. `budget` bounds the number of candidate re-runs.
-#[must_use]
-pub fn shrink_mesh(
-    cfg: &MeshCaseConfig,
-    key: (MeshInvariant, Option<usize>),
-    budget: usize,
-) -> Option<MeshShrinkReport> {
-    let spent = std::cell::Cell::new(0usize);
-    let run = |candidate: &MeshCaseConfig| -> Option<MeshViolation> {
-        spent.set(spent.get() + 1);
-        first_matching(candidate, key)
-    };
-    let mut violation = run(cfg)?;
-    let mut best = cfg.clone();
-    // Pass 1: drop events. On success stay at the same index (the next
-    // event shifted into it).
-    let mut i = 0;
-    while i < best.schedule.events.len() && spent.get() < budget {
-        let mut candidate = best.clone();
-        candidate.schedule.events.remove(i);
-        if let Some(v) = run(&candidate) {
-            best = candidate;
-            violation = v;
-        } else {
-            i += 1;
-        }
-    }
-    // Pass 2: halve the injection phase while the violation survives.
-    while best.cycles > 25 && spent.get() < budget {
-        let mut candidate = best.clone();
-        candidate.cycles = (candidate.cycles / 2).max(25);
-        candidate
-            .schedule
-            .events
-            .retain(|e| e.at_cycle < candidate.cycles);
-        if candidate == best {
-            break;
-        }
-        if let Some(v) = run(&candidate) {
-            best = candidate;
-            violation = v;
-        } else {
-            break;
-        }
-    }
-    Some(MeshShrinkReport {
-        case: best,
-        violation,
-    })
-}
-
-/// The violation a mesh repro file promises to reproduce.
-#[derive(Clone, Debug, PartialEq)]
-pub struct ExpectedMeshViolation {
-    /// Invariant that must break.
-    pub kind: MeshInvariant,
-    /// Link it must break on (`None` = end-to-end, rendered `e2e`).
-    pub link: Option<usize>,
-    /// Cycle it broke at in the original run (informational; replay
-    /// matches on `(kind, link)` only).
-    pub cycle: u64,
-}
-
-/// A parsed (or to-be-written) mesh reproducer: the
-/// `socbus-mesh-repro v1` format, byte-canonical like the path format
-/// (`serialize(parse(text)) == text`).
-#[derive(Clone, Debug, PartialEq)]
-pub struct MeshRepro {
-    /// The case to re-run.
-    pub case: MeshCaseConfig,
-    /// The violation it must produce.
-    pub expect: ExpectedMeshViolation,
-}
-
-const MESH_HEADER: &str = "socbus-mesh-repro v1";
-
-impl MeshRepro {
-    /// Bundles a shrunken case with its violation.
-    #[must_use]
-    pub fn new(case: MeshCaseConfig, violation: &MeshViolation) -> MeshRepro {
-        MeshRepro {
-            case,
-            expect: ExpectedMeshViolation {
-                kind: violation.kind,
-                link: violation.link,
-                cycle: violation.cycle,
-            },
-        }
+    fn name(&self) -> &str {
+        &self.name
     }
 
-    /// Renders the canonical file text.
-    #[must_use]
-    pub fn serialize(&self) -> String {
-        let c = &self.case;
-        let mut out = String::new();
-        let _ = writeln!(out, "{MESH_HEADER}");
-        let _ = writeln!(out, "name {}", c.name);
-        let _ = writeln!(out, "scheme {}", c.scheme.name());
-        let _ = writeln!(out, "data_bits {}", c.data_bits);
-        let _ = writeln!(out, "width {}", c.width);
-        let _ = writeln!(out, "height {}", c.height);
-        let _ = writeln!(out, "eps {:?}", c.eps);
-        match c.protocol {
-            Protocol::Fec => {
-                let _ = writeln!(out, "protocol fec");
-            }
-            Protocol::DetectRetransmit {
-                rtt_cycles,
-                max_retries,
-            } => {
-                let _ = writeln!(
-                    out,
-                    "protocol detect-retransmit rtt={rtt_cycles} max_retries={max_retries}"
-                );
-            }
-            Protocol::ArqBackoff {
-                timeout_cycles,
-                backoff_base,
-                backoff_cap,
-                max_retries,
-            } => {
-                let _ = writeln!(
-                    out,
-                    "protocol arq-backoff timeout={timeout_cycles} base={backoff_base} \
-                     cap={backoff_cap} max_retries={max_retries}"
-                );
+    /// Wires `tel` through the simulator (per-link and per-router
+    /// tracks) and the monitor.
+    fn run(&self, tel: Telemetry) -> MeshCaseOutcome {
+        let (monitor, report) = drive_mesh_case(self, tel);
+        finish_outcome(monitor, report)
+    }
+
+    /// When health runs, the scope folds after the drive's final flush
+    /// and is cross-checked against the monitor's ledger (the
+    /// **health-consistent** invariant) before the monitor flushes
+    /// again, as [`run_mesh_case_health`] does.
+    fn run_cell(&self, probe: &mut Probe) -> MeshCaseOutcome {
+        let (mut monitor, report) = drive_mesh_case(self, probe.open(&self.name));
+        if let Some(scope) = probe.fold() {
+            monitor.check_health_agreement(scope);
+            monitor.flush_telemetry();
+        }
+        finish_outcome(monitor, report)
+    }
+
+    /// Greedy delta-debugging over the schedule and the run length: drop
+    /// events one at a time, then halve the injection cycles (discarding
+    /// events past the new horizon), re-checking the violation key after
+    /// every candidate.
+    fn shrink(
+        &self,
+        key: (MeshInvariant, Option<usize>),
+        budget: usize,
+    ) -> Option<(Self, MeshViolation)> {
+        let spent = std::cell::Cell::new(0usize);
+        let run = |candidate: &MeshCaseConfig| -> Option<MeshViolation> {
+            spent.set(spent.get() + 1);
+            first_violation(candidate, key, Telemetry::off())
+        };
+        let mut violation = run(self)?;
+        let mut best = self.clone();
+        // Pass 1: drop events. On success stay at the same index (the next
+        // event shifted into it).
+        let mut i = 0;
+        while i < best.schedule.events.len() && spent.get() < budget {
+            let mut candidate = best.clone();
+            candidate.schedule.events.remove(i);
+            if let Some(v) = run(&candidate) {
+                best = candidate;
+                violation = v;
+            } else {
+                i += 1;
             }
         }
-        let _ = writeln!(out, "rate {:?}", c.rate);
-        match c.pattern {
-            MeshPattern::Uniform => {
-                let _ = writeln!(out, "pattern uniform");
+        // Pass 2: halve the injection phase while the violation survives.
+        while best.cycles > 25 && spent.get() < budget {
+            let mut candidate = best.clone();
+            candidate.cycles = (candidate.cycles / 2).max(25);
+            candidate
+                .schedule
+                .events
+                .retain(|e| e.at_cycle < candidate.cycles);
+            if candidate == best {
+                break;
             }
+            if let Some(v) = run(&candidate) {
+                best = candidate;
+                violation = v;
+            } else {
+                break;
+            }
+        }
+        Some((best, violation))
+    }
+
+    fn violations(out: &MeshCaseOutcome) -> &[MeshViolation] {
+        &out.violations
+    }
+
+    fn stats(out: &MeshCaseOutcome) -> &[(MeshInvariant, InvariantStats)] {
+        &out.stats
+    }
+
+    fn summary(name: &str, out: &MeshCaseOutcome, scope: Option<&ScopeReport>) -> String {
+        let r = &out.report;
+        format!(
+            "{name:<26} injected {:>4}  delivered {:>4}  lost {:>2}  retx {:>4}  \
+             incidents {}  violations {}",
+            r.injected,
+            r.delivered,
+            r.flagged_lost,
+            r.e2e_retransmits,
+            scope.map_or(0, |s| s.incidents.len()),
+            out.violations.len()
+        )
+    }
+
+    fn json_row(out: &MeshCaseOutcome, json: &mut String) {
+        let r = &out.report;
+        let _ = write!(
+            json,
+            "\"injected\": {}, \"delivered\": {}, \"flagged_lost\": {}, \"duplicates\": {}, \
+             \"e2e_retransmits\": {}, \"dropped_poisoned\": {}, \"links_down\": {}, \
+             \"throughput\": {}, \"p50_latency\": {}, \"p99_latency\": {}",
+            r.injected,
+            r.delivered,
+            r.flagged_lost,
+            r.duplicates,
+            r.e2e_retransmits,
+            r.dropped_poisoned,
+            r.links_down,
+            num(r.throughput()),
+            r.latency_quantile(0.5),
+            r.latency_quantile(0.99)
+        );
+    }
+
+    fn write_fields(&self, out: &mut String) {
+        write_head(out, &self.name, self.scheme, self.data_bits);
+        let _ = writeln!(out, "width {}\nheight {}", self.width, self.height);
+        write_link(out, self.eps, self.protocol);
+        let _ = writeln!(out, "rate {:?}", self.rate);
+        let _ = match self.pattern {
+            MeshPattern::Uniform => writeln!(out, "pattern uniform"),
             MeshPattern::Hotspot { node, fraction } => {
-                let _ = writeln!(out, "pattern hotspot node={node} fraction={fraction:?}");
+                writeln!(out, "pattern hotspot node={node} fraction={fraction:?}")
             }
-            MeshPattern::Transpose => {
-                let _ = writeln!(out, "pattern transpose");
-            }
-        }
-        let _ = writeln!(out, "cycles {}", c.cycles);
-        let _ = writeln!(out, "drain_cycles {}", c.drain_cycles);
+            MeshPattern::Transpose => writeln!(out, "pattern transpose"),
+        };
+        let _ = writeln!(out, "cycles {}", self.cycles);
+        let _ = writeln!(out, "drain_cycles {}", self.drain_cycles);
+        let e = &self.e2e;
         let _ = writeln!(
             out,
             "e2e timeout={} base={} cap={} max_retries={} ack_latency={}",
-            c.e2e.timeout,
-            c.e2e.backoff_base,
-            c.e2e.backoff_cap,
-            c.e2e.max_retries,
-            c.e2e.ack_latency
+            e.timeout, e.backoff_base, e.backoff_cap, e.max_retries, e.ack_latency
         );
-        if let Some(n) = c.auto_down_after {
+        if let Some(n) = self.auto_down_after {
             let _ = writeln!(out, "auto_down {n}");
         }
-        let _ = writeln!(
-            out,
-            "expect_full_delivery {}",
-            u8::from(c.expect_full_delivery)
-        );
-        let _ = writeln!(out, "traffic_seed {}", c.traffic_seed);
-        let _ = writeln!(out, "sim_seed {}", c.sim_seed);
-        for e in &c.schedule.events {
+        let full = u8::from(self.expect_full_delivery);
+        let _ = writeln!(out, "expect_full_delivery {full}");
+        write_seeds(out, self.traffic_seed, self.sim_seed);
+        for e in &self.schedule.events {
             let _ = write!(out, "event at={} ", e.at_cycle);
-            match &e.action {
+            let _ = match &e.action {
                 MeshAction::Activate { id, link, spec } => {
-                    let _ = writeln!(out, "activate id={id} link={link} spec={}", spec_str(spec));
+                    writeln!(out, "activate id={id} link={link} spec={}", spec_str(spec))
                 }
-                MeshAction::Deactivate { id } => {
-                    let _ = writeln!(out, "deactivate id={id}");
-                }
-                MeshAction::LinkDown { link } => {
-                    let _ = writeln!(out, "link-down link={link}");
-                }
-                MeshAction::LinkUp { link } => {
-                    let _ = writeln!(out, "link-up link={link}");
-                }
-            }
+                MeshAction::Deactivate { id } => writeln!(out, "deactivate id={id}"),
+                MeshAction::LinkDown { link } => writeln!(out, "link-down link={link}"),
+                MeshAction::LinkUp { link } => writeln!(out, "link-up link={link}"),
+            };
         }
-        let _ = writeln!(
-            out,
-            "expect invariant={} link={} cycle={}",
-            self.expect.kind.name(),
-            self.expect
-                .link
-                .map_or_else(|| "e2e".to_owned(), |l| l.to_string()),
-            self.expect.cycle
-        );
-        out
     }
 
-    /// Parses a mesh repro file.
-    ///
-    /// # Errors
-    ///
-    /// Returns a line-tagged message on any malformed or missing field.
-    pub fn parse(text: &str) -> Result<MeshRepro, String> {
-        let mut lines = text.lines().enumerate();
-        let (_, first) = lines.next().ok_or("empty repro file")?;
-        if first != MESH_HEADER {
-            return Err(format!("bad header {first:?}; expected {MESH_HEADER:?}"));
+    fn parse_field(draft: &mut MeshDraft, key: &str, rest: &str) -> Result<(), String> {
+        match key {
+            "width" => draft.width = Some(parse_num(rest)?),
+            "height" => draft.height = Some(parse_num(rest)?),
+            "rate" => draft.rate = Some(parse_f64(rest)?),
+            "pattern" => draft.pattern = Some(parse_pattern(rest)?),
+            "cycles" => draft.cycles = Some(parse_num(rest)?),
+            "drain_cycles" => draft.drain_cycles = Some(parse_num(rest)?),
+            "e2e" => {
+                let mut toks = rest.split_whitespace();
+                draft.e2e = Some(EndToEnd {
+                    timeout: kv(toks.next(), "timeout").and_then(parse_num)?,
+                    backoff_base: kv(toks.next(), "base").and_then(parse_num)?,
+                    backoff_cap: kv(toks.next(), "cap").and_then(parse_num)?,
+                    max_retries: kv(toks.next(), "max_retries").and_then(parse_num)?,
+                    ack_latency: kv(toks.next(), "ack_latency").and_then(parse_num)?,
+                });
+            }
+            "auto_down" => draft.auto_down_after = Some(parse_num(rest)?),
+            "expect_full_delivery" => {
+                draft.expect_full_delivery = Some(match rest {
+                    "0" => false,
+                    "1" => true,
+                    other => return Err(format!("bad expect_full_delivery {other:?}")),
+                });
+            }
+            "event" => draft.events.push(parse_mesh_event(rest)?),
+            other => return Err(format!("unknown key {other:?}")),
         }
-        let mut name = None;
-        let mut scheme = None;
-        let mut data_bits = None;
-        let mut width = None;
-        let mut height = None;
-        let mut eps = None;
-        let mut protocol = None;
-        let mut rate = None;
-        let mut pattern = None;
-        let mut cycles = None;
-        let mut drain_cycles = None;
-        let mut e2e = None;
-        let mut auto_down_after = None;
-        let mut expect_full_delivery = None;
-        let mut traffic_seed = None;
-        let mut sim_seed = None;
-        let mut events = Vec::new();
-        let mut expect = None;
-        for (lineno, line) in lines {
-            let at = |msg: String| format!("line {}: {msg}", lineno + 1);
-            let (key, rest) = line
-                .split_once(' ')
-                .ok_or_else(|| at(format!("malformed line {line:?}")))?;
-            match key {
-                "name" => name = Some(rest.to_owned()),
-                "scheme" => {
-                    scheme = Some(
-                        Scheme::from_name(rest)
-                            .ok_or_else(|| at(format!("unknown scheme {rest:?}")))?,
-                    );
+        Ok(())
+    }
+
+    fn assemble(shared: Shared, draft: MeshDraft) -> Result<Self, String> {
+        Ok(MeshCaseConfig {
+            name: need(shared.name, "name")?,
+            scheme: need(shared.scheme, "scheme")?,
+            data_bits: need(shared.data_bits, "data_bits")?,
+            width: need(draft.width, "width")?,
+            height: need(draft.height, "height")?,
+            eps: need(shared.eps, "eps")?,
+            protocol: need(shared.protocol, "protocol")?,
+            rate: need(draft.rate, "rate")?,
+            pattern: need(draft.pattern, "pattern")?,
+            cycles: need(draft.cycles, "cycles")?,
+            drain_cycles: need(draft.drain_cycles, "drain_cycles")?,
+            e2e: need(draft.e2e, "e2e")?,
+            auto_down_after: draft.auto_down_after,
+            expect_full_delivery: need(draft.expect_full_delivery, "expect_full_delivery")?,
+            traffic_seed: need(shared.traffic_seed, "traffic_seed")?,
+            sim_seed: need(shared.sim_seed, "sim_seed")?,
+            schedule: MeshSchedule {
+                events: draft.events,
+            },
+        })
+    }
+
+    /// Rejects a parsed mesh case the simulator would assert on: a data
+    /// width outside 1..=128, a mesh smaller than 2×2 (or past
+    /// `MAX_MESH_NODES`), a probability that is not one, a hotspot node
+    /// off the mesh, or an event naming a link the mesh lacks.
+    fn check(&self) -> Result<(), String> {
+        check_data_bits(self.data_bits)?;
+        let nodes = self.width.saturating_mul(self.height);
+        if self.width < 2 || self.height < 2 || nodes > MAX_MESH_NODES {
+            return Err(format!(
+                "mesh {}x{} must be at least 2x2 and at most {MAX_MESH_NODES} nodes",
+                self.width, self.height
+            ));
+        }
+        check_prob("eps", self.eps)?;
+        check_prob("rate", self.rate)?;
+        if let MeshPattern::Hotspot { node, fraction } = self.pattern {
+            if node >= nodes {
+                return Err(format!("hotspot node {node} of a {nodes}-node mesh"));
+            }
+            check_prob("hotspot fraction", fraction)?;
+        }
+        let links = mesh_topology(self.width, self.height).len();
+        for e in &self.schedule.events {
+            let link = match &e.action {
+                MeshAction::Activate { link, spec, .. } => {
+                    check_spec(spec)?;
+                    *link
                 }
-                "data_bits" => data_bits = Some(parse_num(rest).map_err(&at)?),
-                "width" => width = Some(parse_num(rest).map_err(&at)?),
-                "height" => height = Some(parse_num(rest).map_err(&at)?),
-                "eps" => eps = Some(parse_f64(rest).map_err(&at)?),
-                "protocol" => protocol = Some(parse_protocol(rest).map_err(&at)?),
-                "rate" => rate = Some(parse_f64(rest).map_err(&at)?),
-                "pattern" => pattern = Some(parse_pattern(rest).map_err(&at)?),
-                "cycles" => cycles = Some(parse_num(rest).map_err(&at)?),
-                "drain_cycles" => drain_cycles = Some(parse_num(rest).map_err(&at)?),
-                "e2e" => {
-                    let mut toks = rest.split_whitespace();
-                    e2e = Some(EndToEnd {
-                        timeout: kv(toks.next(), "timeout")
-                            .and_then(parse_num)
-                            .map_err(&at)?,
-                        backoff_base: kv(toks.next(), "base").and_then(parse_num).map_err(&at)?,
-                        backoff_cap: kv(toks.next(), "cap").and_then(parse_num).map_err(&at)?,
-                        max_retries: kv(toks.next(), "max_retries")
-                            .and_then(parse_num)
-                            .map_err(&at)?,
-                        ack_latency: kv(toks.next(), "ack_latency")
-                            .and_then(parse_num)
-                            .map_err(&at)?,
-                    });
-                }
-                "auto_down" => auto_down_after = Some(parse_num(rest).map_err(&at)?),
-                "expect_full_delivery" => {
-                    expect_full_delivery = Some(match rest {
-                        "0" => false,
-                        "1" => true,
-                        other => return Err(at(format!("bad expect_full_delivery {other:?}"))),
-                    });
-                }
-                "traffic_seed" => traffic_seed = Some(parse_num(rest).map_err(&at)?),
-                "sim_seed" => sim_seed = Some(parse_num(rest).map_err(&at)?),
-                "event" => events.push(parse_mesh_event(rest).map_err(&at)?),
-                "expect" => expect = Some(parse_mesh_expect(rest).map_err(&at)?),
-                other => return Err(at(format!("unknown key {other:?}"))),
+                MeshAction::LinkDown { link } | MeshAction::LinkUp { link } => *link,
+                MeshAction::Deactivate { .. } => continue,
+            };
+            if link >= links {
+                return Err(format!(
+                    "event at={} names link {link} of a {links}-link mesh",
+                    e.at_cycle
+                ));
             }
         }
-        let missing = |what: &str| format!("missing {what}");
-        let repro = MeshRepro {
-            case: MeshCaseConfig {
-                name: name.ok_or_else(|| missing("name"))?,
-                scheme: scheme.ok_or_else(|| missing("scheme"))?,
-                data_bits: data_bits.ok_or_else(|| missing("data_bits"))?,
-                width: width.ok_or_else(|| missing("width"))?,
-                height: height.ok_or_else(|| missing("height"))?,
-                eps: eps.ok_or_else(|| missing("eps"))?,
-                protocol: protocol.ok_or_else(|| missing("protocol"))?,
-                rate: rate.ok_or_else(|| missing("rate"))?,
-                pattern: pattern.ok_or_else(|| missing("pattern"))?,
-                cycles: cycles.ok_or_else(|| missing("cycles"))?,
-                drain_cycles: drain_cycles.ok_or_else(|| missing("drain_cycles"))?,
-                e2e: e2e.ok_or_else(|| missing("e2e"))?,
-                auto_down_after,
-                expect_full_delivery: expect_full_delivery
-                    .ok_or_else(|| missing("expect_full_delivery"))?,
-                traffic_seed: traffic_seed.ok_or_else(|| missing("traffic_seed"))?,
-                sim_seed: sim_seed.ok_or_else(|| missing("sim_seed"))?,
-                schedule: MeshSchedule { events },
-            },
-            expect: expect.ok_or_else(|| missing("expect"))?,
-        };
-        check_mesh_case(&repro.case)?;
-        Ok(repro)
+        Ok(())
     }
 }
 
 /// The most mesh nodes a repro file may ask for: far past any mesh the
 /// campaigns run, small enough that building the mesh allocates little.
 const MAX_MESH_NODES: usize = 1 << 12;
-
-/// Rejects a parsed mesh case the simulator would assert on: a data
-/// width outside 1..=128, a mesh smaller than 2×2 (or past
-/// [`MAX_MESH_NODES`]), a probability that is not one, a hotspot node
-/// off the mesh, or an event naming a link the mesh lacks.
-fn check_mesh_case(c: &MeshCaseConfig) -> Result<(), String> {
-    check_data_bits(c.data_bits)?;
-    let nodes = c.width.saturating_mul(c.height);
-    if c.width < 2 || c.height < 2 || nodes > MAX_MESH_NODES {
-        return Err(format!(
-            "mesh {}x{} must be at least 2x2 and at most {MAX_MESH_NODES} nodes",
-            c.width, c.height
-        ));
-    }
-    check_prob("eps", c.eps)?;
-    check_prob("rate", c.rate)?;
-    if let MeshPattern::Hotspot { node, fraction } = c.pattern {
-        if node >= nodes {
-            return Err(format!("hotspot node {node} of a {nodes}-node mesh"));
-        }
-        check_prob("hotspot fraction", fraction)?;
-    }
-    let links = mesh_topology(c.width, c.height).len();
-    for e in &c.schedule.events {
-        let link = match &e.action {
-            MeshAction::Activate { link, spec, .. } => {
-                check_spec(spec)?;
-                *link
-            }
-            MeshAction::LinkDown { link } | MeshAction::LinkUp { link } => *link,
-            MeshAction::Deactivate { .. } => continue,
-        };
-        if link >= links {
-            return Err(format!(
-                "event at={} names link {link} of a {links}-link mesh",
-                e.at_cycle
-            ));
-        }
-    }
-    Ok(())
-}
 
 fn parse_pattern(rest: &str) -> Result<MeshPattern, String> {
     let mut toks = rest.split_whitespace();
@@ -1475,16 +1203,8 @@ fn parse_mesh_event(rest: &str) -> Result<MeshEvent, String> {
     let at_cycle = kv(toks.next(), "at").and_then(parse_num)?;
     let action = match toks.next() {
         Some("activate") => {
-            let id = kv(toks.next(), "id").and_then(parse_num)?;
-            let link = kv(toks.next(), "link").and_then(parse_num)?;
-            let spec_tag = kv(toks.next(), "spec")?;
-            let joined = format!("{spec_tag} {}", toks.collect::<Vec<_>>().join(" "));
-            let mut spec_toks = joined.split_whitespace();
-            MeshAction::Activate {
-                id,
-                link,
-                spec: parse_spec(&mut spec_toks)?,
-            }
+            let (id, link, spec) = parse_activate(toks, "link")?;
+            MeshAction::Activate { id, link, spec }
         }
         Some("deactivate") => MeshAction::Deactivate {
             id: kv(toks.next(), "id").and_then(parse_num)?,
@@ -1500,77 +1220,6 @@ fn parse_mesh_event(rest: &str) -> Result<MeshEvent, String> {
     Ok(MeshEvent { at_cycle, action })
 }
 
-fn parse_mesh_expect(rest: &str) -> Result<ExpectedMeshViolation, String> {
-    let mut toks = rest.split_whitespace();
-    let kind_name = kv(toks.next(), "invariant")?;
-    let kind = MeshInvariant::from_name(&kind_name)
-        .ok_or_else(|| format!("unknown invariant {kind_name:?}"))?;
-    let link_str = kv(toks.next(), "link")?;
-    let link = if link_str == "e2e" {
-        None
-    } else {
-        Some(parse_num(&link_str)?)
-    };
-    let cycle = kv(toks.next(), "cycle").and_then(parse_num)?;
-    Ok(ExpectedMeshViolation { kind, link, cycle })
-}
-
-/// Shrinks a violating mesh case and writes the reproducer file.
-/// Returns the path written.
-///
-/// # Errors
-///
-/// Returns a message if shrinking fails to reproduce or the file cannot
-/// be written.
-pub fn write_mesh_repro(
-    cfg: &MeshCaseConfig,
-    violation: &MeshViolation,
-    dir: &Path,
-) -> Result<std::path::PathBuf, String> {
-    let report = shrink_mesh(cfg, violation.key(), SHRINK_BUDGET)
-        .ok_or_else(|| format!("case {} does not reproduce {violation:?}", cfg.name))?;
-    let repro = MeshRepro::new(report.case, &report.violation);
-    std::fs::create_dir_all(dir).map_err(|e| format!("create {}: {e}", dir.display()))?;
-    let file = dir.join(format!(
-        "{}.txt",
-        cfg.name.replace(['/', '(', ')', '+'], "_")
-    ));
-    std::fs::write(&file, repro.serialize())
-        .map_err(|e| format!("write {}: {e}", file.display()))?;
-    Ok(file)
-}
-
-/// Replays a mesh reproducer file: parses it, re-checks the canonical
-/// form, re-runs the case, and reports whether the recorded violation
-/// fired.
-///
-/// # Errors
-///
-/// Returns a message on parse failure; `Ok(None)` means the case ran
-/// but the violation did *not* reproduce.
-pub fn replay_mesh_text(text: &str) -> Result<Option<MeshViolation>, String> {
-    replay_mesh_text_with(text, Telemetry::off())
-}
-
-/// [`replay_mesh_text`] with a telemetry handle wired through the
-/// replayed case.
-///
-/// # Errors
-///
-/// Returns a message on parse failure; `Ok(None)` means the case ran
-/// but the violation did *not* reproduce.
-pub fn replay_mesh_text_with(text: &str, tel: Telemetry) -> Result<Option<MeshViolation>, String> {
-    let repro = MeshRepro::parse(text)?;
-    if repro.serialize() != text {
-        return Err("file is not in canonical form (was it hand-edited?)".into());
-    }
-    let key = (repro.expect.kind, repro.expect.link);
-    Ok(run_mesh_case_with(&repro.case, tel)
-        .violations
-        .into_iter()
-        .find(|v| v.key() == key))
-}
-
 // ---------------------------------------------------------------------
 // The campaign
 // ---------------------------------------------------------------------
@@ -1579,14 +1228,7 @@ pub fn replay_mesh_text_with(text: &str, tel: Telemetry) -> Result<Option<MeshVi
 /// position, seeded deterministically from that position.
 #[must_use]
 pub fn mesh_cells() -> Vec<(Scheme, MeshFamily, u64)> {
-    let mut cells = Vec::new();
-    for (si, scheme) in Scheme::catalog().into_iter().enumerate() {
-        for (fi, family) in MeshFamily::all().into_iter().enumerate() {
-            let seed = (si * MeshFamily::all().len() + fi) as u64 + 1;
-            cells.push((scheme, family, seed));
-        }
-    }
-    cells
+    grid(&Scheme::catalog(), &MeshFamily::all())
 }
 
 /// The `--smoke` subset of [`mesh_cells`]: one cell per fault family
@@ -1594,17 +1236,7 @@ pub fn mesh_cells() -> Vec<(Scheme, MeshFamily, u64)> {
 /// without running the full grid.
 #[must_use]
 pub fn mesh_smoke_cells() -> Vec<(Scheme, MeshFamily, u64)> {
-    let schemes = Scheme::catalog();
-    let families = MeshFamily::all();
-    families
-        .into_iter()
-        .enumerate()
-        .map(|(fi, family)| {
-            let si = fi % schemes.len();
-            let seed = (si * families.len() + fi) as u64 + 1;
-            (schemes[si], family, seed)
-        })
-        .collect()
+    smoke_grid(&Scheme::catalog(), &MeshFamily::all())
 }
 
 /// Assembles the [`MeshCaseConfig`] for one `(scheme, family, seed)`
@@ -1649,81 +1281,12 @@ pub fn build_mesh_case(
     }
 }
 
-/// Runs the mesh campaign over `cells` at `cycles` injection cycles
-/// under `ctx`, one sub-run per cell with its scope named after the
-/// case. When health runs, each scope folds after the drive's final
-/// flush and is cross-checked against the monitor's ledger (the
-/// **health-consistent** invariant) before the monitor flushes again,
-/// as [`run_mesh_case_health`] does.
-#[must_use]
-pub fn run_mesh_campaign(
-    cells: &[(Scheme, MeshFamily, u64)],
-    cycles: u64,
-    ctx: &RunCtx,
-) -> Run<(String, MeshCaseOutcome)> {
-    run_cells(ctx, cells, |&(scheme, family, seed), probe| {
-        let cfg = build_mesh_case(scheme, family, seed, cycles);
-        let (mut monitor, report) = drive_mesh_case(&cfg, probe.open(&cfg.name));
-        if let Some(scope) = probe.fold() {
-            monitor.check_health_agreement(scope);
-            monitor.flush_telemetry();
-        }
-        (cfg.name, finish_outcome(monitor, report))
-    })
-}
-
 /// Renders the mesh campaign JSON.
 #[must_use]
 pub fn render_mesh_json(cycles: u64, outcomes: &[(String, MeshCaseOutcome)]) -> String {
-    let mut json = String::new();
-    json.push_str("{\n");
-    let _ = writeln!(json, "  \"data_bits\": {DEFAULT_DATA_BITS},");
-    let _ = writeln!(json, "  \"mesh\": \"{MESH_WIDTH}x{MESH_HEIGHT}\",");
-    let _ = writeln!(json, "  \"cycles_per_case\": {cycles},");
-    json.push_str("  \"cases\": [\n");
-    push_rows(&mut json, outcomes, |json, (name, out)| {
-        json.push_str("    {");
-        let _ = write!(json, "\"case\": \"{name}\", ");
-        let _ = write!(json, "\"violations\": {}, ", out.violations.len());
-        let _ = write!(json, "\"injected\": {}, ", out.report.injected);
-        let _ = write!(json, "\"delivered\": {}, ", out.report.delivered);
-        let _ = write!(json, "\"flagged_lost\": {}, ", out.report.flagged_lost);
-        let _ = write!(json, "\"duplicates\": {}, ", out.report.duplicates);
-        let _ = write!(
-            json,
-            "\"e2e_retransmits\": {}, ",
-            out.report.e2e_retransmits
-        );
-        let _ = write!(
-            json,
-            "\"dropped_poisoned\": {}, ",
-            out.report.dropped_poisoned
-        );
-        let _ = write!(json, "\"links_down\": {}, ", out.report.links_down);
-        let _ = write!(json, "\"throughput\": {}, ", num(out.report.throughput()));
-        let _ = write!(
-            json,
-            "\"p50_latency\": {}, ",
-            out.report.latency_quantile(0.5)
-        );
-        let _ = write!(
-            json,
-            "\"p99_latency\": {}",
-            out.report.latency_quantile(0.99)
-        );
-        json.push('}');
-    });
-    json.push_str("\n  ],\n");
-    let stats = outcomes.iter().flat_map(|(_, out)| out.stats.iter());
-    push_invariants(
-        &mut json,
-        MeshInvariant::all().map(|k| (k, k.name())),
-        stats,
-    );
-    let violations: usize = outcomes.iter().map(|(_, out)| out.violations.len()).sum();
-    let _ = writeln!(json, "  \"violations\": {violations}");
-    json.push_str("}\n");
-    json
+    let meta =
+        format!("  \"mesh\": \"{MESH_WIDTH}x{MESH_HEIGHT}\",\n  \"cycles_per_case\": {cycles},\n");
+    render::<MeshCaseConfig>(&meta, outcomes, "")
 }
 
 /// The mesh campaign entry point behind `chaos mesh`. Every cell runs
@@ -1734,92 +1297,23 @@ pub fn render_mesh_json(cycles: u64, outcomes: &[(String, MeshCaseOutcome)]) -> 
 /// Returns the process exit code (nonzero iff any invariant violated).
 #[must_use]
 pub fn mesh_main(args: &[String]) -> i32 {
-    let cmd = "chaos mesh";
-    let args = match RunArgs::parse(
-        cmd,
+    campaign(
+        "chaos mesh",
         args,
-        &["--smoke", "--threads", "--trace-out", "--health-out"],
-        "results/BENCH_mesh_chaos.json",
-        Some("results/BENCH_mesh_chaos.health.json"),
-    ) {
-        Ok(args) => args,
-        Err(code) => return code,
-    };
-    let (cells, cycles) = if args.smoke {
-        (mesh_smoke_cells(), SMOKE_MESH_CYCLES)
-    } else {
-        (mesh_cells(), FULL_MESH_CYCLES)
-    };
-    let started = std::time::Instant::now();
-    let run = run_mesh_campaign(&cells, cycles, &args.ctx());
-    let wall = started.elapsed();
-    let health = run.health.as_ref().expect("the mesh campaign folds health");
-    for ((name, out), scope) in run.outcomes.iter().zip(&health.scopes) {
-        eprintln!(
-            "{name:<26} injected {:>4}  delivered {:>4}  lost {:>2}  retx {:>4}  \
-             incidents {}  violations {}",
-            out.report.injected,
-            out.report.delivered,
-            out.report.flagged_lost,
-            out.report.e2e_retransmits,
-            scope.incidents.len(),
-            out.violations.len()
-        );
-    }
-    args.write_run(&render_mesh_json(cycles, &run.outcomes), &run);
-    let violations: usize = run
-        .outcomes
-        .iter()
-        .map(|(_, out)| out.violations.len())
-        .sum();
-    eprintln!(
-        "{cmd}: {} cases x {cycles} cycles on {} thread(s) in {:.2}s -> {} ({violations} violation(s))",
-        run.outcomes.len(),
-        args.threads,
-        wall.as_secs_f64(),
-        args.out
-    );
-    if violations == 0 {
-        return 0;
-    }
-    // Same artifact discipline as the soak campaign: shrink the first
-    // violating cell to a reproducer, then replay it under telemetry so
-    // a Perfetto trace and an incident report of the minimal failure
-    // land next to it.
-    for (&(scheme, family, seed), (name, out)) in cells.iter().zip(&run.outcomes) {
-        if let Some(v) = out.violations.first() {
-            eprintln!("{cmd}: {name} violated: {}", v.detail);
-            let cfg = build_mesh_case(scheme, family, seed, cycles);
-            match write_mesh_repro(&cfg, v, Path::new("results/repro")) {
-                Ok(file) => {
-                    eprintln!("{cmd}: reproducer written to {}", file.display());
-                    let rec = Rc::new(Recorder::new());
-                    let replayed = std::fs::read_to_string(&file).ok().and_then(|text| {
-                        replay_mesh_text_with(&text, Telemetry::from_recorder(&rec)).ok()
-                    });
-                    if replayed.is_some() {
-                        let trace = format!("{}.trace.json", file.display());
-                        std::fs::write(&trace, rec.export_chrome_trace())
-                            .expect("write repro trace");
-                        eprintln!("{cmd}: trace written to {trace}");
-                        let mut repro_health = HealthReport::new();
-                        repro_health.push_scope(HealthAggregator::scope_from_recorder(
-                            name,
-                            &HealthConfig::default(),
-                            &rec,
-                        ));
-                        let health_path = format!("{}.health.json", file.display());
-                        std::fs::write(&health_path, repro_health.serialize())
-                            .expect("write repro incident report");
-                        eprintln!("{cmd}: incident report written to {health_path}");
-                    }
-                }
-                Err(e) => eprintln!("{cmd}: shrink failed: {e}"),
+        (
+            "results/BENCH_mesh_chaos.json",
+            Some("results/BENCH_mesh_chaos.health.json"),
+        ),
+        |smoke| {
+            if smoke {
+                (mesh_smoke_cells(), SMOKE_MESH_CYCLES)
+            } else {
+                (mesh_cells(), FULL_MESH_CYCLES)
             }
-            break;
-        }
-    }
-    1
+        },
+        build_mesh_case,
+        render_mesh_json,
+    )
 }
 
 #[cfg(test)]
@@ -1911,8 +1405,8 @@ mod tests {
     #[test]
     fn mesh_case_runs_are_deterministic() {
         let cfg = quick_case(5);
-        let a = run_mesh_case(&cfg);
-        let b = run_mesh_case(&cfg);
+        let a = cfg.run(Telemetry::off());
+        let b = cfg.run(Telemetry::off());
         assert_eq!(a.report, b.report);
         assert_eq!(a.violations, b.violations);
         assert!(a.report.injected > 0);
@@ -1930,7 +1424,7 @@ mod tests {
                 ack_latency: 2,
             };
             cfg.drain_cycles = 2_000;
-            let out = run_mesh_case(&cfg);
+            let out = cfg.run(Telemetry::off());
             assert_eq!(
                 out.violations,
                 vec![],
@@ -2071,8 +1565,8 @@ mod tests {
             case: cfg,
             expect: ExpectedMeshViolation {
                 kind: MeshInvariant::BoundedProgress,
-                link: Some(3),
-                cycle: 99,
+                site: Some(3),
+                at: 99,
             },
         }
     }
@@ -2091,7 +1585,7 @@ mod tests {
         let mut repro = sample_mesh_repro();
         repro.case.pattern = MeshPattern::Transpose;
         repro.case.auto_down_after = None;
-        repro.expect.link = None;
+        repro.expect.site = None;
         repro.case.schedule = MeshSchedule {
             events: vec![
                 MeshEvent {
@@ -2142,7 +1636,11 @@ mod tests {
         // Hand-edited text that still parses (a trailing override line)
         // is refused by the canonical-form re-check.
         let padded = format!("{full}sim_seed 999\n");
-        assert!(replay_mesh_text(&padded).unwrap_err().contains("canonical"));
+        let parsed = MeshRepro::parse(&padded).expect("the padded text parses");
+        let err = parsed
+            .checked_replay(&padded, Telemetry::off())
+            .unwrap_err();
+        assert!(err.contains("canonical"), "{err}");
     }
 
     /// End-to-end harness self-test: strand node 0 by downing both of
@@ -2191,7 +1689,7 @@ mod tests {
                 ],
             },
         };
-        let out = run_mesh_case(&cfg);
+        let out = cfg.run(Telemetry::off());
         let v = out
             .violations
             .iter()
@@ -2203,17 +1701,18 @@ mod tests {
             out.report.delivered + out.report.flagged_lost,
             "conservation must hold even while reroute-delivers breaks"
         );
-        let shrunk = shrink_mesh(&cfg, v.key(), 60).expect("shrink reproduces");
+        let (case, violation) = cfg.shrink(v.key(), 60).expect("shrink reproduces");
         assert!(
-            shrunk.case.schedule.events.len() == 2,
+            case.schedule.events.len() == 2,
             "neither link-down is droppable: {:?}",
-            shrunk.case.schedule.events
+            case.schedule.events
         );
-        assert!(shrunk.case.cycles <= cfg.cycles);
-        let repro = MeshRepro::new(shrunk.case, &shrunk.violation);
+        assert!(case.cycles <= cfg.cycles);
+        let repro = MeshRepro::new(case, &violation);
         let text = repro.serialize();
-        let replayed = replay_mesh_text(&text).expect("parses");
-        let replayed = replayed.expect("reproduces");
+        let parsed = MeshRepro::parse(&text).expect("parses");
+        let replayed = parsed.checked_replay(&text, Telemetry::off());
+        let replayed = replayed.expect("canonical").expect("reproduces");
         assert_eq!(replayed.kind, MeshInvariant::RerouteDelivers);
     }
 
@@ -2231,7 +1730,7 @@ mod tests {
         };
         cfg.drain_cycles = 1_500;
         assert!(cfg.expect_full_delivery);
-        let out = run_mesh_case(&cfg);
+        let out = cfg.run(Telemetry::off());
         assert_eq!(out.violations, vec![], "{:?}", out.violations.first());
         assert_eq!(out.report.flagged_lost, 0);
         assert_eq!(out.report.delivered, out.report.injected);

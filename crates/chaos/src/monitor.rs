@@ -55,22 +55,31 @@ pub enum InvariantKind {
     ControlSafeState,
 }
 
-impl InvariantKind {
+/// The invariants one harness checks — [`InvariantKind`] on a path,
+/// [`crate::mesh::MeshInvariant`] on a mesh — each with a stable name.
+pub trait Invariant: Copy + PartialEq + std::fmt::Debug + Send + 'static {
     /// All kinds, in reporting order.
-    #[must_use]
-    pub fn all() -> [InvariantKind; 5] {
-        [
-            InvariantKind::SilentCorruption,
-            InvariantKind::Conservation,
-            InvariantKind::LatencyBound,
-            InvariantKind::LadderMonotonic,
-            InvariantKind::ControlSafeState,
-        ]
-    }
+    const ALL: [Self; 5];
 
     /// Stable name (used in reports and repro files).
-    #[must_use]
-    pub fn name(self) -> &'static str {
+    fn name(self) -> &'static str;
+
+    /// Inverse of [`Invariant::name`].
+    fn from_name(name: &str) -> Option<Self> {
+        Self::ALL.into_iter().find(|k| k.name() == name)
+    }
+}
+
+impl Invariant for InvariantKind {
+    const ALL: [InvariantKind; 5] = [
+        InvariantKind::SilentCorruption,
+        InvariantKind::Conservation,
+        InvariantKind::LatencyBound,
+        InvariantKind::LadderMonotonic,
+        InvariantKind::ControlSafeState,
+    ];
+
+    fn name(self) -> &'static str {
         match self {
             InvariantKind::SilentCorruption => "silent-corruption",
             InvariantKind::Conservation => "conservation",
@@ -79,34 +88,30 @@ impl InvariantKind {
             InvariantKind::ControlSafeState => "control-safe-state",
         }
     }
-
-    /// Inverse of [`InvariantKind::name`].
-    #[must_use]
-    pub fn from_name(name: &str) -> Option<InvariantKind> {
-        InvariantKind::all().into_iter().find(|k| k.name() == name)
-    }
 }
 
-/// One observed invariant violation.
+/// One observed invariant violation, on a path (`K` =
+/// [`InvariantKind`]) or a mesh ([`crate::mesh::MeshViolation`]).
 #[derive(Clone, Debug, PartialEq)]
-pub struct Violation {
+pub struct Violation<K = InvariantKind> {
     /// Which invariant broke.
-    pub kind: InvariantKind,
-    /// The hop it broke on, or `None` for a path-level violation.
-    pub hop: Option<usize>,
-    /// The 0-based word index at which it broke (for end-of-run audits,
-    /// the total word count).
-    pub word: u64,
+    pub kind: K,
+    /// The hop (path) or link (mesh) it broke on, or `None` for an
+    /// end-to-end violation.
+    pub site: Option<usize>,
+    /// The 0-based word (path) or cycle (mesh) at which it broke (for
+    /// end-of-run audits, the run's length).
+    pub at: u64,
     /// Human-readable evidence.
     pub detail: String,
 }
 
-impl Violation {
+impl<K: Copy> Violation<K> {
     /// The identity the shrinker preserves: a shrunken schedule
-    /// reproduces iff it violates the same invariant on the same hop.
+    /// reproduces iff it violates the same invariant at the same site.
     #[must_use]
-    pub fn key(&self) -> (InvariantKind, Option<usize>) {
-        (self.kind, self.hop)
+    pub fn key(&self) -> (K, Option<usize>) {
+        (self.kind, self.site)
     }
 }
 
@@ -192,7 +197,7 @@ impl Monitor {
         if !self.tel.is_enabled() {
             return;
         }
-        for (idx, kind) in InvariantKind::all().iter().enumerate() {
+        for (idx, kind) in InvariantKind::ALL.iter().enumerate() {
             let delta = self.stats[idx].checked - self.checks_flushed[idx];
             if delta > 0 {
                 self.tel
@@ -217,10 +222,10 @@ impl Monitor {
     /// Pass/fail tally for one invariant kind.
     #[must_use]
     pub fn stats(&self, kind: InvariantKind) -> InvariantStats {
-        let idx = InvariantKind::all()
+        let idx = InvariantKind::ALL
             .iter()
             .position(|k| *k == kind)
-            .expect("kind is in all()");
+            .expect("kind is in ALL");
         self.stats[idx]
     }
 
@@ -232,10 +237,10 @@ impl Monitor {
         ok: bool,
         detail: impl FnOnce() -> String,
     ) {
-        let idx = InvariantKind::all()
+        let idx = InvariantKind::ALL
             .iter()
             .position(|k| *k == kind)
-            .expect("kind is in all()");
+            .expect("kind is in ALL");
         self.stats[idx].checked += 1;
         if !ok {
             self.stats[idx].violated += 1;
@@ -247,8 +252,8 @@ impl Monitor {
             }
             self.violations.push(Violation {
                 kind,
-                hop,
-                word,
+                site: hop,
+                at: word,
                 detail: detail(),
             });
         }
@@ -670,7 +675,7 @@ mod tests {
 
     #[test]
     fn invariant_names_round_trip() {
-        for kind in InvariantKind::all() {
+        for kind in InvariantKind::ALL {
             assert_eq!(InvariantKind::from_name(kind.name()), Some(kind));
         }
         assert_eq!(InvariantKind::from_name("nope"), None);

@@ -1,12 +1,16 @@
-//! The reproducer file format: `socbus-chaos-repro v1`.
+//! The path harness and its reproducer file format,
+//! `socbus-chaos-repro v1`, plus the value grammar both repro formats
+//! share (`protocol`, `spec=`, `key=value` tokens and field checks).
 //!
 //! A repro file is a line-based, human-readable, fully self-contained
 //! description of one chaos case plus the violation it is expected to
 //! produce. The format round-trips *byte-identically*:
-//! `serialize(parse(text)) == text` for every file this module writes —
+//! `serialize(parse(text)) == text` for every file the harness writes —
 //! floats are rendered with Rust's shortest-roundtrip `{:?}` formatting,
 //! so re-serialization is canonical and replays are reproducible across
-//! runs and machines.
+//! runs and machines. [`crate::harness::Repro`] writes and parses the
+//! skeleton (header, shared keys, `expect`); the [`Harness`] impl for
+//! [`CaseConfig`] here writes and parses the path's own lines.
 //!
 //! ```text
 //! socbus-chaos-repro v1
@@ -35,7 +39,8 @@
 //! grammars, but with mesh geometry, an `e2e` line, link-indexed
 //! events (`link-down link=N`, `link-up link=N`), and mesh invariant
 //! names in the `expect` line. `chaos replay` dispatches on the header
-//! line, so both kinds of file replay through the same subcommand.
+//! line ([`crate::harness::AnyRepro`]), so both kinds of file replay
+//! through the same subcommand.
 
 use std::fmt::Write as _;
 
@@ -43,101 +48,104 @@ use socbus_channel::{BridgeMode, FaultSpec};
 use socbus_codes::Scheme;
 use socbus_noc::link::{DegradationAction, DegradationPolicy, PromotePolicy, Protocol};
 use socbus_noc::{ControlPolicy, OperatingPoint};
+use socbus_telemetry::{ScopeReport, Telemetry};
 
-use crate::monitor::{InvariantKind, Violation};
-use crate::runner::CaseConfig;
+use crate::harness::{need, write_head, write_link, write_seeds, Harness, Shared};
+use crate::monitor::{InvariantKind, InvariantStats, Violation};
+use crate::runner::{run_case_with, CaseConfig, CaseOutcome};
 use crate::schedule::{FaultSchedule, ScheduleAction, ScheduleEvent};
 
-/// The violation a repro file promises to reproduce.
-#[derive(Clone, Debug, PartialEq)]
-pub struct ExpectedViolation {
-    /// Invariant that must break.
-    pub kind: InvariantKind,
-    /// Hop it must break on (`None` = path-level, rendered `e2e`).
-    pub hop: Option<usize>,
-    /// Word index it broke at in the original run (informational; replay
-    /// matches on `(kind, hop)` only, since the index is already minimal
-    /// after shrinking).
-    pub word: u64,
+/// The path-only keys of a `socbus-chaos-repro v1` file being parsed.
+#[derive(Default)]
+pub struct PathDraft {
+    hops: Option<usize>,
+    degradation: Option<DegradationPolicy>,
+    controller: Option<ControlPolicy>,
+    words: Option<u64>,
+    events: Vec<ScheduleEvent>,
 }
 
-/// A parsed (or to-be-written) reproducer.
-#[derive(Clone, Debug, PartialEq)]
-pub struct Repro {
-    /// The case to re-run.
-    pub case: CaseConfig,
-    /// The violation it must produce.
-    pub expect: ExpectedViolation,
-}
+impl Harness for CaseConfig {
+    type Invariant = InvariantKind;
+    type Outcome = CaseOutcome;
+    type Draft = PathDraft;
+    const HEADER: &'static str = "socbus-chaos-repro v1";
+    const SITE: &'static str = "hop";
+    const TIME: &'static str = "word";
+    const HEALTH: bool = false;
 
-const HEADER: &str = "socbus-chaos-repro v1";
-
-impl Repro {
-    /// Bundles a shrunken case with its violation.
-    #[must_use]
-    pub fn new(case: CaseConfig, violation: &Violation) -> Repro {
-        Repro {
-            case,
-            expect: ExpectedViolation {
-                kind: violation.kind,
-                hop: violation.hop,
-                word: violation.word,
-            },
-        }
+    fn name(&self) -> &str {
+        &self.name
     }
 
-    /// Renders the canonical file text.
-    #[must_use]
-    pub fn serialize(&self) -> String {
-        let c = &self.case;
-        let mut out = String::new();
-        let _ = writeln!(out, "{HEADER}");
-        let _ = writeln!(out, "name {}", c.name);
-        let _ = writeln!(out, "scheme {}", c.scheme.name());
-        let _ = writeln!(out, "data_bits {}", c.data_bits);
-        let _ = writeln!(out, "hops {}", c.hops);
-        let _ = writeln!(out, "eps {:?}", c.eps);
-        match c.protocol {
-            Protocol::Fec => {
-                let _ = writeln!(out, "protocol fec");
-            }
-            Protocol::DetectRetransmit {
-                rtt_cycles,
-                max_retries,
-            } => {
-                let _ = writeln!(
-                    out,
-                    "protocol detect-retransmit rtt={rtt_cycles} max_retries={max_retries}"
-                );
-            }
-            Protocol::ArqBackoff {
-                timeout_cycles,
-                backoff_base,
-                backoff_cap,
-                max_retries,
-            } => {
-                let _ = writeln!(
-                    out,
-                    "protocol arq-backoff timeout={timeout_cycles} base={backoff_base} \
-                     cap={backoff_cap} max_retries={max_retries}"
-                );
-            }
-        }
-        if let Some(policy) = &c.degradation {
+    fn run(&self, tel: Telemetry) -> CaseOutcome {
+        run_case_with(self, tel)
+    }
+
+    fn shrink(
+        &self,
+        key: (InvariantKind, Option<usize>),
+        budget: usize,
+    ) -> Option<(Self, Violation)> {
+        crate::shrink::shrink(self, key, budget)
+    }
+
+    fn violations(out: &CaseOutcome) -> &[Violation] {
+        &out.violations
+    }
+
+    fn stats(out: &CaseOutcome) -> &[(InvariantKind, InvariantStats)] {
+        &out.stats
+    }
+
+    fn summary(name: &str, out: &CaseOutcome, _: Option<&ScopeReport>) -> String {
+        let control: usize = out.report.per_hop.iter().map(|h| h.control.len()).sum();
+        format!(
+            "{name:<30} latency {:>3}/{:<3}  e2e {:>4}  control {:>3}  violations {}",
+            out.worst_word_cycles,
+            out.budget_cycles,
+            out.report.end_to_end_errors,
+            control,
+            out.violations.len()
+        )
+    }
+
+    fn json_row(out: &CaseOutcome, json: &mut String) {
+        let per_hop = &out.report.per_hop;
+        let retransmits: u64 = per_hop.iter().map(|h| h.retransmits).sum();
+        let transitions: usize = per_hop.iter().map(|h| h.transitions.len()).sum();
+        let control: usize = per_hop.iter().map(|h| h.control.len()).sum();
+        let _ = write!(
+            json,
+            "\"worst_word_cycles\": {}, \"budget_cycles\": {}, \"e2e_errors\": {}, \
+             \"retransmits\": {retransmits}, \"transitions\": {transitions}, \
+             \"control_transitions\": {control}, \"cycles_per_word\": {}",
+            out.worst_word_cycles,
+            out.budget_cycles,
+            out.report.end_to_end_errors,
+            crate::ctx::num(out.report.cycles_per_word())
+        );
+    }
+
+    fn write_fields(&self, out: &mut String) {
+        write_head(out, &self.name, self.scheme, self.data_bits);
+        let _ = writeln!(out, "hops {}", self.hops);
+        write_link(out, self.eps, self.protocol);
+        if let Some(policy) = &self.degradation {
             let _ = writeln!(
                 out,
                 "degradation window={} trigger={:?}",
                 policy.window, policy.trigger
             );
             for rung in &policy.ladder {
-                match rung {
+                let _ = match rung {
                     DegradationAction::RaiseSwing { factor } => {
-                        let _ = writeln!(out, "rung raise-swing factor={factor:?}");
+                        writeln!(out, "rung raise-swing factor={factor:?}")
                     }
                     DegradationAction::SwitchScheme(scheme) => {
-                        let _ = writeln!(out, "rung switch-scheme {}", scheme.name());
+                        writeln!(out, "rung switch-scheme {}", scheme.name())
                     }
-                }
+                };
             }
             if let Some(promote) = policy.promote {
                 let _ = writeln!(
@@ -147,7 +155,7 @@ impl Repro {
                 );
             }
         }
-        if let Some(policy) = &c.controller {
+        if let Some(policy) = &self.controller {
             let _ = writeln!(
                 out,
                 "controller target={:?} window={} dwell={} lower={:?} raise={:?} storm={:?}",
@@ -162,212 +170,141 @@ impl Repro {
                 let _ = writeln!(out, "point swing={:?} scheme={}", p.swing, p.scheme.name());
             }
         }
-        let _ = writeln!(out, "words {}", c.words);
-        let _ = writeln!(out, "traffic_seed {}", c.traffic_seed);
-        let _ = writeln!(out, "sim_seed {}", c.sim_seed);
-        for e in &c.schedule.events {
-            let _ = write!(out, "event at={} ", e.at_word);
-            match &e.action {
+        let _ = writeln!(out, "words {}", self.words);
+        write_seeds(out, self.traffic_seed, self.sim_seed);
+        for e in &self.schedule.events {
+            let _ = match &e.action {
                 ScheduleAction::Activate { id, hop, spec } => {
-                    let _ = writeln!(out, "activate id={id} hop={hop} spec={}", spec_str(spec));
+                    let spec = spec_str(spec);
+                    writeln!(
+                        out,
+                        "event at={} activate id={id} hop={hop} spec={spec}",
+                        e.at_word
+                    )
                 }
                 ScheduleAction::Deactivate { id } => {
-                    let _ = writeln!(out, "deactivate id={id}");
+                    writeln!(out, "event at={} deactivate id={id}", e.at_word)
                 }
                 ScheduleAction::ForceDegrade { hop } => {
-                    let _ = writeln!(out, "force-degrade hop={hop}");
+                    writeln!(out, "event at={} force-degrade hop={hop}", e.at_word)
                 }
-            }
+            };
         }
-        let _ = writeln!(
-            out,
-            "expect invariant={} hop={} word={}",
-            self.expect.kind.name(),
-            self.expect
-                .hop
-                .map_or_else(|| "e2e".to_owned(), |h| h.to_string()),
-            self.expect.word
-        );
-        out
     }
 
-    /// Parses a repro file.
-    ///
-    /// # Errors
-    ///
-    /// Returns a line-tagged message on any malformed or missing field.
-    pub fn parse(text: &str) -> Result<Repro, String> {
-        let mut lines = text.lines().enumerate();
-        let (_, first) = lines.next().ok_or("empty repro file")?;
-        if first != HEADER {
-            return Err(format!("bad header {first:?}; expected {HEADER:?}"));
+    fn parse_field(draft: &mut PathDraft, key: &str, rest: &str) -> Result<(), String> {
+        let mut toks = rest.split_whitespace();
+        match key {
+            "hops" => draft.hops = Some(parse_num(rest)?),
+            "degradation" => {
+                draft.degradation = Some(DegradationPolicy {
+                    window: kv(toks.next(), "window").and_then(parse_num)?,
+                    trigger: kv(toks.next(), "trigger").and_then(parse_f64)?,
+                    ladder: Vec::new(),
+                    promote: None,
+                });
+            }
+            "rung" => {
+                let policy = draft
+                    .degradation
+                    .as_mut()
+                    .ok_or("rung before degradation")?;
+                policy.ladder.push(parse_rung(rest)?);
+            }
+            "promote" => {
+                let policy = draft
+                    .degradation
+                    .as_mut()
+                    .ok_or("promote before degradation")?;
+                policy.promote = Some(PromotePolicy {
+                    quiet_windows: kv(toks.next(), "quiet_windows").and_then(parse_num)?,
+                    trigger: kv(toks.next(), "trigger").and_then(parse_f64)?,
+                });
+            }
+            "controller" => {
+                draft.controller = Some(ControlPolicy {
+                    points: Vec::new(),
+                    target_wer: kv(toks.next(), "target").and_then(parse_f64)?,
+                    window: kv(toks.next(), "window").and_then(parse_num)?,
+                    dwell: kv(toks.next(), "dwell").and_then(parse_num)?,
+                    lower_trouble: kv(toks.next(), "lower").and_then(parse_f64)?,
+                    raise_trouble: kv(toks.next(), "raise").and_then(parse_f64)?,
+                    storm_trouble: kv(toks.next(), "storm").and_then(parse_f64)?,
+                });
+            }
+            "point" => {
+                let policy = draft.controller.as_mut().ok_or("point before controller")?;
+                let swing = kv(toks.next(), "swing").and_then(parse_f64)?;
+                let name = kv(toks.next(), "scheme")?;
+                let scheme =
+                    Scheme::from_name(&name).ok_or_else(|| format!("unknown scheme {name:?}"))?;
+                policy.points.push(OperatingPoint { swing, scheme });
+            }
+            "words" => draft.words = Some(parse_num(rest)?),
+            "event" => draft.events.push(parse_event(rest)?),
+            other => return Err(format!("unknown key {other:?}")),
         }
-        let mut name = None;
-        let mut scheme = None;
-        let mut data_bits = None;
-        let mut hops = None;
-        let mut eps = None;
-        let mut protocol = None;
-        let mut degradation: Option<DegradationPolicy> = None;
-        let mut controller: Option<ControlPolicy> = None;
-        let mut words = None;
-        let mut traffic_seed = None;
-        let mut sim_seed = None;
-        let mut events = Vec::new();
-        let mut expect = None;
-        for (lineno, line) in lines {
-            let at = |msg: String| format!("line {}: {msg}", lineno + 1);
-            let (key, rest) = line
-                .split_once(' ')
-                .ok_or_else(|| at(format!("malformed line {line:?}")))?;
-            match key {
-                "name" => name = Some(rest.to_owned()),
-                "scheme" => {
-                    scheme = Some(
-                        Scheme::from_name(rest)
-                            .ok_or_else(|| at(format!("unknown scheme {rest:?}")))?,
-                    );
+        Ok(())
+    }
+
+    fn assemble(shared: Shared, draft: PathDraft) -> Result<Self, String> {
+        Ok(CaseConfig {
+            name: need(shared.name, "name")?,
+            scheme: need(shared.scheme, "scheme")?,
+            data_bits: need(shared.data_bits, "data_bits")?,
+            hops: need(draft.hops, "hops")?,
+            eps: need(shared.eps, "eps")?,
+            protocol: need(shared.protocol, "protocol")?,
+            degradation: draft.degradation,
+            controller: draft.controller,
+            words: need(draft.words, "words")?,
+            traffic_seed: need(shared.traffic_seed, "traffic_seed")?,
+            sim_seed: need(shared.sim_seed, "sim_seed")?,
+            schedule: FaultSchedule {
+                events: draft.events,
+            },
+        })
+    }
+
+    /// Rejects a parsed case the simulator would assert on: a data width
+    /// outside the traffic generator's 1..=128, no hops (or more than
+    /// `MAX_HOPS`), a probability that is not one, an event naming a hop
+    /// the path lacks, or a controller policy that fails
+    /// [`ControlPolicy::validate`].
+    fn check(&self) -> Result<(), String> {
+        check_data_bits(self.data_bits)?;
+        if !(1..=MAX_HOPS).contains(&self.hops) {
+            return Err(format!("hops {} is outside 1..={MAX_HOPS}", self.hops));
+        }
+        check_prob("eps", self.eps)?;
+        if let Some(policy) = &self.controller {
+            policy
+                .validate(self.data_bits)
+                .map_err(|e| format!("controller: {e}"))?;
+        }
+        for e in &self.schedule.events {
+            let hop = match &e.action {
+                ScheduleAction::Activate { hop, spec, .. } => {
+                    check_spec(spec)?;
+                    *hop
                 }
-                "data_bits" => data_bits = Some(parse_num(rest).map_err(&at)?),
-                "hops" => hops = Some(parse_num(rest).map_err(&at)?),
-                "eps" => eps = Some(parse_f64(rest).map_err(&at)?),
-                "protocol" => protocol = Some(parse_protocol(rest).map_err(&at)?),
-                "degradation" => {
-                    let mut toks = rest.split_whitespace();
-                    let window = kv(toks.next(), "window").and_then(parse_num).map_err(&at)?;
-                    let trigger = kv(toks.next(), "trigger")
-                        .and_then(parse_f64)
-                        .map_err(&at)?;
-                    degradation = Some(DegradationPolicy {
-                        window,
-                        trigger,
-                        ladder: Vec::new(),
-                        promote: None,
-                    });
-                }
-                "rung" => {
-                    let policy = degradation
-                        .as_mut()
-                        .ok_or_else(|| at("rung before degradation".into()))?;
-                    policy.ladder.push(parse_rung(rest).map_err(&at)?);
-                }
-                "promote" => {
-                    let policy = degradation
-                        .as_mut()
-                        .ok_or_else(|| at("promote before degradation".into()))?;
-                    let mut toks = rest.split_whitespace();
-                    let quiet_windows = kv(toks.next(), "quiet_windows")
-                        .and_then(parse_num)
-                        .map_err(&at)?;
-                    let trigger = kv(toks.next(), "trigger")
-                        .and_then(parse_f64)
-                        .map_err(&at)?;
-                    policy.promote = Some(PromotePolicy {
-                        quiet_windows,
-                        trigger,
-                    });
-                }
-                "controller" => {
-                    let mut toks = rest.split_whitespace();
-                    let target_wer = kv(toks.next(), "target").and_then(parse_f64).map_err(&at)?;
-                    let window = kv(toks.next(), "window").and_then(parse_num).map_err(&at)?;
-                    let dwell = kv(toks.next(), "dwell").and_then(parse_num).map_err(&at)?;
-                    let lower_trouble =
-                        kv(toks.next(), "lower").and_then(parse_f64).map_err(&at)?;
-                    let raise_trouble =
-                        kv(toks.next(), "raise").and_then(parse_f64).map_err(&at)?;
-                    let storm_trouble =
-                        kv(toks.next(), "storm").and_then(parse_f64).map_err(&at)?;
-                    controller = Some(ControlPolicy {
-                        points: Vec::new(),
-                        target_wer,
-                        window,
-                        dwell,
-                        lower_trouble,
-                        raise_trouble,
-                        storm_trouble,
-                    });
-                }
-                "point" => {
-                    let policy = controller
-                        .as_mut()
-                        .ok_or_else(|| at("point before controller".into()))?;
-                    let mut toks = rest.split_whitespace();
-                    let swing = kv(toks.next(), "swing").and_then(parse_f64).map_err(&at)?;
-                    let name = kv(toks.next(), "scheme").map_err(&at)?;
-                    let scheme = Scheme::from_name(&name)
-                        .ok_or_else(|| at(format!("unknown scheme {name:?}")))?;
-                    policy.points.push(OperatingPoint { swing, scheme });
-                }
-                "words" => words = Some(parse_num(rest).map_err(&at)?),
-                "traffic_seed" => traffic_seed = Some(parse_num(rest).map_err(&at)?),
-                "sim_seed" => sim_seed = Some(parse_num(rest).map_err(&at)?),
-                "event" => events.push(parse_event(rest).map_err(&at)?),
-                "expect" => expect = Some(parse_expect(rest).map_err(&at)?),
-                other => return Err(at(format!("unknown key {other:?}"))),
+                ScheduleAction::ForceDegrade { hop } => *hop,
+                ScheduleAction::Deactivate { .. } => continue,
+            };
+            if hop >= self.hops {
+                return Err(format!(
+                    "event at={} names hop {hop} of a {}-hop path",
+                    e.at_word, self.hops
+                ));
             }
         }
-        let missing = |what: &str| format!("missing {what}");
-        let repro = Repro {
-            case: CaseConfig {
-                name: name.ok_or_else(|| missing("name"))?,
-                scheme: scheme.ok_or_else(|| missing("scheme"))?,
-                data_bits: data_bits.ok_or_else(|| missing("data_bits"))?,
-                hops: hops.ok_or_else(|| missing("hops"))?,
-                eps: eps.ok_or_else(|| missing("eps"))?,
-                protocol: protocol.ok_or_else(|| missing("protocol"))?,
-                degradation,
-                controller,
-                words: words.ok_or_else(|| missing("words"))?,
-                traffic_seed: traffic_seed.ok_or_else(|| missing("traffic_seed"))?,
-                sim_seed: sim_seed.ok_or_else(|| missing("sim_seed"))?,
-                schedule: FaultSchedule { events },
-            },
-            expect: expect.ok_or_else(|| missing("expect"))?,
-        };
-        check_case(&repro.case)?;
-        Ok(repro)
+        Ok(())
     }
 }
 
 /// The most hops a repro file may ask for: far past any path the
 /// campaigns run, small enough that building the path allocates little.
 const MAX_HOPS: usize = 1 << 10;
-
-/// Rejects a parsed case the simulator would assert on: a data width
-/// outside the traffic generator's 1..=128, no hops (or more than
-/// [`MAX_HOPS`]), a probability that is not one, an event naming a hop
-/// the path lacks, or a controller policy that fails
-/// [`ControlPolicy::validate`].
-fn check_case(c: &CaseConfig) -> Result<(), String> {
-    check_data_bits(c.data_bits)?;
-    if !(1..=MAX_HOPS).contains(&c.hops) {
-        return Err(format!("hops {} is outside 1..={MAX_HOPS}", c.hops));
-    }
-    check_prob("eps", c.eps)?;
-    if let Some(policy) = &c.controller {
-        policy
-            .validate(c.data_bits)
-            .map_err(|e| format!("controller: {e}"))?;
-    }
-    for e in &c.schedule.events {
-        let hop = match &e.action {
-            ScheduleAction::Activate { hop, spec, .. } => {
-                check_spec(spec)?;
-                *hop
-            }
-            ScheduleAction::ForceDegrade { hop } => *hop,
-            ScheduleAction::Deactivate { .. } => continue,
-        };
-        if hop >= c.hops {
-            return Err(format!(
-                "event at={} names hop {hop} of a {}-hop path",
-                e.at_word, c.hops
-            ));
-        }
-    }
-    Ok(())
-}
 
 /// Rejects a data width outside the traffic generator's 1..=128.
 pub(crate) fn check_data_bits(data_bits: usize) -> Result<(), String> {
@@ -545,23 +482,28 @@ pub(crate) fn parse_spec(toks: &mut std::str::SplitWhitespace<'_>) -> Result<Fau
     }
 }
 
+/// Parses the tokens after an event's `activate`: `id=N <site>=N
+/// spec=...`, the site key being `hop` or `link`.
+pub(crate) fn parse_activate(
+    mut toks: std::str::SplitWhitespace<'_>,
+    site: &str,
+) -> Result<(u32, usize, FaultSpec), String> {
+    let id = kv(toks.next(), "id").and_then(parse_num)?;
+    let at = kv(toks.next(), site).and_then(parse_num)?;
+    let spec_tag = kv(toks.next(), "spec")?;
+    // `spec=iid` is followed by the spec's own tokens; re-join the tag
+    // with the remainder so parse_spec sees a uniform stream.
+    let joined = format!("{spec_tag} {}", toks.collect::<Vec<_>>().join(" "));
+    Ok((id, at, parse_spec(&mut joined.split_whitespace())?))
+}
+
 fn parse_event(rest: &str) -> Result<ScheduleEvent, String> {
     let mut toks = rest.split_whitespace();
     let at_word = kv(toks.next(), "at").and_then(parse_num)?;
     let action = match toks.next() {
         Some("activate") => {
-            let id = kv(toks.next(), "id").and_then(parse_num)?;
-            let hop = kv(toks.next(), "hop").and_then(parse_num)?;
-            let spec_tag = kv(toks.next(), "spec")?;
-            // `spec=iid` is followed by the spec's own tokens; re-join the
-            // tag with the remainder so parse_spec sees a uniform stream.
-            let joined = format!("{spec_tag} {}", toks.collect::<Vec<_>>().join(" "));
-            let mut spec_toks = joined.split_whitespace();
-            ScheduleAction::Activate {
-                id,
-                hop,
-                spec: parse_spec(&mut spec_toks)?,
-            }
+            let (id, hop, spec) = parse_activate(toks, "hop")?;
+            ScheduleAction::Activate { id, hop, spec }
         }
         Some("deactivate") => ScheduleAction::Deactivate {
             id: kv(toks.next(), "id").and_then(parse_num)?,
@@ -574,24 +516,10 @@ fn parse_event(rest: &str) -> Result<ScheduleEvent, String> {
     Ok(ScheduleEvent { at_word, action })
 }
 
-fn parse_expect(rest: &str) -> Result<ExpectedViolation, String> {
-    let mut toks = rest.split_whitespace();
-    let kind_name = kv(toks.next(), "invariant")?;
-    let kind = InvariantKind::from_name(&kind_name)
-        .ok_or_else(|| format!("unknown invariant {kind_name:?}"))?;
-    let hop_str = kv(toks.next(), "hop")?;
-    let hop = if hop_str == "e2e" {
-        None
-    } else {
-        Some(parse_num(&hop_str)?)
-    };
-    let word = kv(toks.next(), "word").and_then(parse_num)?;
-    Ok(ExpectedViolation { kind, hop, word })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::harness::{ExpectedViolation, Repro};
     use crate::schedule::{ScheduleFamily, ScheduleParams};
 
     fn sample_repro() -> Repro {
@@ -646,8 +574,8 @@ mod tests {
             },
             expect: ExpectedViolation {
                 kind: InvariantKind::LatencyBound,
-                hop: Some(1),
-                word: 133,
+                site: Some(1),
+                at: 133,
             },
         }
     }
@@ -656,7 +584,7 @@ mod tests {
     fn serialize_parse_round_trips_structurally() {
         let repro = sample_repro();
         let text = repro.serialize();
-        let back = Repro::parse(&text).expect("parses");
+        let back = Repro::<CaseConfig>::parse(&text).expect("parses");
         assert_eq!(back, repro);
     }
 
@@ -664,14 +592,14 @@ mod tests {
     fn reserialization_is_byte_identical() {
         let repro = sample_repro();
         let text = repro.serialize();
-        let back = Repro::parse(&text).expect("parses");
+        let back = Repro::<CaseConfig>::parse(&text).expect("parses");
         assert_eq!(back.serialize(), text, "canonical form must be stable");
     }
 
     #[test]
     fn e2e_hop_and_every_spec_kind_round_trip() {
         let mut repro = sample_repro();
-        repro.expect.hop = None;
+        repro.expect.site = None;
         repro.case.degradation = None;
         repro.case.protocol = Protocol::Fec;
         repro.case.schedule = FaultSchedule {
@@ -732,7 +660,7 @@ mod tests {
             ],
         };
         let text = repro.serialize();
-        let back = Repro::parse(&text).expect("parses");
+        let back = Repro::<CaseConfig>::parse(&text).expect("parses");
         assert_eq!(back, repro);
         assert_eq!(back.serialize(), text);
     }
@@ -767,23 +695,25 @@ mod tests {
         let text = repro.serialize();
         assert!(text.contains("controller target=0.01 window=32 dwell=3"));
         assert!(text.contains("point swing=1.4 scheme=ExtHamming"));
-        let back = Repro::parse(&text).expect("parses");
+        let back = Repro::<CaseConfig>::parse(&text).expect("parses");
         assert_eq!(back, repro);
         assert_eq!(back.serialize(), text, "canonical form must be stable");
     }
 
     #[test]
     fn malformed_files_are_rejected_with_context() {
-        assert!(Repro::parse("").is_err());
-        assert!(Repro::parse("not a repro\n").is_err());
+        assert!(Repro::<CaseConfig>::parse("").is_err());
+        assert!(Repro::<CaseConfig>::parse("not a repro\n").is_err());
         let missing = "socbus-chaos-repro v1\nname x\n";
-        let err = Repro::parse(missing).unwrap_err();
+        let err = Repro::<CaseConfig>::parse(missing).unwrap_err();
         assert!(err.contains("missing"), "{err}");
         let bad_scheme = "socbus-chaos-repro v1\nscheme Nonsense\n";
-        let err = Repro::parse(bad_scheme).unwrap_err();
+        let err = Repro::<CaseConfig>::parse(bad_scheme).unwrap_err();
         assert!(err.contains("unknown scheme"), "{err}");
         let full = sample_repro().serialize();
         let broken = full.replace("invariant=latency-bound", "invariant=vibes");
-        assert!(Repro::parse(&broken).unwrap_err().contains("vibes"));
+        assert!(Repro::<CaseConfig>::parse(&broken)
+            .unwrap_err()
+            .contains("vibes"));
     }
 }

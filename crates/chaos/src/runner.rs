@@ -9,12 +9,12 @@
 use std::collections::HashMap;
 
 use socbus_channel::FaultSpec;
-use socbus_noc::link::{DegradationPolicy, LinkConfig, Protocol};
+use socbus_noc::link::{DegradationPolicy, LinkConfig, LinkEngine, Protocol};
 use socbus_noc::traffic::UniformTraffic;
 use socbus_noc::{ControlPolicy, PathConfig, PathReport, PathSim};
 use socbus_telemetry::Telemetry;
 
-use crate::monitor::{InvariantKind, InvariantStats, Monitor, Violation};
+use crate::monitor::{Invariant, InvariantKind, InvariantStats, Monitor, Violation};
 use crate::schedule::{FaultSchedule, ScheduleAction};
 
 /// Everything needed to (re)run one chaos case deterministically.
@@ -74,7 +74,7 @@ pub struct CaseOutcome {
     pub worst_word_cycles: u64,
     /// The protocol's worst-case single-word budget (cycles).
     pub budget_cycles: u64,
-    /// Pass/fail tallies, one per [`InvariantKind::all`] entry.
+    /// Pass/fail tallies, one per [`InvariantKind`].
     pub stats: [(InvariantKind, InvariantStats); 5],
 }
 
@@ -125,7 +125,7 @@ pub fn run_case_with(cfg: &CaseConfig, tel: Telemetry) -> CaseOutcome {
     let report = sim.finish();
     monitor.finish(&report);
     monitor.flush_telemetry();
-    let stats = InvariantKind::all().map(|k| (k, monitor.stats(k)));
+    let stats = InvariantKind::ALL.map(|k| (k, monitor.stats(k)));
     CaseOutcome {
         worst_word_cycles: monitor.worst_word_cycles,
         budget_cycles: cfg.protocol.worst_case_word_cycles(),
@@ -133,21 +133,6 @@ pub fn run_case_with(cfg: &CaseConfig, tel: Telemetry) -> CaseOutcome {
         report,
         stats,
     }
-}
-
-/// Whether `cfg` produces at least one violation with the given key —
-/// the oracle the shrinker and the replay checker share.
-#[must_use]
-pub fn reproduces(cfg: &CaseConfig, key: (InvariantKind, Option<usize>)) -> bool {
-    run_case(cfg).violations.iter().any(|v| v.key() == key)
-}
-
-/// Activation seeds mix the sim seed with the event id (not the slot
-/// index), so the same activation replays the same random stream even
-/// after the shrinker removed its neighbours.
-#[must_use]
-pub fn activation_seed(sim_seed: u64, id: u32) -> u64 {
-    sim_seed ^ (u64::from(id) + 1).wrapping_mul(0xD1B5_4A32_D192_ED03)
 }
 
 /// Reports one interpreted schedule event on the control track. The
@@ -182,6 +167,41 @@ fn emit_schedule_event(tel: &Telemetry, action: &ScheduleAction, word: u64) {
     }
 }
 
+/// Pushes `spec` onto `engine`'s injector as the activation `id` of a
+/// run seeded `sim_seed` and returns its slot — the activation of both
+/// harnesses' schedules.
+pub(crate) fn activate(engine: &mut LinkEngine, spec: &FaultSpec, sim_seed: u64, id: u32) -> usize {
+    // A droop window's `start` is relative to activation: pin it to this
+    // link's event clock now (see ScheduleAction docs).
+    let spec = match *spec {
+        FaultSpec::Droop {
+            eps,
+            scale,
+            start,
+            duration,
+        } => FaultSpec::Droop {
+            eps,
+            scale,
+            start: engine.injector().cycles().saturating_add(start),
+            duration,
+        },
+        ref other => other.clone(),
+    };
+    // The slot's seed mixes the sim seed with the event id (not the slot
+    // index), so the same activation replays the same random stream even
+    // after the shrinker removed its neighbours.
+    let seed = sim_seed ^ (u64::from(id) + 1).wrapping_mul(0xD1B5_4A32_D192_ED03);
+    let slot = engine.injector_mut().push_spec(&spec, seed);
+    // Faults arriving after the link moved off nominal swing see the wire
+    // as it is now, not as it was at reset: fold the current swing into
+    // the new slot's soft-error rate.
+    let swing = engine.swing();
+    if swing != 1.0 {
+        engine.injector_mut().rescale_swing_slot(slot, swing);
+    }
+    slot
+}
+
 fn apply_event(
     action: &ScheduleAction,
     sim_seed: u64,
@@ -190,33 +210,7 @@ fn apply_event(
 ) {
     match action {
         ScheduleAction::Activate { id, hop, spec } => {
-            let engine = sim.engine_mut(*hop);
-            // A droop window's `start` is relative to activation: pin it
-            // to this hop's event clock now (see ScheduleAction docs).
-            let spec = match *spec {
-                FaultSpec::Droop {
-                    eps,
-                    scale,
-                    start,
-                    duration,
-                } => FaultSpec::Droop {
-                    eps,
-                    scale,
-                    start: engine.injector().cycles().saturating_add(start),
-                    duration,
-                },
-                ref other => other.clone(),
-            };
-            let slot = engine
-                .injector_mut()
-                .push_spec(&spec, activation_seed(sim_seed, *id));
-            // Faults arriving after the link moved off nominal swing see
-            // the wire as it is now, not as it was at reset: fold the
-            // current swing into the new slot's soft-error rate.
-            let swing = engine.swing();
-            if swing != 1.0 {
-                engine.injector_mut().rescale_swing_slot(slot, swing);
-            }
+            let slot = activate(sim.engine_mut(*hop), spec, sim_seed, *id);
             live.insert(*id, (*hop, slot));
         }
         ScheduleAction::Deactivate { id } => {
@@ -318,8 +312,9 @@ mod tests {
             .iter()
             .find(|v| v.kind == InvariantKind::SilentCorruption)
             .expect("the planted lie must trip the monitor");
-        assert_eq!(v.hop, Some(0));
-        assert!(reproduces(&cfg, v.key()));
+        assert_eq!(v.site, Some(0));
+        let replayed = crate::harness::first_violation(&cfg, v.key(), Telemetry::off());
+        assert_eq!(replayed.as_ref(), Some(v));
     }
 
     #[test]
@@ -378,7 +373,7 @@ mod tests {
         let traced = run_case_with(&cfg, Telemetry::from_recorder(&recorder));
         assert_eq!(plain.report, traced.report, "telemetry must not perturb");
         assert_eq!(plain.violations, traced.violations);
-        let checks: u64 = InvariantKind::all()
+        let checks: u64 = InvariantKind::ALL
             .iter()
             .map(|k| recorder.counter_value("monitor.checks", &[("invariant", k.name())]))
             .sum();

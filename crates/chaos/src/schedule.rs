@@ -126,26 +126,38 @@ impl ScheduleFamily {
 
 impl FaultSchedule {
     /// Draws a seeded random schedule from `family`. The same
-    /// `(family, params, seed)` triple always yields the same schedule.
+    /// `(family, params, seed)` triple always yields the same schedule;
+    /// a path with no hops has nothing to target and gets no events.
     #[must_use]
     pub fn random(family: ScheduleFamily, params: &ScheduleParams, seed: u64) -> FaultSchedule {
+        if params.hops == 0 {
+            return FaultSchedule::default();
+        }
         let mut rng = StdRng::seed_from_u64(seed);
         let mut events = Vec::new();
         let mut next_id = 0u32;
+        let mut push = |rng: &mut StdRng, kind, max_n| {
+            for w in FaultWindow::draw(rng, kind, max_n, params.words, params.hops, params.wires) {
+                let (id, hop, spec) = (next_id, w.target, w.spec);
+                next_id += 1;
+                events.push(ScheduleEvent {
+                    at_word: w.at,
+                    action: ScheduleAction::Activate { id, hop, spec },
+                });
+                events.push(ScheduleEvent {
+                    at_word: w.at + w.len,
+                    action: ScheduleAction::Deactivate { id },
+                });
+            }
+        };
         match family {
-            ScheduleFamily::BurstTrain => {
-                push_bursts(&mut events, &mut next_id, params, &mut rng, 4)
-            }
-            ScheduleFamily::DroopStorm => {
-                push_droops(&mut events, &mut next_id, params, &mut rng, 4)
-            }
-            ScheduleFamily::HardWindow => {
-                push_hard_windows(&mut events, &mut next_id, params, &mut rng, 3)
-            }
+            ScheduleFamily::BurstTrain => push(&mut rng, WindowKind::Burst, 4),
+            ScheduleFamily::DroopStorm => push(&mut rng, WindowKind::Droop, 4),
+            ScheduleFamily::HardWindow => push(&mut rng, WindowKind::Hard, 3),
             ScheduleFamily::MixedMayhem => {
-                push_bursts(&mut events, &mut next_id, params, &mut rng, 2);
-                push_droops(&mut events, &mut next_id, params, &mut rng, 2);
-                push_hard_windows(&mut events, &mut next_id, params, &mut rng, 2);
+                push(&mut rng, WindowKind::Burst, 2);
+                push(&mut rng, WindowKind::Droop, 2);
+                push(&mut rng, WindowKind::Hard, 2);
                 let degrades = rng.gen_range(1usize..=2);
                 for _ in 0..degrades {
                     events.push(ScheduleEvent {
@@ -169,121 +181,101 @@ impl FaultSchedule {
     }
 }
 
-/// A window `[at, at + len)` inside the run, with room left so the
-/// aftermath of a deactivation is still observed.
-fn window(params: &ScheduleParams, rng: &mut StdRng) -> (u64, u64) {
-    let words = params.words.max(4);
-    let at = rng.gen_range(0..words * 3 / 4);
-    let len = rng.gen_range(words / 20 + 1..=words / 4 + 1);
+/// A window `[at, at + len)` inside a run of `length` words or cycles,
+/// with room left so the aftermath of a deactivation is still observed.
+pub(crate) fn window(length: u64, rng: &mut StdRng) -> (u64, u64) {
+    let length = length.max(4);
+    let at = rng.gen_range(0..length * 3 / 4);
+    let len = rng.gen_range(length / 20 + 1..=length / 4 + 1);
     (at, len)
 }
 
-fn push_bursts(
-    events: &mut Vec<ScheduleEvent>,
-    next_id: &mut u32,
-    params: &ScheduleParams,
-    rng: &mut StdRng,
-    max_n: usize,
-) {
-    let n = rng.gen_range(1..=max_n);
-    for _ in 0..n {
-        let (at, len) = window(params, rng);
-        let id = *next_id;
-        *next_id += 1;
-        events.push(ScheduleEvent {
-            at_word: at,
-            action: ScheduleAction::Activate {
-                id,
-                hop: rng.gen_range(0..params.hops),
-                spec: FaultSpec::Burst {
-                    eps_good: rng.gen_range(0.0..2e-3),
-                    eps_bad: rng.gen_range(0.02..0.3),
-                    p_enter: rng.gen_range(0.01..0.2),
-                    p_exit: rng.gen_range(0.05..0.5),
-                },
-            },
-        });
-        events.push(ScheduleEvent {
-            at_word: at + len,
-            action: ScheduleAction::Deactivate { id },
-        });
-    }
+/// The three fault-window families both harnesses draw.
+#[derive(Clone, Copy, Debug)]
+pub(crate) enum WindowKind {
+    /// A Gilbert–Elliott burst process.
+    Burst,
+    /// A supply-droop window (ε multiplied 30–300×).
+    Droop,
+    /// A stuck-at or bridging defect.
+    Hard,
 }
 
-fn push_droops(
-    events: &mut Vec<ScheduleEvent>,
-    next_id: &mut u32,
-    params: &ScheduleParams,
-    rng: &mut StdRng,
-    max_n: usize,
-) {
-    let n = rng.gen_range(1..=max_n);
-    for _ in 0..n {
-        let (at, len) = window(params, rng);
-        let id = *next_id;
-        *next_id += 1;
-        events.push(ScheduleEvent {
-            at_word: at,
-            action: ScheduleAction::Activate {
-                id,
-                hop: rng.gen_range(0..params.hops),
-                spec: FaultSpec::Droop {
-                    eps: rng.gen_range(1e-4..2e-3),
-                    scale: rng.gen_range(30.0..300.0),
-                    // Relative to activation (see ScheduleAction docs);
-                    // retransmissions inside the window also burn cycles.
-                    start: rng.gen_range(0..8u64),
-                    duration: rng.gen_range(20..200u64),
-                },
-            },
-        });
-        events.push(ScheduleEvent {
-            at_word: at + len,
-            action: ScheduleAction::Deactivate { id },
-        });
-    }
+/// One randomly drawn fault window: `spec` activated on hop or link
+/// `target` at step `at` and deactivated `len` steps later.
+pub(crate) struct FaultWindow {
+    pub(crate) at: u64,
+    pub(crate) len: u64,
+    pub(crate) target: usize,
+    pub(crate) spec: FaultSpec,
 }
 
-fn push_hard_windows(
-    events: &mut Vec<ScheduleEvent>,
-    next_id: &mut u32,
-    params: &ScheduleParams,
-    rng: &mut StdRng,
-    max_n: usize,
-) {
-    let n = rng.gen_range(1..=max_n);
-    for _ in 0..n {
-        let (at, len) = window(params, rng);
-        let id = *next_id;
-        *next_id += 1;
-        let spec = if rng.gen_bool(0.5) {
-            FaultSpec::StuckAt {
-                wire: rng.gen_range(0..params.wires),
-                value: rng.gen_bool(0.5),
-            }
-        } else {
-            FaultSpec::Bridge {
-                // A bridge shorts `wire` and `wire + 1`.
-                wire: rng.gen_range(0..params.wires.saturating_sub(1).max(1)),
-                mode: if rng.gen_bool(0.5) {
-                    BridgeMode::And
-                } else {
-                    BridgeMode::Or
-                },
-            }
-        };
-        events.push(ScheduleEvent {
-            at_word: at,
-            action: ScheduleAction::Activate {
-                id,
-                hop: rng.gen_range(0..params.hops),
+impl FaultWindow {
+    /// Draws `1..=max_n` windows of `kind` (each a [`window`]) over a run
+    /// of `length` words or cycles, on `targets` hops or links of a
+    /// `wires`-wide bus, lazily: the caller consumes each window before
+    /// the next is drawn. The draw order is part of every schedule's
+    /// definition: a seed fixes the schedule.
+    pub(crate) fn draw(
+        rng: &mut StdRng,
+        kind: WindowKind,
+        max_n: usize,
+        length: u64,
+        targets: usize,
+        wires: usize,
+    ) -> impl Iterator<Item = FaultWindow> + '_ {
+        let n = rng.gen_range(1..=max_n);
+        (0..n).map(move |_| {
+            let (at, len) = window(length, rng);
+            let (target, spec) = match kind {
+                WindowKind::Burst => (
+                    rng.gen_range(0..targets),
+                    FaultSpec::Burst {
+                        eps_good: rng.gen_range(0.0..2e-3),
+                        eps_bad: rng.gen_range(0.02..0.3),
+                        p_enter: rng.gen_range(0.01..0.2),
+                        p_exit: rng.gen_range(0.05..0.5),
+                    },
+                ),
+                WindowKind::Droop => (
+                    rng.gen_range(0..targets),
+                    FaultSpec::Droop {
+                        eps: rng.gen_range(1e-4..2e-3),
+                        scale: rng.gen_range(30.0..300.0),
+                        // Relative to activation (see ScheduleAction
+                        // docs); retransmissions inside the window
+                        // also burn cycles.
+                        start: rng.gen_range(0..8u64),
+                        duration: rng.gen_range(20..200u64),
+                    },
+                ),
+                WindowKind::Hard => {
+                    let spec = if rng.gen_bool(0.5) {
+                        FaultSpec::StuckAt {
+                            wire: rng.gen_range(0..wires),
+                            value: rng.gen_bool(0.5),
+                        }
+                    } else {
+                        FaultSpec::Bridge {
+                            // A bridge shorts `wire` and `wire + 1`.
+                            wire: rng.gen_range(0..wires.saturating_sub(1).max(1)),
+                            mode: if rng.gen_bool(0.5) {
+                                BridgeMode::And
+                            } else {
+                                BridgeMode::Or
+                            },
+                        }
+                    };
+                    (rng.gen_range(0..targets), spec)
+                }
+            };
+            FaultWindow {
+                at,
+                len,
+                target,
                 spec,
-            },
-        });
-        events.push(ScheduleEvent {
-            at_word: at + len,
-            action: ScheduleAction::Deactivate { id },
-        });
+            }
+        })
     }
 }
 

@@ -12,25 +12,20 @@
 //!   word (end-of-run audits re-fire at the new, earlier end).
 //!
 //! Every candidate is checked by actually re-running it
-//! ([`reproduces`]), so the result is a true reproducer by construction,
-//! not a heuristic guess.
+//! (`harness::first_violation`), so the result is a true reproducer by
+//! construction, not a heuristic guess. This is the path harness's
+//! [`Harness::shrink`](crate::harness::Harness::shrink); the mesh
+//! harness shrinks its own way (event drops, then cycle halving).
 
+use socbus_telemetry::Telemetry;
+
+use crate::harness::first_violation;
 use crate::monitor::{InvariantKind, Violation};
-use crate::runner::{reproduces, run_case, CaseConfig};
+use crate::runner::CaseConfig;
 
-/// How a shrink run went.
-#[derive(Clone, Debug)]
-pub struct ShrinkReport {
-    /// The minimized case (always reproduces `key`).
-    pub case: CaseConfig,
-    /// The violation the minimized case produces for `key`.
-    pub violation: Violation,
-    /// Candidate re-runs spent.
-    pub runs: usize,
-}
-
-/// Shrinks `cfg` while preserving a violation with `key`. Returns `None`
-/// if `cfg` does not reproduce `key` in the first place.
+/// Shrinks `cfg` while preserving a violation with `key`: the minimized
+/// case and the violation it produces for `key`, or `None` if `cfg`
+/// does not reproduce `key` in the first place.
 ///
 /// `max_runs` bounds the candidate re-runs (the result is valid whenever
 /// one is returned; a tighter budget just stops minimizing earlier).
@@ -39,48 +34,33 @@ pub fn shrink(
     cfg: &CaseConfig,
     key: (InvariantKind, Option<usize>),
     max_runs: usize,
-) -> Option<ShrinkReport> {
-    let mut runs = 0usize;
-    let mut check = |candidate: &CaseConfig| -> bool {
-        runs += 1;
-        reproduces(candidate, key)
-    };
+) -> Option<(CaseConfig, Violation)> {
+    let first = |candidate: &CaseConfig| first_violation(candidate, key, Telemetry::off());
+    let mut check = |candidate: &CaseConfig| first(candidate).is_some();
     if !check(cfg) {
         return None;
     }
     let mut best = cfg.clone();
-    truncate_words(&mut best, key, &mut check, max_runs);
+    truncate_words(&mut best, &first, &mut check, max_runs);
     ddmin_events(&mut best, &mut check, max_runs);
     // Events gone from the tail may allow an even earlier cut.
-    truncate_words(&mut best, key, &mut check, max_runs);
-    let violation = run_case(&best)
-        .violations
-        .into_iter()
-        .find(|v| v.key() == key)
-        .expect("the shrunken case reproduces by construction");
-    Some(ShrinkReport {
-        case: best,
-        violation,
-        runs,
-    })
+    truncate_words(&mut best, &first, &mut check, max_runs);
+    let violation = first(&best).expect("the shrunken case reproduces by construction");
+    Some((best, violation))
 }
 
 /// Cuts the run to end right after the first `key` violation (and drops
 /// the events that can no longer fire).
 fn truncate_words(
     best: &mut CaseConfig,
-    key: (InvariantKind, Option<usize>),
+    first: &impl Fn(&CaseConfig) -> Option<Violation>,
     check: &mut impl FnMut(&CaseConfig) -> bool,
     max_runs: usize,
 ) {
-    let Some(first) = run_case(best)
-        .violations
-        .into_iter()
-        .find(|v| v.key() == key)
-    else {
+    let Some(first) = first(best) else {
         return;
     };
-    let cut = (first.word + 1).min(best.words);
+    let cut = (first.at + 1).min(best.words);
     if cut >= best.words || max_runs == 0 {
         return;
     }
@@ -175,22 +155,22 @@ mod tests {
             sim_seed: 2,
             schedule,
         };
-        let out = run_case(&cfg);
+        let out = crate::runner::run_case(&cfg);
         let key = out
             .violations
             .iter()
             .find(|v| v.kind == crate::monitor::InvariantKind::SilentCorruption)
             .expect("sabotage must trip")
             .key();
-        let report = shrink(&cfg, key, 500).expect("reproduces");
-        assert!(report.case.words < cfg.words, "run must be truncated");
+        let (case, violation) = shrink(&cfg, key, 500).expect("reproduces");
+        assert!(case.words < cfg.words, "run must be truncated");
         assert!(
-            report.case.schedule.events.len() <= 2,
+            case.schedule.events.len() <= 2,
             "noise events must be stripped: {:?}",
-            report.case.schedule.events
+            case.schedule.events
         );
-        assert!(reproduces(&report.case, key), "result is a reproducer");
-        assert_eq!(report.violation.key(), key);
+        let replayed = first_violation(&case, key, Telemetry::off());
+        assert_eq!(replayed, Some(violation), "result is a reproducer");
     }
 
     /// Shrinking a non-reproducing key yields nothing.

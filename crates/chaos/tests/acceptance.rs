@@ -1,17 +1,25 @@
 //! End-to-end acceptance of the chaos harness (the ISSUE 2 criterion):
 //! a deliberately broken decoder must produce a violation whose shrunken
-//! reproducer replays to the *same* violation through the exact file
-//! path the `chaos -- replay` binary uses.
+//! reproducer replays to the *same* violation through the parse and
+//! canonical re-run the `chaos -- replay` binary uses.
 
 use socbus_channel::FaultSpec;
 use socbus_chaos::mesh::ExpectedMeshViolation;
 use socbus_chaos::schedule::{FaultSchedule, ScheduleAction, ScheduleEvent};
 use socbus_chaos::{
-    build_case, build_mesh_case, cli, replay_mesh_text, run_case, InvariantKind, MeshFamily,
-    MeshInvariant, MeshRepro, Repro, ScheduleFamily,
+    build_case, build_mesh_case, cli, run_case, write_repro, AnyRepro, CaseConfig, Harness,
+    InvariantKind, MeshCaseConfig, MeshFamily, MeshInvariant, MeshRepro, Repro, ScheduleFamily,
+    Violation,
 };
 use socbus_codes::Scheme;
 use socbus_noc::mesh::MeshPattern;
+use socbus_telemetry::Telemetry;
+
+/// Parses `text` as a repro of harness `H` and re-runs it as `chaos
+/// replay` does (canonical re-check included), without its artifacts.
+fn replay<H: Harness>(text: &str) -> Result<Option<Violation<H::Invariant>>, String> {
+    Repro::<H>::parse(text)?.checked_replay(text, Telemetry::off())
+}
 
 /// The full loop: violate → shrink → write file → parse file → re-run →
 /// same violation key; and the file is canonical (byte-identical after a
@@ -39,18 +47,22 @@ fn sabotaged_decoder_shrinks_to_a_replayable_repro() {
 
     // Shrink and write the repro exactly as the binary would.
     let dir = std::env::temp_dir().join("socbus-chaos-acceptance");
-    let file = cli::write_repro(&cfg, violation, &dir).expect("shrink + write succeeds");
+    let file = write_repro(&cfg, violation, &dir).expect("shrink + write succeeds");
     let text = std::fs::read_to_string(&file).expect("repro file readable");
 
-    // Replay through the same code path `chaos -- replay <file>` uses.
-    let replayed = cli::replay_text(&text)
-        .expect("repro parses")
+    // Replay through the header dispatch and canonical re-run `chaos --
+    // replay <file>` uses.
+    let Ok(AnyRepro::Path(parsed)) = AnyRepro::parse(&text) else {
+        panic!("a path repro that parses: {text}");
+    };
+    let replayed = parsed
+        .checked_replay(&text, Telemetry::off())
+        .expect("the written file is canonical")
         .expect("the violation must reproduce on replay");
     assert_eq!(replayed.kind, violation.kind);
-    assert_eq!(replayed.hop, violation.hop);
+    assert_eq!(replayed.site, violation.site);
 
     // The written file is canonical: parse → serialize is byte-identical.
-    let parsed = Repro::parse(&text).expect("parses");
     assert_eq!(parsed.serialize(), text);
 
     // The shrunken case is genuinely smaller than the original campaign
@@ -117,19 +129,19 @@ fn replay_rejects_non_canonical_text() {
     let cfg = build_case(Scheme::Dap, ScheduleFamily::DroopStorm, 2, 200, 2);
     let repro = Repro::new(
         cfg,
-        &socbus_chaos::Violation {
+        &Violation {
             kind: InvariantKind::LatencyBound,
-            hop: Some(0),
-            word: 7,
+            site: Some(0),
+            at: 7,
             detail: String::new(),
         },
     );
     let canonical = repro.serialize();
     let edited = format!("{canonical}\n");
-    assert!(cli::replay_text(&edited).is_err());
+    assert!(replay::<CaseConfig>(&edited).is_err());
     // The canonical text itself parses fine (the case just doesn't
     // violate anything, so replay reports non-reproduction).
-    assert_eq!(cli::replay_text(&canonical), Ok(None));
+    assert_eq!(replay::<CaseConfig>(&canonical), Ok(None));
 }
 
 /// Empty schedules are legal and trivially healthy.
@@ -153,8 +165,8 @@ fn replay_rejects_out_of_range_fields() {
         case,
         expect: socbus_chaos::ExpectedViolation {
             kind: InvariantKind::SilentCorruption,
-            hop: Some(0),
-            word: 5,
+            site: Some(0),
+            at: 5,
         },
     }
     .serialize();
@@ -167,13 +179,13 @@ fn replay_rejects_out_of_range_fields() {
         case,
         expect: ExpectedMeshViolation {
             kind: MeshInvariant::BoundedProgress,
-            link: Some(3),
-            cycle: 99,
+            site: Some(3),
+            at: 99,
         },
     }
     .serialize();
     assert!(
-        replay_mesh_text(&mesh).is_ok(),
+        replay::<MeshCaseConfig>(&mesh).is_ok(),
         "the unedited mesh repro replays"
     );
 
@@ -219,11 +231,11 @@ fn replay_rejects_out_of_range_fields() {
         edited
     };
     for e in path_edits {
-        let err = cli::replay_text(&edit(&path, e)).expect_err(e.1);
+        let err = replay::<CaseConfig>(&edit(&path, e)).expect_err(e.1);
         assert!(!err.contains("canonical"), "{err}");
     }
     for e in mesh_edits {
-        let err = replay_mesh_text(&edit(&mesh, e)).expect_err(e.1);
+        let err = replay::<MeshCaseConfig>(&edit(&mesh, e)).expect_err(e.1);
         assert!(!err.contains("canonical"), "{err}");
     }
 

@@ -8,9 +8,10 @@
 use proptest::prelude::*;
 use socbus_chaos::runner::CaseOutcome;
 use socbus_chaos::schedule::ScheduleFamily;
+use socbus_chaos::HOPS;
 use socbus_chaos::{
-    build_case, build_control_case, control_policy_for, run_campaign, run_case, InvariantKind,
-    Observe, RunCtx,
+    build_case, build_control_case, control_policy_for, run_case, run_grid, InvariantKind, Observe,
+    RunCtx,
 };
 use socbus_codes::Scheme;
 use socbus_noc::link::Protocol;
@@ -63,8 +64,8 @@ proptest! {
             .map(|family| (scheme, family, seed))
             .collect();
         let run = |threads| {
-            run_campaign(&cells, 800, build_control_case, &RunCtx::new(threads, Observe::Off))
-                .outcomes
+            let ctx = RunCtx::new(threads, Observe::Off);
+            run_grid(&ctx, &cells, |s, f, seed| build_control_case(s, f, seed, 800, HOPS)).outcomes
         };
         let (one, eight) = (run(1), run(8));
         prop_assert_eq!(one.len(), eight.len());

@@ -15,11 +15,12 @@
 use std::path::PathBuf;
 use std::rc::Rc;
 
-use socbus_chaos::{build_case, run_case_with, ScheduleFamily};
+use socbus_chaos::cli::parse_case;
+use socbus_chaos::harness::file_stem;
+use socbus_chaos::{run_case_with, ScheduleFamily};
 use socbus_codes::Scheme;
 use socbus_telemetry::{jsonl_schema, validate_jsonl, Recorder, Telemetry};
 
-const DEFAULT_SEED: u64 = 7;
 const DEFAULT_OUT_DIR: &str = "results/trace";
 
 fn usage() -> i32 {
@@ -63,34 +64,13 @@ fn run(args: &[String]) -> i32 {
     if !(2..=5).contains(&positional.len()) {
         return usage();
     }
-    let Some(scheme) = Scheme::from_name(positional[0]) else {
-        eprintln!("trace: unknown scheme {:?}", positional[0]);
-        return usage();
+    let cfg = match parse_case(&positional) {
+        Ok(cfg) => cfg,
+        Err(e) => {
+            eprintln!("trace: {e}");
+            return usage();
+        }
     };
-    let Some(family) = ScheduleFamily::from_name(positional[1]) else {
-        eprintln!("trace: unknown family {:?}", positional[1]);
-        return usage();
-    };
-    let seed = match positional.get(2) {
-        Some(s) => match s.parse() {
-            Ok(v) => v,
-            Err(_) => {
-                eprintln!("trace: bad seed {s:?}");
-                return 2;
-            }
-        },
-        None => DEFAULT_SEED,
-    };
-    let words = positional
-        .get(3)
-        .and_then(|w| w.parse().ok())
-        .unwrap_or(socbus_chaos::cli::DEFAULT_WORDS);
-    let hops = positional
-        .get(4)
-        .and_then(|h| h.parse().ok())
-        .unwrap_or(socbus_chaos::cli::DEFAULT_HOPS);
-
-    let cfg = build_case(scheme, family, seed, words, hops);
     let recorder = Rc::new(Recorder::new());
     let out = run_case_with(&cfg, Telemetry::from_recorder(&recorder));
 
@@ -107,7 +87,7 @@ fn run(args: &[String]) -> i32 {
         eprintln!("trace: cannot create {}: {e}", out_dir.display());
         return 1;
     }
-    let stem = cfg.name.replace(['/', '(', ')', '+'], "_");
+    let stem = file_stem(&cfg.name);
     let writes = [
         (format!("{stem}.jsonl"), jsonl),
         (format!("{stem}.trace.json"), recorder.export_chrome_trace()),

@@ -12,11 +12,11 @@
 
 use socbus::codes::Scheme;
 use socbus_bench::{dvs, mesh, reliability};
-use socbus_chaos::campaign::{
-    campaign_cells, control_smoke_cells, render_json, run_campaign, SMOKE_WORDS,
+use socbus_chaos::campaign::{campaign_cells, control_smoke_cells, render_json, HOPS, SMOKE_WORDS};
+use socbus_chaos::mesh::{build_mesh_case, mesh_smoke_cells, render_mesh_json};
+use socbus_chaos::{
+    build_case, build_control_case, run_grid, Observe, Run, RunCtx, ScheduleFamily,
 };
-use socbus_chaos::mesh::{mesh_smoke_cells, render_mesh_json, run_mesh_campaign};
-use socbus_chaos::{build_case, build_control_case, Observe, Run, RunCtx, ScheduleFamily};
 use socbus_telemetry::HealthReport;
 
 /// FNV-1a over a byte string.
@@ -88,7 +88,9 @@ fn soak_campaign_is_pinned() {
             0x56de_f823_ac51_2051,
         ],
         |threads| {
-            let run = run_campaign(&cells, SMOKE_WORDS, build_case, &health(threads));
+            let run = run_grid(&health(threads), &cells, |s, f, seed| {
+                build_case(s, f, seed, SMOKE_WORDS, HOPS)
+            });
             digests(&render_json(SMOKE_WORDS, &run.outcomes), &run)
         },
     );
@@ -106,7 +108,9 @@ fn control_campaign_is_pinned() {
             0x1ba4_f6f3_aff4_607f,
         ],
         |threads| {
-            let run = run_campaign(&cells, SMOKE_WORDS, build_control_case, &health(threads));
+            let run = run_grid(&health(threads), &cells, |s, f, seed| {
+                build_control_case(s, f, seed, SMOKE_WORDS, HOPS)
+            });
             digests(&render_json(SMOKE_WORDS, &run.outcomes), &run)
         },
     );
@@ -124,7 +128,9 @@ fn mesh_campaign_is_pinned() {
             0x01fb_983a_1f99_5c66,
         ],
         |threads| {
-            let run = run_mesh_campaign(&cells, 40, &health(threads));
+            let run = run_grid(&health(threads), &cells, |s, f, seed| {
+                build_mesh_case(s, f, seed, 40)
+            });
             digests(&render_mesh_json(40, &run.outcomes), &run)
         },
     );

@@ -7,7 +7,11 @@
 //! (`telemetry::json`) — and applies a few seeded mutations: byte flips
 //! within ASCII, range deletions, truncations, duplicated lines, and
 //! token splices over a number (`NaN`, `inf`, `-1`, `1e999`, an integer
-//! one past `u64::MAX`, the empty string). The properties:
+//! one past `u64::MAX`, the empty string). The repro targets go through
+//! the header-dispatching parse `chaos replay` runs ([`AnyRepro`]), and
+//! each mutated repro is parsed twice: as it is, and with its first line
+//! swapped for the other format's header, handing one format's body to
+//! the other's parser. The properties:
 //!
 //! * no parser panics;
 //! * whenever a repro or incident parse succeeds, its serialization is a
@@ -28,7 +32,7 @@ use socbus::noc::mesh::MeshPattern;
 use socbus_chaos::mesh::ExpectedMeshViolation;
 use socbus_chaos::schedule::{ScheduleAction, ScheduleEvent};
 use socbus_chaos::{
-    build_case, build_control_case, build_mesh_case, run_case_with, ExpectedViolation,
+    build_case, build_control_case, build_mesh_case, run_case_with, AnyRepro, ExpectedViolation,
     InvariantKind, MeshFamily, MeshInvariant, MeshRepro, Repro, ScheduleFamily,
 };
 use socbus_telemetry::json::{self, Json};
@@ -100,6 +104,32 @@ fn mutate(seed: &str, ops: &[u64]) -> String {
     String::from_utf8(text).expect("ASCII in, ASCII out")
 }
 
+/// The two repro headers.
+const HEADERS: [&str; 2] = ["socbus-chaos-repro v1", "socbus-mesh-repro v1"];
+
+/// `text` with its first line replaced by `header`.
+fn with_header(text: &str, header: &str) -> String {
+    let body = text.split_once('\n').map_or("", |(_, body)| body);
+    format!("{header}\n{body}")
+}
+
+/// Checks the fixed point of the repro [`mutate`] makes of `seed`, and
+/// of the same text under the other format's header.
+fn repro_fixed_points(seed: &str, ops: &[u64]) -> Result<(), TestCaseError> {
+    let text = mutate(seed, ops);
+    let other = if seed.starts_with(HEADERS[0]) {
+        HEADERS[1]
+    } else {
+        HEADERS[0]
+    };
+    fixed_point(&text, AnyRepro::parse, AnyRepro::serialize)?;
+    fixed_point(
+        &with_header(&text, other),
+        AnyRepro::parse,
+        AnyRepro::serialize,
+    )
+}
+
 /// The byte ranges of the numbers in `text`: runs of digits, signs, a
 /// point and exponents that start with a digit (or a minus sign and a
 /// digit) not glued to a preceding word.
@@ -158,8 +188,8 @@ fn path_seeds() -> &'static [String; 2] {
     SEEDS.get_or_init(|| {
         let expect = ExpectedViolation {
             kind: InvariantKind::SilentCorruption,
-            hop: Some(0),
-            word: 8,
+            site: Some(0),
+            at: 8,
         };
         let mut sabotaged = build_case(Scheme::Sabotaged, ScheduleFamily::MixedMayhem, 3, 1_500, 2);
         sabotaged.schedule.events.push(ScheduleEvent {
@@ -195,8 +225,8 @@ fn mesh_seed() -> &'static str {
             case,
             expect: ExpectedMeshViolation {
                 kind: MeshInvariant::BoundedProgress,
-                link: Some(3),
-                cycle: 99,
+                site: Some(3),
+                at: 99,
             },
         }
         .serialize()
@@ -245,6 +275,30 @@ fn jsonl_seed() -> &'static str {
     })
 }
 
+/// Each format's body under the other's header is refused, by the
+/// parser the header names, at the first key that format lacks.
+#[test]
+fn swapped_repro_headers_are_rejected() {
+    let swap = |text: &str, header: &str| {
+        AnyRepro::parse(&with_header(text, header)).expect_err("the wrong format")
+    };
+    assert_eq!(
+        swap(&path_seeds()[0], HEADERS[1]),
+        "line 5: unknown key \"hops\""
+    );
+    assert_eq!(
+        swap(mesh_seed(), HEADERS[0]),
+        "line 5: unknown key \"width\""
+    );
+    for seed in path_seeds() {
+        assert!(matches!(AnyRepro::parse(seed), Ok(AnyRepro::Path(_))));
+    }
+    assert!(matches!(
+        AnyRepro::parse(mesh_seed()),
+        Ok(AnyRepro::Mesh(_))
+    ));
+}
+
 #[test]
 fn the_incident_file_round_trips() {
     let text = incident_file();
@@ -261,13 +315,13 @@ proptest! {
     #[test]
     fn path_repros_survive_mutation(ops in prop::collection::vec(any::<u64>(), 3..=12)) {
         for seed in path_seeds() {
-            fixed_point(&mutate(seed, &ops), Repro::parse, Repro::serialize)?;
+            repro_fixed_points(seed, &ops)?;
         }
     }
 
     #[test]
     fn mesh_repros_survive_mutation(ops in prop::collection::vec(any::<u64>(), 3..=12)) {
-        fixed_point(&mutate(mesh_seed(), &ops), MeshRepro::parse, MeshRepro::serialize)?;
+        repro_fixed_points(mesh_seed(), &ops)?;
     }
 
     #[test]
