@@ -39,7 +39,6 @@ use socbus_channel::montecarlo::{
     word_error_rate_parallel, word_error_rate_parallel_scalar, WordErrorEstimate,
 };
 use socbus_chaos::ctx::{push_rows, write_file};
-use socbus_codes::batch::BatchFpc;
 use socbus_codes::{
     batch_build, codebook_builds, BatchCode, BusCode, ForbiddenPatternCode,
     ForbiddenTransitionCode, Scheme, WordBlock, BLOCK_WORDS,
@@ -246,7 +245,7 @@ pub fn run() -> Vec<Row> {
             let mut code = ForbiddenPatternCode::new(k);
             let mut dec = ForbiddenPatternCode::new(k);
             push(&label, &mut code, input, DecodePath::Kernel, &mut |b| {
-                dec.decode(b)
+                BusCode::decode(&mut dec, b)
             });
             let mut code = ForbiddenPatternCode::new(k);
             let scan = ForbiddenPatternCode::new(k);
@@ -292,7 +291,7 @@ pub fn run() -> Vec<Row> {
         let label = format!("FPC({k})");
         for input in ["clean", "corrupted"] {
             let mut code = ForbiddenPatternCode::new(k);
-            let mut dec = BatchFpc::new(k);
+            let mut dec = ForbiddenPatternCode::new(k);
             push_batch(&label, &mut code, input, &mut dec);
         }
     }

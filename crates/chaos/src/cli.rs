@@ -214,8 +214,10 @@ pub fn build_control_case(
 ///
 /// # Errors
 ///
-/// Returns a message naming the first argument that does not parse, or
-/// the check's message (a hop count outside `1..=1024`).
+/// Returns a message naming the first argument that does not parse, a
+/// scheme that does not build at the case's data width
+/// ([`Scheme::check`]), or the check's message (a hop count outside
+/// `1..=1024`).
 pub fn parse_case(args: &[&str]) -> Result<CaseConfig, String> {
     fn num<T: std::str::FromStr>(arg: Option<&&str>, what: &str, default: T) -> Result<T, String> {
         arg.map_or(Ok(default), |s| {
@@ -230,6 +232,7 @@ pub fn parse_case(args: &[&str]) -> Result<CaseConfig, String> {
     let seed = num(args.get(2), "seed", DEFAULT_SEED)?;
     let words = num(args.get(3), "words", DEFAULT_WORDS)?;
     let hops = num(args.get(4), "hops", DEFAULT_HOPS)?;
+    scheme.check(DEFAULT_DATA_BITS)?;
     let case = build_case(scheme, family, seed, words, hops);
     case.check()?;
     Ok(case)

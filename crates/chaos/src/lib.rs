@@ -51,7 +51,7 @@
 //! sharded driver and command line every sharded workload runs on); and
 //! [`cli`] (the `chaos` binary and the case parser `trace` shares).
 //!
-//! The harness self-test is [`socbus_codes::SabotagedHamming`] (scheme
+//! The harness self-test is [`socbus_codes::Hamming::sabotaged`] (scheme
 //! name `Sabotaged`): a decoder that deliberately mis-corrects while
 //! reporting `Clean`. Soaking it must — and does — produce a
 //! silent-corruption violation whose shrunken reproducer replays.

@@ -51,9 +51,9 @@ use crate::harness::{
     campaign, first_violation, grid, need, render, smoke_grid, write_head, write_link, write_seeds,
     ExpectedViolation, Harness, Repro, Shared,
 };
-use crate::monitor::{Invariant, InvariantStats, Violation};
+use crate::monitor::{Invariant, InvariantStats, Verdicts, Violation};
 use crate::replay::{
-    check_data_bits, check_prob, check_spec, kv, parse_activate, parse_f64, parse_num, spec_str,
+    check_prob, check_spec, check_widths, kv, parse_activate, parse_f64, parse_num, spec_str,
 };
 use crate::runner::activate;
 use crate::schedule::{window, FaultWindow, WindowKind};
@@ -276,6 +276,8 @@ impl Invariant for MeshInvariant {
         MeshInvariant::MeshSilentCorruption,
         MeshInvariant::HealthConsistent,
     ];
+    const SITE_LABEL: &'static str = "at_link";
+    const END_TO_END: &'static str = "e2e";
 
     fn name(self) -> &'static str {
         match self {
@@ -285,6 +287,10 @@ impl Invariant for MeshInvariant {
             MeshInvariant::MeshSilentCorruption => "mesh-silent-corruption",
             MeshInvariant::HealthConsistent => "health-consistent",
         }
+    }
+
+    fn index(self) -> usize {
+        self as usize
     }
 }
 
@@ -343,10 +349,8 @@ pub struct MeshMonitor {
     /// [`CycleReport::downed`]) — the ground truth the health monitor's
     /// `Down` verdicts are checked against.
     auto_downed: BTreeSet<usize>,
-    violations: Vec<MeshViolation>,
-    stats: [InvariantStats; 5],
-    checks_flushed: [u64; 5],
-    tel: Telemetry,
+    /// The checks' verdicts (cycle-domain events, `at_link` labels).
+    pub verdicts: Verdicts<MeshInvariant>,
 }
 
 impl MeshMonitor {
@@ -372,17 +376,8 @@ impl MeshMonitor {
             gave_up: BTreeSet::new(),
             duplicates: 0,
             auto_downed: BTreeSet::new(),
-            violations: Vec::new(),
-            stats: [InvariantStats::default(); 5],
-            checks_flushed: [0; 5],
-            tel: Telemetry::off(),
+            verdicts: Verdicts::new(),
         }
-    }
-
-    /// Attaches a telemetry handle (same discipline as
-    /// [`crate::monitor::Monitor::set_telemetry`]).
-    pub fn set_telemetry(&mut self, tel: Telemetry) {
-        self.tel = tel;
     }
 
     /// Mirrors a scheduled link state change into the shadow topology.
@@ -416,42 +411,12 @@ impl MeshMonitor {
         self.dist_cache[&dst][node]
     }
 
-    fn check(
-        &mut self,
-        kind: MeshInvariant,
-        link: Option<usize>,
-        cycle: u64,
-        ok: bool,
-        detail: impl FnOnce() -> String,
-    ) {
-        let idx = MeshInvariant::ALL
-            .iter()
-            .position(|k| *k == kind)
-            .expect("kind is in ALL");
-        self.stats[idx].checked += 1;
-        if !ok {
-            self.stats[idx].violated += 1;
-            if self.tel.is_enabled() {
-                let link_label = link.map_or_else(|| "e2e".to_owned(), |l| l.to_string());
-                let labels = [("invariant", kind.name()), ("at_link", link_label.as_str())];
-                self.tel.counter("monitor.violations", &labels, 1);
-                self.tel.event("monitor.violation", &labels, cycle);
-            }
-            self.violations.push(Violation {
-                kind,
-                site: link,
-                at: cycle,
-                detail: detail(),
-            });
-        }
-    }
-
     /// Observes one simulated cycle.
     pub fn observe(&mut self, report: &CycleReport) {
         let cycle = report.cycle;
         for key in &report.injected {
             let fresh = self.injected.insert(*key);
-            self.check(
+            self.verdicts.check(
                 MeshInvariant::PacketConservation,
                 None,
                 cycle,
@@ -473,7 +438,7 @@ impl MeshMonitor {
             );
             let within_detection = weight <= t.trace.detectable_errors as u64;
             let guaranteed_exact = within_correction || (within_detection && claims_clean);
-            self.check(
+            self.verdicts.check(
                 MeshInvariant::MeshSilentCorruption,
                 Some(t.link),
                 cycle,
@@ -486,7 +451,7 @@ impl MeshMonitor {
                     )
                 },
             );
-            self.check(
+            self.verdicts.check(
                 MeshInvariant::MeshSilentCorruption,
                 Some(t.link),
                 cycle,
@@ -505,7 +470,7 @@ impl MeshMonitor {
                 let d_from = if from == dst { 0 } else { self.dist(from, dst) };
                 let d_to = if to == dst { 0 } else { self.dist(to, dst) };
                 let link_down = self.down[t.link];
-                self.check(
+                self.verdicts.check(
                     MeshInvariant::BoundedProgress,
                     Some(t.link),
                     cycle,
@@ -525,13 +490,14 @@ impl MeshMonitor {
             if a.duplicate {
                 self.duplicates += 1;
                 let seen = self.accepted.contains(&a.key);
-                self.check(MeshInvariant::PacketConservation, None, cycle, seen, || {
-                    format!("duplicate accept of {:?} before any accept", a.key)
-                });
+                self.verdicts
+                    .check(MeshInvariant::PacketConservation, None, cycle, seen, || {
+                        format!("duplicate accept of {:?} before any accept", a.key)
+                    });
             } else {
                 let known = self.injected.contains(&a.key);
                 let fresh = self.accepted.insert(a.key);
-                self.check(
+                self.verdicts.check(
                     MeshInvariant::PacketConservation,
                     None,
                     cycle,
@@ -584,7 +550,7 @@ impl MeshMonitor {
             let name = format!("link:{link}");
             let is_down = health_down.contains(&name);
             let is_blamed = blamed.contains(&name);
-            self.check(
+            self.verdicts.check(
                 MeshInvariant::HealthConsistent,
                 Some(link),
                 cycle,
@@ -601,9 +567,10 @@ impl MeshMonitor {
         for name in &health_down {
             let link: Option<usize> = name.strip_prefix("link:").and_then(|s| s.parse().ok());
             let agreed = link.is_some_and(|l| self.auto_downed.contains(&l));
-            self.check(MeshInvariant::HealthConsistent, link, cycle, agreed, || {
-                format!("health reports {name} Down but the simulator never auto-retired it")
-            });
+            self.verdicts
+                .check(MeshInvariant::HealthConsistent, link, cycle, agreed, || {
+                    format!("health reports {name} Down but the simulator never auto-retired it")
+                });
         }
     }
 
@@ -621,7 +588,7 @@ impl MeshMonitor {
             && report.duplicates == duplicates
             && report.flagged_lost == flagged.len() as u64
             && report.injected == report.delivered + report.flagged_lost;
-        self.check(
+        self.verdicts.check(
             MeshInvariant::PacketConservation,
             None,
             cycle,
@@ -644,23 +611,16 @@ impl MeshMonitor {
             // been *reported* lost — silence is the violation.
             for key in &flagged {
                 let reported = self.gave_up.contains(key);
-                let idx = MeshInvariant::ALL
-                    .iter()
-                    .position(|k| *k == MeshInvariant::PacketConservation)
-                    .expect("kind is in ALL");
-                self.stats[idx].checked += 1;
-                if !reported {
-                    self.stats[idx].violated += 1;
-                    self.violations.push(Violation {
-                        kind: MeshInvariant::PacketConservation,
-                        site: None,
-                        at: cycle,
-                        detail: format!("packet {key:?} lost silently (never flagged)"),
-                    });
-                }
+                self.verdicts.check(
+                    MeshInvariant::PacketConservation,
+                    None,
+                    cycle,
+                    reported,
+                    || format!("packet {key:?} lost silently (never flagged)"),
+                );
             }
         }
-        self.check(
+        self.verdicts.check(
             MeshInvariant::BoundedProgress,
             None,
             cycle,
@@ -671,7 +631,7 @@ impl MeshMonitor {
             },
         );
         if self.expect_full_delivery {
-            self.check(
+            self.verdicts.check(
                 MeshInvariant::RerouteDelivers,
                 None,
                 cycle,
@@ -684,38 +644,6 @@ impl MeshMonitor {
                 },
             );
         }
-    }
-
-    /// Reports the `monitor.checks` counters accumulated since the last
-    /// flush (safe to call repeatedly; each check is reported once).
-    pub fn flush_telemetry(&mut self) {
-        if !self.tel.is_enabled() {
-            return;
-        }
-        for (idx, kind) in MeshInvariant::ALL.iter().enumerate() {
-            let delta = self.stats[idx].checked - self.checks_flushed[idx];
-            if delta > 0 {
-                self.tel
-                    .counter("monitor.checks", &[("invariant", kind.name())], delta);
-                self.checks_flushed[idx] = self.stats[idx].checked;
-            }
-        }
-    }
-
-    /// Pass/fail tally for one invariant kind.
-    #[must_use]
-    pub fn stats(&self, kind: MeshInvariant) -> InvariantStats {
-        let idx = MeshInvariant::ALL
-            .iter()
-            .position(|k| *k == kind)
-            .expect("kind is in ALL");
-        self.stats[idx]
-    }
-
-    /// Consumes the monitor, returning all violations.
-    #[must_use]
-    pub fn into_violations(self) -> Vec<MeshViolation> {
-        self.violations
     }
 }
 
@@ -828,7 +756,7 @@ fn drive_mesh_case(cfg: &MeshCaseConfig, tel: Telemetry) -> (MeshMonitor, MeshRe
     let mut sim =
         MeshSim::new_with_telemetry(&mesh_cfg, cfg.sim_seed, cfg.traffic_seed, tel.clone());
     let mut monitor = MeshMonitor::new(cfg.width, cfg.height, cfg.expect_full_delivery);
-    monitor.set_telemetry(tel);
+    monitor.verdicts.set_telemetry(tel);
     let mut live: HashMap<u32, (usize, usize)> = HashMap::new();
     let events = &cfg.schedule.events;
     let mut next_event = 0;
@@ -858,15 +786,15 @@ fn drive_mesh_case(cfg: &MeshCaseConfig, tel: Telemetry) -> (MeshMonitor, MeshRe
     let drained_clean = sim.idle();
     let report = sim.finish();
     monitor.finish(&report, drained_clean);
-    monitor.flush_telemetry();
+    monitor.verdicts.flush_telemetry();
     (monitor, report)
 }
 
 /// Consumes a finished monitor into the case outcome.
 fn finish_outcome(monitor: MeshMonitor, report: MeshReport) -> MeshCaseOutcome {
-    let stats = MeshInvariant::ALL.map(|k| (k, monitor.stats(k)));
+    let stats = MeshInvariant::ALL.map(|k| (k, monitor.verdicts.stats(k)));
     MeshCaseOutcome {
-        violations: monitor.into_violations(),
+        violations: monitor.verdicts.into_violations(),
         report,
         stats,
     }
@@ -889,7 +817,7 @@ pub fn run_mesh_case_health(
     // agreement check's own monitor.* counters land after the snapshot.
     let scope = HealthAggregator::scope_from_recorder(&cfg.name, health_cfg, &rec);
     monitor.check_health_agreement(&scope);
-    monitor.flush_telemetry();
+    monitor.verdicts.flush_telemetry();
     let outcome = finish_outcome(monitor, report);
     let rec = Rc::try_unwrap(rec)
         .ok()
@@ -947,7 +875,7 @@ impl Harness for MeshCaseConfig {
         let (mut monitor, report) = drive_mesh_case(self, probe.open(&self.name));
         if let Some(scope) = probe.fold() {
             monitor.check_health_agreement(scope);
-            monitor.flush_telemetry();
+            monitor.verdicts.flush_telemetry();
         }
         finish_outcome(monitor, report)
     }
@@ -1140,11 +1068,12 @@ impl Harness for MeshCaseConfig {
     }
 
     /// Rejects a parsed mesh case the simulator would assert on: a data
-    /// width outside 1..=128, a mesh smaller than 2×2 (or past
+    /// width outside 1..=128 or one the scheme does not build at, a mesh
+    /// smaller than 2×2 (or past
     /// `MAX_MESH_NODES`), a probability that is not one, a hotspot node
     /// off the mesh, or an event naming a link the mesh lacks.
     fn check(&self) -> Result<(), String> {
-        check_data_bits(self.data_bits)?;
+        check_widths(self.data_bits, [self.scheme])?;
         let nodes = self.width.saturating_mul(self.height);
         if self.width < 2 || self.height < 2 || nodes > MAX_MESH_NODES {
             return Err(format!(
@@ -1486,6 +1415,50 @@ mod tests {
         );
     }
 
+    /// A packet neither delivered nor given up after a clean drain is a
+    /// silent loss: one packet-conservation violation, reported like
+    /// every other — its counter and its event.
+    #[test]
+    fn a_silent_loss_after_a_clean_drain_is_reported() {
+        let rec = std::rc::Rc::new(Recorder::new());
+        let mut m = MeshMonitor::new(3, 3, false);
+        m.verdicts.set_telemetry(Telemetry::from_recorder(&rec));
+        m.injected.insert(PacketKey {
+            src: 0,
+            dst: 8,
+            seq: 0,
+        });
+        let report = MeshReport {
+            injected: 1,
+            delivered: 0,
+            flagged_lost: 1,
+            duplicates: 0,
+            delivered_corrupt: 0,
+            e2e_retransmits: 0,
+            dropped_poisoned: 0,
+            dropped_no_route: 0,
+            cycles: 40,
+            max_waited: 0,
+            links_down: 0,
+            latency_hist: Default::default(),
+            flows: Default::default(),
+            links: Vec::new(),
+        };
+        m.finish(&report, true);
+        let violations = m.verdicts.violations();
+        assert_eq!(violations.len(), 1, "{violations:?}");
+        assert_eq!(violations[0].kind, MeshInvariant::PacketConservation);
+        assert!(violations[0].detail.contains("lost silently"));
+        let labels = [("invariant", "packet-conservation"), ("at_link", "e2e")];
+        assert_eq!(rec.counter_value("monitor.violations", &labels), 1);
+        let events = rec
+            .export_jsonl()
+            .lines()
+            .filter(|l| l.contains("\"type\": \"event\", \"name\": \"monitor.violation\""))
+            .count();
+        assert_eq!(events, 1);
+    }
+
     #[test]
     fn health_agreement_rejects_silent_and_phantom_downs() {
         let scope = |entities: Vec<EntitySummary>, incidents| ScopeReport {
@@ -1509,20 +1482,24 @@ mod tests {
         // Phantom: health says link 3 is Down, simulator never retired it.
         let mut m = MeshMonitor::new(3, 3, false);
         m.check_health_agreement(&scope(vec![down_entity("link:3")], vec![]));
-        assert_eq!(m.violations.len(), 1);
-        assert!(m.violations[0].detail.contains("never auto-retired"));
+        assert_eq!(m.verdicts.violations().len(), 1);
+        assert!(m.verdicts.violations()[0]
+            .detail
+            .contains("never auto-retired"));
         // Silent: link 2 auto-retired but health never marked it Down.
         let mut m = MeshMonitor::new(3, 3, false);
         m.auto_downed.insert(2);
         m.check_health_agreement(&scope(vec![], vec![]));
-        assert_eq!(m.violations.len(), 1);
-        assert!(m.violations[0].detail.contains("not Down"));
+        assert_eq!(m.verdicts.violations().len(), 1);
+        assert!(m.verdicts.violations()[0].detail.contains("not Down"));
         // Unblamed: Down in the report, but no incident pages anyone.
         let mut m = MeshMonitor::new(3, 3, false);
         m.auto_downed.insert(2);
         m.check_health_agreement(&scope(vec![down_entity("link:2")], vec![]));
-        assert_eq!(m.violations.len(), 1);
-        assert!(m.violations[0].detail.contains("no incident blames"));
+        assert_eq!(m.verdicts.violations().len(), 1);
+        assert!(m.verdicts.violations()[0]
+            .detail
+            .contains("no incident blames"));
     }
 
     #[test]

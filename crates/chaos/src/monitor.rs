@@ -61,8 +61,18 @@ pub trait Invariant: Copy + PartialEq + std::fmt::Debug + Send + 'static {
     /// All kinds, in reporting order.
     const ALL: [Self; 5];
 
+    /// The telemetry label naming a violation's site (`at_hop` on a
+    /// path, `at_link` on a mesh).
+    const SITE_LABEL: &'static str;
+
+    /// That label's value for an end-to-end violation.
+    const END_TO_END: &'static str;
+
     /// Stable name (used in reports and repro files).
     fn name(self) -> &'static str;
+
+    /// Position in [`Invariant::ALL`].
+    fn index(self) -> usize;
 
     /// Inverse of [`Invariant::name`].
     fn from_name(name: &str) -> Option<Self> {
@@ -78,6 +88,8 @@ impl Invariant for InvariantKind {
         InvariantKind::LadderMonotonic,
         InvariantKind::ControlSafeState,
     ];
+    const SITE_LABEL: &'static str = "at_hop";
+    const END_TO_END: &'static str = "path";
 
     fn name(self) -> &'static str {
         match self {
@@ -87,6 +99,10 @@ impl Invariant for InvariantKind {
             InvariantKind::LadderMonotonic => "ladder-monotonic",
             InvariantKind::ControlSafeState => "control-safe-state",
         }
+    }
+
+    fn index(self) -> usize {
+        self as usize
     }
 }
 
@@ -124,6 +140,107 @@ pub struct InvariantStats {
     pub violated: u64,
 }
 
+/// The verdict bookkeeping every monitor shares: the pass/fail tally of
+/// each invariant kind, the violations found, and their telemetry — a
+/// `monitor.violations` counter and a `monitor.violation` event per
+/// violation as it is found (labelled by `K`'s site label; the event is
+/// word-domain on a path, cycle-domain on a mesh), and the
+/// `monitor.checks` counters on each flush.
+pub struct Verdicts<K> {
+    stats: [InvariantStats; 5],
+    /// `stats[i].checked` already reported as a `monitor.checks`
+    /// counter, so [`Verdicts::flush_telemetry`] emits only the delta.
+    checks_flushed: [u64; 5],
+    violations: Vec<Violation<K>>,
+    tel: Telemetry,
+}
+
+impl<K: Invariant> Verdicts<K> {
+    pub(crate) fn new() -> Self {
+        Verdicts {
+            stats: [InvariantStats::default(); 5],
+            checks_flushed: [0; 5],
+            violations: Vec::new(),
+            tel: Telemetry::off(),
+        }
+    }
+
+    /// Attaches a telemetry handle: check tallies batch locally and
+    /// [`Verdicts::flush_telemetry`] reports them as `monitor.checks`
+    /// counters keyed by invariant name; every violation immediately
+    /// emits its counter and event.
+    pub fn set_telemetry(&mut self, tel: Telemetry) {
+        self.tel = tel;
+    }
+
+    /// One check of `kind` at `site` (`None` end to end) at word or cycle
+    /// `at`: a failed one is tallied, reported and kept with `detail()`.
+    pub(crate) fn check(
+        &mut self,
+        kind: K,
+        site: Option<usize>,
+        at: u64,
+        ok: bool,
+        detail: impl FnOnce() -> String,
+    ) {
+        let stats = &mut self.stats[kind.index()];
+        stats.checked += 1;
+        if ok {
+            return;
+        }
+        stats.violated += 1;
+        if self.tel.is_enabled() {
+            let site_label = site.map_or_else(|| K::END_TO_END.to_owned(), |s| s.to_string());
+            let labels = [
+                ("invariant", kind.name()),
+                (K::SITE_LABEL, site_label.as_str()),
+            ];
+            self.tel.counter("monitor.violations", &labels, 1);
+            self.tel.event("monitor.violation", &labels, at);
+        }
+        self.violations.push(Violation {
+            kind,
+            site,
+            at,
+            detail: detail(),
+        });
+    }
+
+    /// Reports the `monitor.checks` counters accumulated since the last
+    /// flush (safe to call repeatedly; each check is reported once).
+    pub fn flush_telemetry(&mut self) {
+        if !self.tel.is_enabled() {
+            return;
+        }
+        for (idx, kind) in K::ALL.iter().enumerate() {
+            let delta = self.stats[idx].checked - self.checks_flushed[idx];
+            if delta > 0 {
+                self.tel
+                    .counter("monitor.checks", &[("invariant", kind.name())], delta);
+                self.checks_flushed[idx] = self.stats[idx].checked;
+            }
+        }
+    }
+
+    /// Pass/fail tally for one invariant kind.
+    #[must_use]
+    pub fn stats(&self, kind: K) -> InvariantStats {
+        self.stats[kind.index()]
+    }
+
+    /// Violations recorded so far.
+    #[must_use]
+    pub fn violations(&self) -> &[Violation<K>] {
+        &self.violations
+    }
+
+    /// Consumes the tally, returning all violations.
+    #[must_use]
+    pub fn into_violations(self) -> Vec<Violation<K>> {
+        self.violations
+    }
+}
+
 /// Per-hop accumulators the end-of-run conservation audit re-derives the
 /// report counters from.
 #[derive(Clone, Copy, Debug, Default)]
@@ -140,12 +257,9 @@ pub struct Monitor {
     control: Option<(ControlPolicy, Vec<u32>)>,
     words: u64,
     tallies: Vec<HopTally>,
-    violations: Vec<Violation>,
-    stats: [InvariantStats; 5],
-    /// `stats[i].checked` already reported as a `monitor.checks`
-    /// counter, so [`Monitor::flush_telemetry`] emits only the delta.
-    checks_flushed: [u64; 5],
-    tel: Telemetry,
+    /// The checks' verdicts (`at_hop` labels the hop without claiming a
+    /// cycle-domain timestamp; the events sit on the control track).
+    pub verdicts: Verdicts<InvariantKind>,
     /// Worst per-hop word latency observed (cycles).
     pub worst_word_cycles: u64,
 }
@@ -161,10 +275,7 @@ impl Monitor {
             control: None,
             words: 0,
             tallies: vec![HopTally::default(); hops],
-            violations: Vec::new(),
-            stats: [InvariantStats::default(); 5],
-            checks_flushed: [0; 5],
-            tel: Telemetry::off(),
+            verdicts: Verdicts::new(),
             worst_word_cycles: 0,
         }
     }
@@ -179,84 +290,6 @@ impl Monitor {
             let guarantees = p.guarantees(data_bits);
             (p, guarantees)
         });
-    }
-
-    /// Attaches a telemetry handle: check tallies batch locally and
-    /// [`Monitor::flush_telemetry`] reports them as `monitor.checks`
-    /// counters keyed by invariant name; every violation immediately
-    /// emits a `monitor.violations` counter plus a word-domain
-    /// `monitor.violation` event on the control track (the `at_hop` label
-    /// names the hop without claiming a cycle-domain timestamp).
-    pub fn set_telemetry(&mut self, tel: Telemetry) {
-        self.tel = tel;
-    }
-
-    /// Reports the `monitor.checks` counters accumulated since the last
-    /// flush (safe to call repeatedly; each check is reported once).
-    pub fn flush_telemetry(&mut self) {
-        if !self.tel.is_enabled() {
-            return;
-        }
-        for (idx, kind) in InvariantKind::ALL.iter().enumerate() {
-            let delta = self.stats[idx].checked - self.checks_flushed[idx];
-            if delta > 0 {
-                self.tel
-                    .counter("monitor.checks", &[("invariant", kind.name())], delta);
-                self.checks_flushed[idx] = self.stats[idx].checked;
-            }
-        }
-    }
-
-    /// Violations recorded so far.
-    #[must_use]
-    pub fn violations(&self) -> &[Violation] {
-        &self.violations
-    }
-
-    /// Consumes the monitor, returning all violations.
-    #[must_use]
-    pub fn into_violations(self) -> Vec<Violation> {
-        self.violations
-    }
-
-    /// Pass/fail tally for one invariant kind.
-    #[must_use]
-    pub fn stats(&self, kind: InvariantKind) -> InvariantStats {
-        let idx = InvariantKind::ALL
-            .iter()
-            .position(|k| *k == kind)
-            .expect("kind is in ALL");
-        self.stats[idx]
-    }
-
-    fn check(
-        &mut self,
-        kind: InvariantKind,
-        hop: Option<usize>,
-        word: u64,
-        ok: bool,
-        detail: impl FnOnce() -> String,
-    ) {
-        let idx = InvariantKind::ALL
-            .iter()
-            .position(|k| *k == kind)
-            .expect("kind is in ALL");
-        self.stats[idx].checked += 1;
-        if !ok {
-            self.stats[idx].violated += 1;
-            if self.tel.is_enabled() {
-                let hop_label = hop.map_or_else(|| "path".to_owned(), |h| h.to_string());
-                let labels = [("invariant", kind.name()), ("at_hop", hop_label.as_str())];
-                self.tel.counter("monitor.violations", &labels, 1);
-                self.tel.event("monitor.violation", &labels, word);
-            }
-            self.violations.push(Violation {
-                kind,
-                site: hop,
-                at: word,
-                detail: detail(),
-            });
-        }
     }
 
     /// Audits one word's traversal of the path. `word` is its 0-based
@@ -280,7 +313,7 @@ impl Monitor {
             );
             let within_detection = weight <= t.detectable_errors as u64;
             let guaranteed_exact = within_correction || (within_detection && claims_clean);
-            self.check(
+            self.verdicts.check(
                 InvariantKind::SilentCorruption,
                 Some(hop),
                 word,
@@ -307,7 +340,7 @@ impl Monitor {
             // exceeded the correctable budget — so a `Detected` with
             // `weight <= correctable` is a phantom detection (a decoder
             // crying wolf on a word it was guaranteed to deliver exactly).
-            self.check(
+            self.verdicts.check(
                 InvariantKind::SilentCorruption,
                 Some(hop),
                 word,
@@ -323,7 +356,7 @@ impl Monitor {
 
             // Latency bound.
             let budget = self.budget;
-            self.check(
+            self.verdicts.check(
                 InvariantKind::LatencyBound,
                 Some(hop),
                 word,
@@ -344,7 +377,7 @@ impl Monitor {
         let words = self.words;
         for (hop, link) in report.per_hop.iter().enumerate() {
             let tally = self.tallies[hop];
-            self.check(
+            self.verdicts.check(
                 InvariantKind::Conservation,
                 Some(hop),
                 words,
@@ -359,7 +392,7 @@ impl Monitor {
                     )
                 },
             );
-            self.check(
+            self.verdicts.check(
                 InvariantKind::Conservation,
                 Some(hop),
                 words,
@@ -371,7 +404,7 @@ impl Monitor {
                     )
                 },
             );
-            self.check(
+            self.verdicts.check(
                 InvariantKind::Conservation,
                 Some(hop),
                 words,
@@ -391,7 +424,7 @@ impl Monitor {
                     )
                 },
             );
-            self.check(
+            self.verdicts.check(
                 InvariantKind::Conservation,
                 Some(hop),
                 words,
@@ -407,7 +440,7 @@ impl Monitor {
             // Ladder monotonicity.
             let ladder_ok = self.ladder_ok(link.transitions.as_slice());
             let policy = self.policy.clone();
-            self.check(
+            self.verdicts.check(
                 InvariantKind::LadderMonotonic,
                 Some(hop),
                 words,
@@ -422,7 +455,7 @@ impl Monitor {
 
             // Controller safe state.
             let control_err = self.control_error(link.control.as_slice());
-            self.check(
+            self.verdicts.check(
                 InvariantKind::ControlSafeState,
                 Some(hop),
                 words,
@@ -438,7 +471,7 @@ impl Monitor {
         }
 
         let hop_cycles: u64 = report.per_hop.iter().map(|l| l.cycles).sum();
-        self.check(
+        self.verdicts.check(
             InvariantKind::Conservation,
             None,
             words,
@@ -451,7 +484,7 @@ impl Monitor {
             },
         );
         let hop_residual: u64 = report.per_hop.iter().map(|l| l.residual_errors).sum();
-        self.check(
+        self.verdicts.check(
             InvariantKind::Conservation,
             None,
             words,
@@ -638,9 +671,18 @@ mod tests {
         );
         let mut monitor = Monitor::new(3, proto, None);
         drive(&cfg, 4_000, &mut monitor);
-        assert_eq!(monitor.violations(), &[] as &[Violation]);
-        assert!(monitor.stats(InvariantKind::SilentCorruption).checked >= 12_000);
-        assert!(monitor.stats(InvariantKind::Conservation).checked > 0);
+        assert_eq!(monitor.verdicts.violations(), &[] as &[Violation]);
+        assert!(
+            monitor
+                .verdicts
+                .stats(InvariantKind::SilentCorruption)
+                .checked
+                >= 12_000
+        );
+        assert!(monitor.verdicts.stats(InvariantKind::Conservation).checked > 0);
+        for (i, kind) in InvariantKind::ALL.into_iter().enumerate() {
+            assert_eq!(kind.index(), i, "{kind:?}");
+        }
     }
 
     #[test]
@@ -650,11 +692,12 @@ mod tests {
         drive(&cfg, 4_000, &mut monitor);
         assert!(
             monitor
+                .verdicts
                 .violations()
                 .iter()
                 .any(|v| v.kind == InvariantKind::SilentCorruption),
             "the planted lie must be flagged: {:?}",
-            monitor.violations().first()
+            monitor.verdicts.violations().first()
         );
     }
 
@@ -667,7 +710,7 @@ mod tests {
         let report = drive(&cfg, 4_000, &mut monitor);
         assert!(report.end_to_end_errors > 0, "this ε must cause residuals");
         assert_eq!(
-            monitor.violations(),
+            monitor.verdicts.violations(),
             &[] as &[Violation],
             "aliasing beyond the guarantees is physics, not a violation"
         );

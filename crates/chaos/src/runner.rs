@@ -105,7 +105,7 @@ pub fn run_case_with(cfg: &CaseConfig, tel: Telemetry) -> CaseOutcome {
     let mut sim = PathSim::new_with_telemetry(&cfg.path_config(), cfg.sim_seed, tel.clone());
     let mut monitor = Monitor::new(cfg.hops, cfg.protocol, cfg.degradation.clone());
     monitor.set_control(cfg.controller.clone(), cfg.data_bits);
-    monitor.set_telemetry(tel.clone());
+    monitor.verdicts.set_telemetry(tel.clone());
     // id -> (hop, slot) of the live activation for that handle.
     let mut live: HashMap<u32, (usize, usize)> = HashMap::new();
     let mut next_event = 0usize;
@@ -124,12 +124,12 @@ pub fn run_case_with(cfg: &CaseConfig, tel: Telemetry) -> CaseOutcome {
     }
     let report = sim.finish();
     monitor.finish(&report);
-    monitor.flush_telemetry();
-    let stats = InvariantKind::ALL.map(|k| (k, monitor.stats(k)));
+    monitor.verdicts.flush_telemetry();
+    let stats = InvariantKind::ALL.map(|k| (k, monitor.verdicts.stats(k)));
     CaseOutcome {
         worst_word_cycles: monitor.worst_word_cycles,
         budget_cycles: cfg.protocol.worst_case_word_cycles(),
-        violations: monitor.into_violations(),
+        violations: monitor.verdicts.into_violations(),
         report,
         stats,
     }

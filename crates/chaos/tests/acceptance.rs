@@ -212,6 +212,21 @@ fn replay_rejects_out_of_range_fields() {
             "\nwords ",
             "\ncontroller target=0.01 window=50 dwell=2 lower=0.05 raise=0.2 storm=0.4\nwords ",
         ),
+        // Widths a scheme the path runs does not build at.
+        ("\nscheme Sabotaged\n", "\nscheme BI(0)\n"),
+        (
+            "\nscheme Sabotaged\ndata_bits 16\n",
+            "\nscheme DAPBI\ndata_bits 127\n",
+        ),
+        (
+            "\nscheme Sabotaged\ndata_bits 16\n",
+            "\nscheme BSC\ndata_bits 128\n",
+        ),
+        (
+            "\nwords ",
+            "\ncontroller target=0.01 window=50 dwell=2 lower=0.05 raise=0.2 storm=0.4\n\
+             point swing=1.0 scheme=BI(17)\nwords ",
+        ),
     ];
     let mesh_edits = [
         ("\nwidth 3\n", "\nwidth 0\n"),
@@ -224,6 +239,16 @@ fn replay_rejects_out_of_range_fields() {
             "\nexpect ",
             "\nevent at=50 activate id=1 link=999 spec=iid eps=0.01\nexpect ",
         ),
+        ("\ndata_bits 16\n", "\ndata_bits 128\n"),
+        (
+            "\nscheme DAP\ndata_bits 16\n",
+            "\nscheme DAPX\ndata_bits 128\n",
+        ),
+        (
+            "\nscheme DAP\ndata_bits 16\n",
+            "\nscheme DAPBI\ndata_bits 128\n",
+        ),
+        ("\nscheme DAP\n", "\nscheme BI(0)\n"),
     ];
     let edit = |text: &str, (from, to): (&str, &str)| {
         let edited = text.replacen(from, to, 1);
@@ -238,6 +263,11 @@ fn replay_rejects_out_of_range_fields() {
         let err = replay::<MeshCaseConfig>(&edit(&mesh, e)).expect_err(e.1);
         assert!(!err.contains("canonical"), "{err}");
     }
+    assert_eq!(
+        replay::<MeshCaseConfig>(&edit(&mesh, ("\ndata_bits 16\n", "\ndata_bits 128\n"))),
+        Err("DAP does not build at 128 data bits: its bus of 257 wires exceeds 256".into()),
+        "the message names the scheme and the width"
+    );
 
     let dir = std::env::temp_dir().join("socbus-chaos-rejects");
     std::fs::create_dir_all(&dir).expect("temp dir");

@@ -220,7 +220,7 @@ mod tests {
     use super::*;
     use crate::cac::{Duplication, Shielding};
     use crate::ecc::Hamming;
-    use crate::joint::{Bsc, Dap};
+    use crate::joint::Dap;
     use crate::lpc::BusInvert;
     use crate::traits::Uncoded;
 
@@ -265,7 +265,7 @@ mod tests {
     #[test]
     fn stateful_worst_delay_sampled() {
         let lambda = 2.0;
-        let f = worst_delay_factor(&mut Bsc::new(4), lambda, 5000);
+        let f = worst_delay_factor(&mut Dap::bsc(4), lambda, 5000);
         assert!(f <= 1.0 + 2.0 * lambda + 1e-12, "BSC factor {f}");
         let f = worst_delay_factor(&mut BusInvert::new(8, 1), lambda, 5000);
         assert!(f <= 1.0 + 4.0 * lambda + 1e-12);
@@ -284,7 +284,7 @@ mod tests {
         assert_eq!(verify_roundtrip(&Uncoded::new(8), 200, 1), 0);
         assert_eq!(verify_roundtrip(&Hamming::new(8), 200, 2), 0);
         assert_eq!(verify_roundtrip(&Dap::new(8), 200, 3), 0);
-        assert_eq!(verify_roundtrip(&Bsc::new(8), 200, 4), 0);
+        assert_eq!(verify_roundtrip(&Dap::bsc(8), 200, 4), 0);
         assert_eq!(verify_roundtrip(&BusInvert::new(8, 2), 200, 5), 0);
     }
 

@@ -1,5 +1,7 @@
 //! Wire duplication: the trivial forbidden-pattern code.
 
+use crate::batch::{BlockStatus, Planes, WordBlock};
+use crate::catalog::Scheme;
 use crate::traits::{BusCode, DecodeStatus};
 use socbus_model::{DelayClass, Word};
 
@@ -32,14 +34,10 @@ impl Duplication {
     ///
     /// # Panics
     ///
-    /// Panics if `k == 0` or `2k` exceeds the word limit.
+    /// Panics where [`Scheme::check`] rejects `k`.
     #[must_use]
     pub fn new(k: usize) -> Self {
-        assert!(k > 0, "need at least one data bit");
-        assert!(
-            2 * k <= socbus_model::word::MAX_WIDTH,
-            "duplicated bus too wide"
-        );
+        Scheme::Duplication.assert_builds(k);
         Duplication { k }
     }
 
@@ -94,6 +92,35 @@ impl BusCode for Duplication {
 
     fn guaranteed_delay_class(&self) -> DelayClass {
         DelayClass::CAC
+    }
+}
+
+/// The plane form: lane fan-out on encode, pairwise XOR/OR mismatch
+/// planes on the membership check.
+impl Planes for Duplication {
+    fn encode_planes(&mut self, data: &WordBlock) -> WordBlock {
+        let mut out = WordBlock::zero(self.wires(), data.len());
+        for i in 0..self.k {
+            *out.lane_mut(2 * i) = data.lane(i);
+            *out.lane_mut(2 * i + 1) = data.lane(i);
+        }
+        out
+    }
+
+    fn decode_planes(&mut self, bus: &WordBlock) -> (WordBlock, BlockStatus) {
+        let mut out = WordBlock::zero(self.k, bus.len());
+        for i in 0..self.k {
+            *out.lane_mut(i) = bus.lane(2 * i);
+        }
+        let vm = bus.valid_mask();
+        let mismatch =
+            (0..self.k).fold(0u64, |acc, i| acc | (bus.lane(2 * i) ^ bus.lane(2 * i + 1)));
+        let status = BlockStatus {
+            clean: vm & !mismatch,
+            detected: mismatch & vm,
+            ..BlockStatus::default()
+        };
+        (out, status)
     }
 }
 

@@ -14,6 +14,7 @@
 
 use std::sync::Arc;
 
+use crate::batch::{BlockStatus, LookupStage, Planes, WordBlock};
 use crate::kernels::{codebook_kernel, BookKey, CodebookKernel};
 use crate::traits::{BusCode, DecodeStatus};
 use socbus_model::{DelayClass, Word};
@@ -194,6 +195,31 @@ impl BusCode for ForbiddenPatternCode {
 
     fn guaranteed_delay_class(&self) -> DelayClass {
         DelayClass::CAC
+    }
+}
+
+/// The plane form: single-group lookups through the codebook kernel
+/// (`LookupStage`).
+impl Planes for ForbiddenPatternCode {
+    fn encode_planes(&mut self, data: &WordBlock) -> WordBlock {
+        LookupStage {
+            kernel: &self.kernel,
+        }
+        .encode(data)
+    }
+
+    fn decode_planes(&mut self, bus: &WordBlock) -> (WordBlock, BlockStatus) {
+        let vm = bus.valid_mask();
+        let lookup = LookupStage {
+            kernel: &self.kernel,
+        };
+        let (out, clean) = lookup.decode(bus, self.k);
+        let status = BlockStatus {
+            clean,
+            detected: vm & !clean,
+            ..BlockStatus::default()
+        };
+        (out, status)
     }
 }
 

@@ -14,7 +14,9 @@
 
 use std::sync::Arc;
 
-use crate::kernels::{codebook_kernel, BookKey, CodebookKernel};
+use crate::batch::{minterms, select, BlockStatus, Planes, WordBlock};
+use crate::catalog::Scheme;
+use crate::kernels::{codebook_kernel, BookKey, CodebookKernel, TruthTables};
 use crate::traits::{BusCode, DecodeStatus};
 use socbus_model::{DelayClass, Word};
 
@@ -164,6 +166,12 @@ pub fn ftc_wires_for_bits(k: usize) -> usize {
     body * BODY_STRIDE + tail_wires
 }
 
+/// Code bits (the wires minus the inter-group shields) for `k` data
+/// bits: the payload FTC+HC's Hamming code protects.
+pub(crate) fn ftc_info_bits(k: usize) -> usize {
+    ftc_wires_for_bits(k) - group_shape(k).0
+}
+
 /// One sub-bus group: where its data bits and wires start, and the
 /// shared kernel of its shape.
 struct Group<'a> {
@@ -172,6 +180,15 @@ struct Group<'a> {
     wire_lo: usize,
     wires: usize,
     kernel: &'a CodebookKernel,
+}
+
+impl Group<'_> {
+    /// The group kernel's truth tables.
+    fn tables(&self) -> &TruthTables {
+        self.kernel
+            .tables()
+            .expect("FTC group kernels carry truth tables")
+    }
 }
 
 /// Partitioned forbidden-transition code over `k` data bits.
@@ -209,12 +226,11 @@ impl ForbiddenTransitionCode {
     ///
     /// # Panics
     ///
-    /// Panics if `k == 0` or the coded bus exceeds the word limit.
+    /// Panics where [`Scheme::check`] rejects `k`.
     #[must_use]
     pub fn new(k: usize) -> Self {
-        assert!(k > 0, "need at least one data bit");
+        Scheme::Ftc.assert_builds(k);
         let wires = ftc_wires_for_bits(k);
-        assert!(wires <= socbus_model::word::MAX_WIDTH, "FTC bus too wide");
         let (body, (bits, tail_wires)) = group_shape(k);
         let body_kernel = (body > 0).then(|| {
             codebook_kernel(BookKey::FtcGroup {
@@ -248,18 +264,70 @@ impl ForbiddenTransitionCode {
     }
 
     /// The groups of the bus in wire order, one at a time: the view of
-    /// the reference scan.
+    /// the reference scan and the plane form.
     fn groups(&self) -> impl Iterator<Item = Group<'_>> {
+        self.groups_at(BODY_STRIDE)
+    }
+
+    /// The groups laid out `stride` wires apart: the bus (`BODY_STRIDE`)
+    /// or the shield-free info layout FTC+HC protects (`BODY_WIRES`).
+    fn groups_at(&self, stride: usize) -> impl Iterator<Item = Group<'_>> {
         let body = self.body_kernel.iter().flat_map(move |kernel| {
             (0..self.body).map(move |g| Group {
                 data_lo: BODY_BITS * g,
                 bits: BODY_BITS,
-                wire_lo: BODY_STRIDE * g,
+                wire_lo: stride * g,
                 wires: BODY_WIRES,
                 kernel,
             })
         });
-        body.chain(std::iter::once(self.tail_group(BODY_STRIDE)))
+        body.chain(std::iter::once(self.tail_group(stride)))
+    }
+
+    /// The bus wire of each code bit, in info order: every wire but the
+    /// inter-group shields.
+    pub(crate) fn info_wires(&self) -> impl Iterator<Item = usize> + '_ {
+        self.groups().flat_map(|g| g.wire_lo..g.wire_lo + g.wires)
+    }
+
+    /// Writes every group's codeword planes onto its wires of `out`: each
+    /// group evaluated from its kernel's truth tables (`minterms`,
+    /// `select`).
+    pub(crate) fn encode_planes_into(&self, data: &WordBlock, out: &mut [u64]) {
+        let vm = data.valid_mask();
+        for g in self.groups() {
+            let planes = minterms(&data.lanes[g.data_lo..g.data_lo + g.bits], vm);
+            let wires = &mut out[g.wire_lo..g.wire_lo + g.wires];
+            for (lane, &table) in wires.iter_mut().zip(&g.tables().encode) {
+                *lane = select(&planes, table);
+            }
+        }
+    }
+
+    /// Decodes every group's code lanes into its data lanes of `out` and
+    /// returns the mask of words whose every group was a codeword. Group
+    /// `i`'s lanes start at its bus wire in `code`, or — without
+    /// `shields` — `i` lanes lower: the shield-free info layout FTC+HC
+    /// protects.
+    pub(crate) fn decode_planes_into(
+        &self,
+        code: &[u64],
+        shields: bool,
+        vm: u64,
+        out: &mut [u64],
+    ) -> u64 {
+        let stride = if shields { BODY_STRIDE } else { BODY_WIRES };
+        let mut exact = vm;
+        for g in self.groups_at(stride) {
+            let planes = minterms(&code[g.wire_lo..g.wire_lo + g.wires], vm);
+            let tables = g.tables();
+            let data = &mut out[g.data_lo..g.data_lo + g.bits];
+            for (lane, &table) in data.iter_mut().zip(&tables.decode) {
+                *lane = select(&planes, table);
+            }
+            exact &= select(&planes, tables.codeword);
+        }
+        exact
     }
 
     /// The body groups in windows of as many groups as one 64-wire field
@@ -423,6 +491,34 @@ impl BusCode for ForbiddenTransitionCode {
 
     fn guaranteed_delay_class(&self) -> DelayClass {
         DelayClass::CAC
+    }
+}
+
+/// The plane form: every group's truth tables on bit planes, plus an OR
+/// tree over the inter-group shield lanes for the membership check.
+impl Planes for ForbiddenTransitionCode {
+    fn encode_planes(&mut self, data: &WordBlock) -> WordBlock {
+        let mut out = WordBlock::zero(self.wires, data.len());
+        self.encode_planes_into(data, &mut out.lanes);
+        out
+    }
+
+    fn decode_planes(&mut self, bus: &WordBlock) -> (WordBlock, BlockStatus) {
+        let vm = bus.valid_mask();
+        let mut out = WordBlock::zero(self.k, bus.len());
+        let exact_all = self.decode_planes_into(&bus.lanes, true, vm, &mut out.lanes);
+        // Any set inter-group shield wire marks the word corrupted.
+        let shields = self
+            .groups()
+            .take(self.body)
+            .fold(0u64, |acc, g| acc | bus.lane(g.wire_lo + g.wires));
+        let clean = exact_all & !shields & vm;
+        let status = BlockStatus {
+            clean,
+            detected: vm & !clean,
+            ..BlockStatus::default()
+        };
+        (out, status)
     }
 }
 

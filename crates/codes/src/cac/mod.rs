@@ -28,9 +28,9 @@ pub(crate) use duplication::duplicated;
 pub use duplication::Duplication;
 pub(crate) use fpc::enumerate_fp_book;
 pub use fpc::{fp_condition, fpc_codebook, fpc_wires_for_bits, ForbiddenPatternCode};
-pub(crate) use ftc::search_ft_book;
 pub use ftc::{
     ft_compatible, ftc_codebook, ftc_groups, ftc_wires_for_bits, ForbiddenTransitionCode,
 };
+pub(crate) use ftc::{ftc_info_bits, search_ft_book};
 pub use half_shielding::HalfShielding;
 pub use shielding::Shielding;

@@ -1,5 +1,7 @@
 //! Wire shielding: the trivial forbidden-transition code.
 
+use crate::batch::{BlockStatus, Planes, WordBlock};
+use crate::catalog::Scheme;
 use crate::traits::{BusCode, DecodeStatus};
 use socbus_model::{DelayClass, Word};
 
@@ -23,14 +25,10 @@ impl Shielding {
     ///
     /// # Panics
     ///
-    /// Panics if `k == 0` or the shielded bus exceeds the word limit.
+    /// Panics where [`Scheme::check`] rejects `k`.
     #[must_use]
     pub fn new(k: usize) -> Self {
-        assert!(k > 0, "need at least one data bit");
-        assert!(
-            2 * k - 1 <= socbus_model::word::MAX_WIDTH,
-            "shielded bus too wide"
-        );
+        Scheme::Shielding.assert_builds(k);
         Shielding { k }
     }
 }
@@ -77,6 +75,33 @@ impl BusCode for Shielding {
 
     fn guaranteed_delay_class(&self) -> DelayClass {
         DelayClass::CAC
+    }
+}
+
+/// The plane form: a pure lane remap, plus an OR tree over the shield
+/// lanes for the membership check.
+impl Planes for Shielding {
+    fn encode_planes(&mut self, data: &WordBlock) -> WordBlock {
+        let mut out = WordBlock::zero(self.wires(), data.len());
+        for i in 0..self.k {
+            *out.lane_mut(2 * i) = data.lane(i);
+        }
+        out
+    }
+
+    fn decode_planes(&mut self, bus: &WordBlock) -> (WordBlock, BlockStatus) {
+        let mut out = WordBlock::zero(self.k, bus.len());
+        for i in 0..self.k {
+            *out.lane_mut(i) = bus.lane(2 * i);
+        }
+        let vm = bus.valid_mask();
+        let shields = (0..self.k - 1).fold(0u64, |acc, i| acc | bus.lane(2 * i + 1));
+        let status = BlockStatus {
+            clean: vm & !shields,
+            detected: shields & vm,
+            ..BlockStatus::default()
+        };
+        (out, status)
     }
 }
 

@@ -1,13 +1,18 @@
 //! A catalog of every scheme in the paper's evaluation (Tables II & III),
 //! constructible by name — the entry point used by the benches, the NoC
-//! simulator, and the examples.
+//! simulator, and the examples. Each scheme has one codec type, built in
+//! both forms by [`Scheme::codec`], and one statement of the widths it
+//! builds at, [`Scheme::check`].
 
-use crate::cac::{Duplication, ForbiddenTransitionCode, Shielding};
-use crate::ecc::{BchDec, ExtendedHamming, Hamming, ParityBit};
-use crate::joint::{Bih, Bsc, Dap, Dapbi, Dapx, FtcHc, HammingX};
+use crate::batch::Codec;
+use crate::cac::{
+    ftc_info_bits, ftc_wires_for_bits, Duplication, ForbiddenTransitionCode, Shielding,
+};
+use crate::ecc::{bch_parity_bits, hamming_parity_bits, BchDec, Hamming, ParityBit};
+use crate::joint::{Dap, FtcHc};
 use crate::lpc::BusInvert;
-use crate::sabotage::SabotagedHamming;
 use crate::traits::{BusCode, Uncoded};
+use socbus_model::word::MAX_WIDTH;
 
 /// Every coding scheme the paper evaluates, plus the extension codes.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -47,14 +52,19 @@ pub enum Scheme {
     /// Hamming with a deliberately broken decoder that delivers
     /// single-wire errors silently — **harness self-tests only**; never
     /// part of [`Scheme::catalog`] or the paper tables. See
-    /// [`crate::sabotage`].
+    /// [`Hamming::sabotaged`].
     Sabotaged,
 }
 
 impl Scheme {
-    /// Builds the codec for `k` data bits.
+    /// The codec for `k` data bits, in both forms: the one map from a
+    /// scheme to its constructor.
+    ///
+    /// # Panics
+    ///
+    /// Panics where [`Scheme::check`] rejects `k`.
     #[must_use]
-    pub fn build(self, k: usize) -> Box<dyn BusCode> {
+    pub fn codec(self, k: usize) -> Box<dyn Codec> {
         match self {
             Scheme::Uncoded => Box::new(Uncoded::new(k)),
             Scheme::BusInvert(i) => Box::new(BusInvert::new(k, i)),
@@ -63,16 +73,86 @@ impl Scheme {
             Scheme::Ftc => Box::new(ForbiddenTransitionCode::new(k)),
             Scheme::Parity => Box::new(ParityBit::new(k)),
             Scheme::Hamming => Box::new(Hamming::new(k)),
-            Scheme::HammingX => Box::new(HammingX::new(k)),
-            Scheme::Bih => Box::new(Bih::new(k)),
+            Scheme::HammingX => Box::new(Hamming::hamming_x(k)),
+            Scheme::Bih => Box::new(Hamming::bih(k)),
+            Scheme::ExtHamming => Box::new(Hamming::extended(k)),
+            Scheme::Sabotaged => Box::new(Hamming::sabotaged(k)),
             Scheme::FtcHc => Box::new(FtcHc::new(k)),
-            Scheme::Bsc => Box::new(Bsc::new(k)),
+            Scheme::Bsc => Box::new(Dap::bsc(k)),
             Scheme::Dap => Box::new(Dap::new(k)),
-            Scheme::Dapx => Box::new(Dapx::new(k)),
-            Scheme::Dapbi => Box::new(Dapbi::new(k)),
-            Scheme::ExtHamming => Box::new(ExtendedHamming::new(k)),
+            Scheme::Dapx => Box::new(Dap::dapx(k)),
+            Scheme::Dapbi => Box::new(Dap::dapbi(k)),
             Scheme::BchDec => Box::new(BchDec::new(k)),
-            Scheme::Sabotaged => Box::new(SabotagedHamming::new(k)),
+        }
+    }
+
+    /// The word view of the codec for `k` data bits.
+    ///
+    /// # Panics
+    ///
+    /// Panics where [`Scheme::check`] rejects `k`.
+    #[must_use]
+    pub fn build(self, k: usize) -> Box<dyn BusCode> {
+        self.codec(k)
+    }
+
+    /// Whether the codec builds at `k` data bits: at least one data bit,
+    /// `1 ≤ i ≤ k` sub-buses for `BI(i)`, a supported field for BCH-DEC,
+    /// and a bus of at most `MAX_WIDTH` wires. Every constructor asserts
+    /// it; repro files and command-line cases are checked against it.
+    ///
+    /// # Errors
+    ///
+    /// A message naming the scheme, the width and the limit it breaks.
+    pub fn check(self, k: usize) -> Result<(), String> {
+        let refuse = |why: String| {
+            Err(format!(
+                "{} does not build at {k} data bits: {why}",
+                self.name()
+            ))
+        };
+        if k == 0 {
+            return refuse("need at least one data bit".into());
+        }
+        if k > MAX_WIDTH {
+            return refuse(format!("more data bits than {MAX_WIDTH} wires"));
+        }
+        let hamming = |q: usize| q + hamming_parity_bits(q);
+        let wires = match self {
+            Scheme::Uncoded => k,
+            Scheme::BusInvert(0) => return refuse("need at least one sub-bus".into()),
+            Scheme::BusInvert(i) if i > k => {
+                return refuse(format!("more sub-buses ({i}) than data bits ({k})"))
+            }
+            Scheme::BusInvert(i) => k + i,
+            Scheme::Shielding => 2 * k - 1,
+            Scheme::Duplication => 2 * k,
+            Scheme::Ftc => ftc_wires_for_bits(k),
+            Scheme::Parity => k + 1,
+            Scheme::Hamming | Scheme::Sabotaged => hamming(k),
+            Scheme::HammingX => Hamming::half_shielded_wires(k),
+            Scheme::Bih => hamming(k + 1),
+            Scheme::ExtHamming => hamming(k) + 1,
+            Scheme::FtcHc => ftc_wires_for_bits(k) + 2 * hamming_parity_bits(ftc_info_bits(k)),
+            Scheme::Bsc | Scheme::Dap => 2 * k + 1,
+            Scheme::Dapx => 2 * k + 2,
+            Scheme::Dapbi => 2 * k + 3,
+            Scheme::BchDec => match bch_parity_bits(k) {
+                Some(r) => k + r,
+                None => return refuse("no supported BCH field fits".into()),
+            },
+        };
+        if wires > MAX_WIDTH {
+            return refuse(format!("its bus of {wires} wires exceeds {MAX_WIDTH}"));
+        }
+        Ok(())
+    }
+
+    /// Panics with [`Scheme::check`]'s message where it rejects `k`: the
+    /// width assertion of every catalog constructor.
+    pub(crate) fn assert_builds(self, k: usize) {
+        if let Err(e) = self.check(k) {
+            panic!("{e}");
         }
     }
 
@@ -300,6 +380,36 @@ mod tests {
                 assert_eq!(dec.decode(enc.encode(d)), d, "{}", s.name());
             }
         }
+    }
+
+    /// `check` states each constructor's limit: for every scheme and
+    /// width it accepts exactly the widths the codec builds at (the
+    /// widths it rejects panic).
+    #[test]
+    fn check_accepts_exactly_the_widths_the_codecs_build_at() {
+        let mut schemes = Scheme::catalog();
+        schemes.extend([
+            Scheme::Sabotaged,
+            Scheme::BusInvert(0),
+            Scheme::BusInvert(4),
+            Scheme::BusInvert(100),
+        ]);
+        for s in schemes {
+            for k in 1..=130 {
+                let built = std::panic::catch_unwind(|| drop(s.codec(k))).is_ok();
+                assert_eq!(s.check(k).is_ok(), built, "{} at k = {k}", s.name());
+            }
+            assert!(s.check(0).is_err(), "{}", s.name());
+        }
+        let refused = Scheme::Dapbi
+            .check(127)
+            .expect_err("DAPBI(127) has 257 wires");
+        assert_eq!(
+            refused,
+            "DAPBI does not build at 127 data bits: its bus of 257 wires exceeds 256"
+        );
+        assert!(Scheme::BusInvert(17).check(16).is_err());
+        assert!(Scheme::Dap.check(127).is_ok() && Scheme::Dap.check(128).is_err());
     }
 
     #[test]

@@ -15,6 +15,8 @@
 
 use std::sync::OnceLock;
 
+use crate::batch::{BlockStatus, Columns, Planes, SyndromeStage, WordBlock};
+use crate::catalog::Scheme;
 use crate::ecc::gf::{poly_mul, Field};
 use crate::traits::{BusCode, DecodeStatus};
 use socbus_model::Word;
@@ -27,8 +29,6 @@ const M_RANGE: std::ops::RangeInclusive<u32> = 4..=8;
 #[derive(Debug, PartialEq, Eq)]
 struct BchField {
     field: Field,
-    /// `g(x) = m₁(x)·m₃(x)` with the leading term.
-    generator: u64,
     /// `r = deg g`: the parity wire count.
     r: usize,
     /// `x^j mod g(x)` for `j < 2^m − 1`: the parity contribution of a
@@ -60,7 +60,6 @@ impl BchField {
             .collect();
         BchField {
             field,
-            generator,
             r,
             x_pow_mod_g,
             syndrome_terms,
@@ -72,6 +71,19 @@ impl BchField {
         static FIELDS: [OnceLock<BchField>; 5] = [const { OnceLock::new() }; 5];
         FIELDS[(m - M_RANGE.start()) as usize].get_or_init(|| BchField::build(m))
     }
+
+    /// The smallest supported field whose code fits `k` data bits.
+    fn fitting(k: usize) -> Option<&'static BchField> {
+        M_RANGE
+            .map(BchField::get)
+            .find(|t| k + t.r <= t.field.order())
+    }
+}
+
+/// Parity wires of the DEC BCH code over `k` data bits, if a supported
+/// field fits it.
+pub(crate) fn bch_parity_bits(k: usize) -> Option<usize> {
+    BchField::fitting(k).map(|t| t.r)
 }
 
 /// Shortened double-error-correcting BCH code over `k` data bits.
@@ -107,21 +119,13 @@ impl BchDec {
     ///
     /// # Panics
     ///
-    /// Panics if `k == 0` or no supported field (m ≤ 8) fits `k`.
+    /// Panics where [`Scheme::check`] rejects `k`: no supported field
+    /// (m ≤ 8) fits it.
     #[must_use]
     pub fn new(k: usize) -> Self {
-        assert!(k > 0, "need at least one data bit");
-        for m in M_RANGE {
-            let tables = BchField::get(m);
-            if k + tables.r <= tables.field.order() {
-                assert!(
-                    k + tables.r <= socbus_model::word::MAX_WIDTH,
-                    "bus too wide"
-                );
-                return BchDec { k, tables };
-            }
-        }
-        panic!("no supported BCH field fits k = {k}");
+        Scheme::BchDec.assert_builds(k);
+        let tables = BchField::fitting(k).expect("checked: a field fits");
+        BchDec { k, tables }
     }
 
     /// Number of parity wires `r`.
@@ -137,10 +141,11 @@ impl BchDec {
         &self.tables.field
     }
 
-    /// The generator polynomial `g(x) = m₁(x)·m₃(x)` as a bitmask with the
-    /// leading term included.
-    pub(crate) fn generator(&self) -> u64 {
-        self.tables.generator
+    /// `(αᵖ, α³ᵖ)` of polynomial position `p` as one parity-check column:
+    /// S1 in the low `m` bits, S3 above.
+    fn syndrome_column(&self, p: usize) -> u32 {
+        let (s1, s3) = self.tables.syndrome_terms[p];
+        u32::from(s1) | u32::from(s3) << self.tables.field.m()
     }
 
     /// Polynomial position of bus wire `w` (data after the parity).
@@ -249,6 +254,69 @@ impl BusCode for BchDec {
 
     fn detectable_errors(&self) -> usize {
         2
+    }
+}
+
+/// Bus lane `i < k` is polynomial position `r + i`, parity lane `k + j`
+/// position `j`; data bit `i` feeds the parity planes of `x^(r+i) mod g`.
+impl Columns for BchDec {
+    fn planes(&self) -> usize {
+        2 * self.tables.field.m() as usize
+    }
+
+    fn column(&self, i: usize) -> u32 {
+        self.syndrome_column(self.tables.r + i)
+    }
+
+    fn parity_column(&self, j: usize) -> u32 {
+        self.syndrome_column(j)
+    }
+
+    #[allow(clippy::cast_possible_truncation)]
+    fn feed(&self, i: usize) -> u32 {
+        self.tables.x_pow_mod_g[self.tables.r + i] as u32
+    }
+}
+
+/// The plane form: S1/S3 syndrome planes from the word kernel's own
+/// tables. Zero syndromes and single errors (`(S1, S3) = (αᵖ, α³ᵖ)` for a
+/// position `p < n`) decode in the planes; the remaining words — double
+/// errors and uncorrectable syndromes, about 3e-4 of words at k = 16 and
+/// ε = 1e-3 — go through the word decoder one each, which keeps its
+/// shortened-position and double-error branches exact.
+impl Planes for BchDec {
+    fn encode_planes(&mut self, data: &WordBlock) -> WordBlock {
+        let mut out = data.clone();
+        out.lanes.resize(self.wires(), 0);
+        let stage = SyndromeStage::new(&*self, self.k, self.k..self.wires());
+        stage.place(stage.parity(data.lanes.iter().copied()), &mut out);
+        out
+    }
+
+    fn decode_planes(&mut self, bus: &WordBlock) -> (WordBlock, BlockStatus) {
+        let vm = bus.valid_mask();
+        let mut out = bus.prefix(self.k);
+        let syn = SyndromeStage::new(&*self, self.k, self.k..self.wires()).decode(
+            bus,
+            vm,
+            &mut out.lanes,
+        );
+        let mut status = BlockStatus {
+            clean: vm & !syn.nonzero,
+            corrected: syn.matched,
+            ..BlockStatus::default()
+        };
+        let mut rest = syn.nonzero & !syn.matched;
+        while rest != 0 {
+            let j = rest.trailing_zeros() as usize;
+            rest &= rest - 1;
+            let (data, s) = self.decode_checked(bus.word(j));
+            for (i, lane) in out.lanes.iter_mut().enumerate() {
+                *lane = (*lane & !(1 << j)) | u64::from(data.bit(i)) << j;
+            }
+            status.set(j, s);
+        }
+        (out, status)
     }
 }
 

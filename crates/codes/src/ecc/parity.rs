@@ -1,5 +1,7 @@
 //! Single even-parity bit: the minimal systematic ECC.
 
+use crate::batch::{BlockStatus, Planes, WordBlock};
+use crate::catalog::Scheme;
 use crate::traits::{BusCode, DecodeStatus};
 use socbus_model::Word;
 
@@ -31,12 +33,17 @@ impl ParityBit {
     ///
     /// # Panics
     ///
-    /// Panics if `k == 0` or `k + 1` exceeds the word limit.
+    /// Panics where [`Scheme::check`] rejects `k`.
     #[must_use]
     pub fn new(k: usize) -> Self {
-        assert!(k > 0, "need at least one data bit");
-        assert!(k < socbus_model::word::MAX_WIDTH, "bus too wide");
+        Scheme::Parity.assert_builds(k);
         ParityBit { k }
+    }
+
+    /// The parity plane of a block's first `k` lanes: one XOR tree, 64
+    /// parity bits per fold.
+    fn parity_plane(&self, block: &WordBlock) -> u64 {
+        block.lanes[..self.k].iter().fold(0u64, |acc, &l| acc ^ l)
     }
 }
 
@@ -77,6 +84,25 @@ impl BusCode for ParityBit {
 
     fn detectable_errors(&self) -> usize {
         1
+    }
+}
+
+impl Planes for ParityBit {
+    fn encode_planes(&mut self, data: &WordBlock) -> WordBlock {
+        let mut out = data.clone();
+        out.lanes.push(self.parity_plane(data));
+        out
+    }
+
+    fn decode_planes(&mut self, bus: &WordBlock) -> (WordBlock, BlockStatus) {
+        let vm = bus.valid_mask();
+        let detected = (self.parity_plane(bus) ^ bus.lane(self.k)) & vm;
+        let status = BlockStatus {
+            clean: vm & !detected,
+            detected,
+            ..BlockStatus::default()
+        };
+        (bus.prefix(self.k), status)
     }
 }
 

@@ -21,12 +21,16 @@
 //! 4. ECC is systematic — all ECCs here are.
 //! 5. ECC parity bits go through a linear CAC (LXC2).
 //!
-//! The composer yields a working [`ComposedCode`]; the paper's named joint
-//! codes in [`crate::joint`] are hand-optimized instances of the same
-//! structure (e.g. DAPBI fuses the duplication into the DAP decoder).
+//! The composer yields a working [`ComposedCode`], a word codec. The
+//! paper's named joint codes are hand-optimized instances of the same
+//! structure, written once per family in both word and bit-plane forms:
+//! [`crate::Dap`] (DAP, DAPX, DAPBI, BSC — DAPBI fuses the duplication
+//! into the DAP decoder) and [`crate::Hamming`] (Hamming, HammingX, BIH,
+//! ExtHamming). The composer reads the bus-invert sub-bus partition from
+//! [`BusInvert::subs`], the one statement of it.
 
 use crate::cac::{Duplication, ForbiddenPatternCode, ForbiddenTransitionCode, Shielding};
-use crate::ecc::{ExtendedHamming, Hamming, ParityBit};
+use crate::ecc::{Hamming, ParityBit};
 use crate::lpc::BusInvert;
 use crate::traits::{BusCode, DecodeStatus};
 use socbus_model::{DelayClass, Word};
@@ -257,7 +261,7 @@ impl Framework {
             EccChoice::None => EccStage::None,
             EccChoice::Parity => EccStage::Parity(ParityBit::new(protected)),
             EccChoice::Hamming => EccStage::Hamming(Hamming::new(protected)),
-            EccChoice::ExtendedHamming => EccStage::Ext(ExtendedHamming::new(protected)),
+            EccChoice::ExtendedHamming => EccStage::Hamming(Hamming::extended(protected)),
         };
         let m = ecc.parity_bits();
         let lxc1_wires = expanded_wires(self.lxc1, p);
@@ -350,12 +354,13 @@ impl CacStage {
     }
 }
 
+/// The ECC stage: parity, or a member of the Hamming family (plain or
+/// extended).
 #[derive(Clone, Debug)]
 enum EccStage {
     None,
     Parity(ParityBit),
     Hamming(Hamming),
-    Ext(ExtendedHamming),
 }
 
 impl EccStage {
@@ -364,7 +369,6 @@ impl EccStage {
             EccStage::None => 0,
             EccStage::Parity(_) => 1,
             EccStage::Hamming(h) => h.parity_bits(),
-            EccStage::Ext(e) => e.parity_bits(),
         }
     }
 
@@ -379,10 +383,6 @@ impl EccStage {
                 let cw = c.encode(payload);
                 cw.slice(payload.width(), c.parity_bits())
             }
-            EccStage::Ext(c) => {
-                let cw = c.encode(payload);
-                cw.slice(payload.width(), c.parity_bits())
-            }
         }
     }
 
@@ -391,16 +391,14 @@ impl EccStage {
             EccStage::None => (payload, DecodeStatus::Unchecked),
             EccStage::Parity(c) => c.decode_checked(payload.concat(parity)),
             EccStage::Hamming(c) => c.decode_checked(payload.concat(parity)),
-            EccStage::Ext(c) => c.decode_checked(payload.concat(parity)),
         }
     }
 
-    fn name(&self) -> &'static str {
+    fn name(&self) -> String {
         match self {
-            EccStage::None => "",
-            EccStage::Parity(_) => "Parity",
-            EccStage::Hamming(_) => "Hamming",
-            EccStage::Ext(_) => "ExtHamming",
+            EccStage::None => String::new(),
+            EccStage::Parity(c) => c.name(),
+            EccStage::Hamming(c) => c.name(),
         }
     }
 }
@@ -504,8 +502,9 @@ impl BusCode for ComposedCode {
         if let Some(bi) = &self.lpc {
             parts.push(bi.name());
         }
-        if !self.ecc.name().is_empty() {
-            parts.push(self.ecc.name().to_string());
+        let ecc = self.ecc.name();
+        if !ecc.is_empty() {
+            parts.push(ecc);
         }
         if parts.is_empty() {
             "Uncoded".into()
@@ -527,14 +526,11 @@ impl BusCode for ComposedCode {
         let code = self.cac.encode(data);
         let (code, inverts) = match &mut self.lpc {
             None => (code, Word::zero(0)),
+            // BusInvert interleaves invert wires; extract them back out
+            // into (code', invert bits).
             Some(bi) => {
                 let coded = bi.encode(code);
-                // BusInvert interleaves invert wires; extract them back out
-                // into (code', invert bits).
-                let mut c = Word::zero(self.n);
-                let mut inv = Word::zero(self.p);
-                split_bus_invert(bi, coded, &mut c, &mut inv);
-                (c, inv)
+                split_bus_invert(bi, coded)
             }
         };
         let payload = code.concat(inverts);
@@ -585,18 +581,17 @@ impl BusCode for ComposedCode {
     }
 
     fn correctable_errors(&self) -> usize {
-        match self.ecc {
-            EccStage::Hamming(_) | EccStage::Ext(_) => 1,
+        match &self.ecc {
+            EccStage::Hamming(c) => c.correctable_errors(),
             _ => 0,
         }
     }
 
     fn detectable_errors(&self) -> usize {
-        match self.ecc {
+        match &self.ecc {
             EccStage::None => 0,
-            EccStage::Parity(_) => 1,
-            EccStage::Hamming(_) => 1,
-            EccStage::Ext(_) => 2,
+            EccStage::Parity(c) => c.detectable_errors(),
+            EccStage::Hamming(c) => c.detectable_errors(),
         }
     }
 
@@ -606,39 +601,22 @@ impl BusCode for ComposedCode {
 }
 
 /// Splits a BusInvert bus word into (data lines, invert lines).
-fn split_bus_invert(bi: &BusInvert, coded: Word, code: &mut Word, inv: &mut Word) {
-    let k = bi.data_bits();
-    let i = bi.sub_buses();
-    let (base, extra) = (k / i, k % i);
-    let mut wire = 0;
-    let mut code_pos = 0;
-    for s in 0..i {
-        let len = base + usize::from(s < extra);
-        for b in 0..len {
-            code.set_bit(code_pos + b, coded.bit(wire + b));
-        }
-        inv.set_bit(s, coded.bit(wire + len));
-        wire += len + 1;
-        code_pos += len;
+fn split_bus_invert(bi: &BusInvert, coded: Word) -> (Word, Word) {
+    let mut code = Word::zero(bi.data_bits());
+    let mut inv = Word::zero(bi.sub_buses());
+    for (s, sub) in bi.subs().enumerate() {
+        code = code.place(sub.data_lo, coded.slice(sub.wire_lo, sub.len));
+        inv.set_bit(s, coded.bit(sub.wire_lo + sub.len));
     }
+    (code, inv)
 }
 
 /// Rebuilds the interleaved BusInvert layout from (data lines, inverts).
 fn merge_bus_invert(bi: &BusInvert, code: Word, inv: Word) -> Word {
-    let k = bi.data_bits();
-    let i = bi.sub_buses();
-    let (base, extra) = (k / i, k % i);
     let mut out = Word::zero(bi.wires());
-    let mut wire = 0;
-    let mut code_pos = 0;
-    for s in 0..i {
-        let len = base + usize::from(s < extra);
-        for b in 0..len {
-            out.set_bit(wire + b, code.bit(code_pos + b));
-        }
-        out.set_bit(wire + len, inv.bit(s));
-        wire += len + 1;
-        code_pos += len;
+    for (s, sub) in bi.subs().enumerate() {
+        out = out.place(sub.wire_lo, code.slice(sub.data_lo, sub.len));
+        out.set_bit(sub.wire_lo + sub.len, inv.bit(s));
     }
     out
 }

@@ -1,9 +1,12 @@
 //! FTC+HC: concatenated forbidden-transition code and Hamming code
 //! (paper §III-C, Table I).
 
+use crate::batch::{BlockStatus, Planes, SyndromeStage, WordBlock};
 use crate::cac::ForbiddenTransitionCode;
-use crate::ecc::Hamming;
+use crate::catalog::Scheme;
+use crate::ecc::{hamming_parity_bits, Hamming};
 use crate::traits::{BusCode, DecodeStatus};
+use socbus_model::word::MAX_WIDTH;
 use socbus_model::{DelayClass, Word};
 
 /// FTC+HC: data goes through the FTC crosstalk-avoidance code; a Hamming
@@ -25,10 +28,16 @@ use socbus_model::{DelayClass, Word};
 /// The Hamming code sees the FTC code bits with the inter-group shields
 /// squeezed out; its parity bits sit on every other wire after the FTC
 /// region, so placing and reading them is one stride-2 spread/gather.
+///
+/// The plane form runs the FTC planes, then the Hamming syndrome stage
+/// over the FTC info lanes; decoding corrects the info lanes first, then
+/// maps them back through FTC. Both directions keep their working lanes
+/// on the stack: each allocates only its output block.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct FtcHc {
     ftc: ForbiddenTransitionCode,
-    hamming: Hamming,
+    /// Hamming parity bits over the FTC info bits.
+    m: usize,
     wires: usize,
 }
 
@@ -37,17 +46,15 @@ impl FtcHc {
     ///
     /// # Panics
     ///
-    /// Panics if `k == 0` or the coded bus exceeds the word limit.
+    /// Panics where [`Scheme::check`] rejects `k`.
     #[must_use]
     pub fn new(k: usize) -> Self {
+        Scheme::FtcHc.assert_builds(k);
         let ftc = ForbiddenTransitionCode::new(k);
-        let hamming = Hamming::new(ftc.info_bits());
-        let (_, wires) = parity_layout(ftc.wires(), hamming.parity_bits());
-        FtcHc {
-            ftc,
-            hamming,
-            wires,
-        }
+        let m = hamming_parity_bits(ftc.info_bits());
+        // A boundary shield, then the parity wires separated by shields.
+        let wires = ftc.wires() + 2 * m;
+        FtcHc { ftc, m, wires }
     }
 
     /// Bus wire of the first Hamming parity bit (after one shield).
@@ -58,23 +65,25 @@ impl FtcHc {
     /// Number of Hamming parity bits (excluding shields).
     #[must_use]
     pub fn parity_bits(&self) -> usize {
-        self.hamming.parity_bits()
+        self.m
     }
-}
 
-/// FTC+HC's parity placement after an FTC region of `ftc_wires` wires:
-/// the bus wire of each of the `m` Hamming parity bits (a boundary
-/// shield, then parity wires separated by shields) and the total wire
-/// count.
-///
-/// # Panics
-///
-/// Panics if the coded bus exceeds the word limit.
-pub(crate) fn parity_layout(ftc_wires: usize, m: usize) -> (Vec<usize>, usize) {
-    let parity_wires: Vec<usize> = (0..m).map(|j| ftc_wires + 1 + 2 * j).collect();
-    let wires = ftc_wires + 2 * m;
-    assert!(wires <= socbus_model::word::MAX_WIDTH, "bus too wide");
-    (parity_wires, wires)
+    /// The Hamming code over the FTC info bits: a view, built per call,
+    /// so the codec holds only its parity count.
+    fn hamming(&self) -> Hamming {
+        Hamming::over(self.ftc.info_bits(), self.m)
+    }
+
+    /// The plane form's syndrome stage: Hamming over the FTC info lanes,
+    /// the parity on every other wire after the boundary shield.
+    fn stage<'a>(&self, hamming: &'a Hamming) -> SyndromeStage<'a, Hamming> {
+        let lo = self.parity_lo();
+        SyndromeStage::new(
+            hamming,
+            self.ftc.info_bits(),
+            (0..self.parity_bits()).map(|j| lo + 2 * j),
+        )
+    }
 }
 
 impl BusCode for FtcHc {
@@ -92,7 +101,7 @@ impl BusCode for FtcHc {
 
     fn encode(&mut self, data: Word) -> Word {
         let ftc_word = self.ftc.encode(data);
-        let p = self.hamming.parities(self.ftc.to_info(ftc_word));
+        let p = self.hamming().parities(self.ftc.to_info(ftc_word));
         let m = self.parity_bits();
         Word::from_bits(p as u128, m)
             .spread2(self.wires, self.parity_lo())
@@ -108,7 +117,7 @@ impl BusCode for FtcHc {
         let info = self.ftc.to_info(bus.slice(0, self.ftc.wires()));
         #[allow(clippy::cast_possible_truncation)]
         let recv_p = bus.gather2(self.parity_lo(), self.parity_bits()).limb(0) as usize;
-        let (code_bits, status) = self.hamming.correct(info, recv_p);
+        let (code_bits, status) = self.hamming().correct(info, recv_p);
         (self.ftc.decode_info(code_bits), status)
     }
 
@@ -118,6 +127,39 @@ impl BusCode for FtcHc {
 
     fn guaranteed_delay_class(&self) -> DelayClass {
         DelayClass::CAC
+    }
+}
+
+impl Planes for FtcHc {
+    fn encode_planes(&mut self, data: &WordBlock) -> WordBlock {
+        let mut out = WordBlock::zero(self.wires, data.len());
+        self.ftc.encode_planes_into(data, &mut out.lanes);
+        let hamming = self.hamming();
+        let stage = self.stage(&hamming);
+        let parity = stage.parity(self.ftc.info_wires().map(|w| out.lanes[w]));
+        stage.place(parity, &mut out);
+        out
+    }
+
+    fn decode_planes(&mut self, bus: &WordBlock) -> (WordBlock, BlockStatus) {
+        let vm = bus.valid_mask();
+        // The received code bits in the shield-free info layout, then
+        // corrected in place.
+        let mut info = [0u64; MAX_WIDTH];
+        let info = &mut info[..self.ftc.info_bits()];
+        for (lane, w) in info.iter_mut().zip(self.ftc.info_wires()) {
+            *lane = bus.lanes[w];
+        }
+        let syn = self.stage(&self.hamming()).decode(bus, vm, info);
+        let mut out = WordBlock::zero(self.ftc.data_bits(), bus.len());
+        self.ftc.decode_planes_into(info, false, vm, &mut out.lanes);
+        let status = BlockStatus {
+            clean: vm & !syn.nonzero,
+            corrected: syn.nonzero & syn.matched,
+            detected: syn.nonzero & !syn.matched,
+            ..BlockStatus::default()
+        };
+        (out, status)
     }
 }
 

@@ -26,7 +26,7 @@
 //!   three maps — encoder, nearest-codeword decoder, codeword test — is a
 //!   function of at most 6 input bits: one `u64` truth table per output
 //!   bit. [`TruthTables`] reads them off the kernel once, at build, and
-//!   the bit-plane FTC codecs in [`crate::batch`] evaluate them 64 words
+//!   the bit-plane form of the FTC codecs evaluates them 64 words
 //!   at a time.
 //!
 //! Every decode path — dense table, sparse search, truth table, and the

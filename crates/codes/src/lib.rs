@@ -7,12 +7,21 @@
 //! and reliability on deep-submicron on-chip buses.
 //!
 //! * [`traits`] — the [`BusCode`] abstraction all schemes implement;
-//! * [`lpc`] — bus-invert `BI(i)`;
+//! * [`batch`] — bit-sliced [`WordBlock`]s, [`BatchCode`] (the block form
+//!   of a codec), [`Codec`] (both forms over one state) and the plane
+//!   stages the codecs compose: 64 words per bitwise op for the
+//!   Monte-Carlo and mesh hot loops;
+//! * [`catalog`] — every evaluated scheme constructible by name: one
+//!   codec type per scheme ([`Scheme::codec`]) and one statement of the
+//!   widths it builds at ([`Scheme::check`]);
+//! * [`lpc`] — bus-invert `BI(i)` and its sub-bus partition;
 //! * [`cac`] — shielding, duplication, half-shielding, FTC (Fibonacci
 //!   codebooks), FPC;
-//! * [`ecc`] — parity, systematic Hamming, extended Hamming;
-//! * [`joint`] — the paper's derived codes: **DAP**, **DAPX**, **DAPBI**,
-//!   **BIH**, **HammingX**, **FTC+HC**, and the BSC baseline;
+//! * [`ecc`] — parity, the Hamming family ([`Hamming`]: Hamming,
+//!   HammingX, BIH, extended Hamming and the sabotaged self-test
+//!   decoder), BCH;
+//! * [`joint`] — the duplicate-add-parity family ([`Dap`]: **DAP**,
+//!   **DAPX**, **DAPBI** and the BSC baseline) and **FTC+HC**;
 //! * [`framework`] — the generic Fig.-4 composer with the five
 //!   composition-legality rules;
 //! * [`analysis`] — delay-class / energy / distance measurement of any
@@ -20,10 +29,7 @@
 //! * [`theory`] — executable Appendix I (no linear CAC beats shielding or
 //!   duplication);
 //! * [`kernels`] — the process-wide codebook cache and O(1) inverse
-//!   decode tables behind the FPC/FTC hot path;
-//! * [`batch`] — bit-sliced [`WordBlock`] batch codecs: 64 words per
-//!   bitwise op for the Monte-Carlo and mesh hot loops;
-//! * [`catalog`] — every evaluated scheme constructible by name.
+//!   decode tables behind the FPC/FTC hot path.
 //!
 //! # Example
 //!
@@ -49,19 +55,19 @@ pub mod framework;
 pub mod joint;
 pub mod kernels;
 pub mod lpc;
-pub mod sabotage;
 pub mod theory;
 pub mod traits;
 
-pub use batch::{batch_build, batch_is_native, BatchCode, BlockStatus, WordBlock, BLOCK_WORDS};
+pub use batch::{
+    batch_build, batch_is_native, BatchCode, BlockStatus, Codec, WordBlock, BLOCK_WORDS,
+};
 pub use cac::{
     Duplication, ForbiddenPatternCode, ForbiddenTransitionCode, HalfShielding, Shielding,
 };
 pub use catalog::Scheme;
-pub use ecc::{BchDec, ExtendedHamming, Hamming, ParityBit};
+pub use ecc::{BchDec, Hamming, ParityBit};
 pub use framework::{ComposedCode, CompositionError, Framework};
-pub use joint::{Bih, Bsc, Dap, Dapbi, Dapx, FtcHc, HammingX};
+pub use joint::{Dap, FtcHc};
 pub use kernels::{codebook_builds, codebook_kernel, BookKey, CodebookKernel};
-pub use lpc::{BusInvert, CouplingBusInvert};
-pub use sabotage::SabotagedHamming;
+pub use lpc::{BusInvert, CouplingBusInvert, SubBus};
 pub use traits::{BusCode, CloneBusCode, DecodeStatus, Uncoded};

@@ -10,8 +10,50 @@
 //! paper's framework therefore places it after CAC and feeds its invert
 //! bits through a linear CAC (LXC1) in joint codes.
 
+use crate::batch::{BlockStatus, InvertStage, Planes, WordBlock};
+use crate::catalog::Scheme;
 use crate::traits::BusCode;
 use socbus_model::Word;
+
+/// BI(1) over a whole data word against `prev`, the data lines as last
+/// driven: the driven lines `y` with the invert bit on top — the payload
+/// BIH and DAPBI protect. Advances `prev` to `y`.
+pub(crate) fn invert_payload(data: Word, prev: &mut Word) -> Word {
+    let inv = 2 * data.hamming_distance(*prev) as usize > data.width();
+    let y = if inv { data.not() } else { data };
+    *prev = y;
+    y.concat(Word::from_bits(u128::from(inv), 1))
+}
+
+/// The inverse of [`invert_payload`]: the data from `y` and its invert
+/// bit.
+pub(crate) fn restore_payload(payload: Word) -> Word {
+    let k = payload.width() - 1;
+    let y = payload.slice(0, k);
+    if payload.bit(k) {
+        y.not()
+    } else {
+        y
+    }
+}
+
+/// [`invert_payload`] over a block: the invert plane of `data`'s words,
+/// seeded from and advancing `prev`, the data lines as last driven.
+pub(crate) fn invert_block(data: &WordBlock, prev: &mut Word) -> u64 {
+    let mut stage = InvertStage::new(0, data.width(), *prev);
+    let mask = stage.mask(data);
+    *prev = stage.driven();
+    mask
+}
+
+/// [`restore_payload`] over a block: pops the invert lane off `lanes`
+/// and flips the data lanes under it.
+pub(crate) fn restore_block(lanes: &mut Vec<u64>) {
+    let inv = lanes.pop().expect("invert lane");
+    for lane in lanes {
+        *lane ^= inv;
+    }
+}
 
 /// Bus-invert code `BI(i)`: `k` data bits in `i` sub-buses, each with its
 /// own invert wire placed immediately after the sub-bus.
@@ -43,14 +85,14 @@ pub struct BusInvert {
 
 /// One sub-bus of [`BusInvert`], derived from `(k, i)` on demand.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-struct SubBus {
+pub struct SubBus {
     /// First data-bit index (in the data word) of this sub-bus.
-    data_lo: usize,
+    pub data_lo: usize,
     /// Number of data bits.
-    len: usize,
+    pub len: usize,
     /// First wire index of this sub-bus on the bus; the invert wire is at
     /// `wire_lo + len`.
-    wire_lo: usize,
+    pub wire_lo: usize,
 }
 
 /// The wires a bus-invert word runs on, as whole-word bit operations: the
@@ -172,13 +214,11 @@ impl BusInvert {
     ///
     /// # Panics
     ///
-    /// Panics if `i == 0`, `i > k`, or the coded width exceeds the word
-    /// limit.
+    /// Panics where [`Scheme::check`] rejects `k`: `i == 0`, `i > k`, or
+    /// a coded width past the word limit.
     #[must_use]
     pub fn new(k: usize, i: usize) -> Self {
-        assert!(i > 0, "need at least one sub-bus");
-        assert!(i <= k, "more sub-buses ({i}) than data bits ({k})");
-        assert!(k + i <= socbus_model::word::MAX_WIDTH, "coded bus too wide");
+        Scheme::BusInvert(i).assert_builds(k);
         BusInvert {
             k,
             i,
@@ -194,8 +234,9 @@ impl BusInvert {
 
     /// The sub-buses in wire order: the first `k mod i` carry one bit
     /// more than the rest, and every sub-bus is followed by its invert
-    /// wire.
-    fn subs(&self) -> impl Iterator<Item = SubBus> {
+    /// wire. The partition's one statement: the word and plane forms,
+    /// `framework` and the netlist generator all read it.
+    pub fn subs(&self) -> impl Iterator<Item = SubBus> {
         let (base, extra) = (self.k / self.i, self.k % self.i);
         (0..self.i).map(move |s| {
             let data_lo = s * base + s.min(extra);
@@ -278,6 +319,46 @@ impl BusCode for BusInvert {
 
     fn is_stateful(&self) -> bool {
         true
+    }
+}
+
+/// The plane form: one `InvertStage` per sub-bus, seeded from its wires
+/// of the last driven word, each followed by its invert wire; the
+/// block's last word is the new memory.
+impl Planes for BusInvert {
+    fn encode_planes(&mut self, data: &WordBlock) -> WordBlock {
+        let mut out = WordBlock::zero(self.wires(), data.len());
+        for sub in self.subs() {
+            let (lo, len) = (sub.data_lo, sub.len);
+            let mut stage = InvertStage::new(lo, len, self.prev.slice(sub.wire_lo, len));
+            let mask = stage.mask(data);
+            for (o, &d) in out.lanes[sub.wire_lo..]
+                .iter_mut()
+                .zip(&data.lanes[lo..lo + len])
+            {
+                *o = d ^ mask;
+            }
+            out.lanes[sub.wire_lo + len] = mask;
+        }
+        if !data.is_empty() {
+            self.prev = out.word(data.len() - 1);
+        }
+        out
+    }
+
+    fn decode_planes(&mut self, bus: &WordBlock) -> (WordBlock, BlockStatus) {
+        let mut out = WordBlock::zero(self.k, bus.len());
+        for sub in self.subs() {
+            let (lo, len) = (sub.data_lo, sub.len);
+            let inv = bus.lanes[sub.wire_lo + len];
+            for (o, &b) in out.lanes[lo..lo + len]
+                .iter_mut()
+                .zip(&bus.lanes[sub.wire_lo..])
+            {
+                *o = b ^ inv;
+            }
+        }
+        (out, BlockStatus::all_unchecked(bus.len()))
     }
 }
 

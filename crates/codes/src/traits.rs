@@ -6,6 +6,8 @@
 //! (bus-invert compares against the previous word; the boundary-shift code
 //! alternates phase). [`BusCode`] captures exactly that.
 
+use crate::batch::{BlockStatus, Planes, WordBlock};
+use crate::catalog::Scheme;
 use socbus_model::{DelayClass, Word};
 
 /// A bus coding scheme: encoder and decoder for one `k`-bit channel over
@@ -165,10 +167,10 @@ impl Uncoded {
     ///
     /// # Panics
     ///
-    /// Panics if `k == 0` or `k > socbus_model::word::MAX_WIDTH`.
+    /// Panics where [`Scheme::check`] rejects `k`.
     #[must_use]
     pub fn new(k: usize) -> Self {
-        assert!(k > 0 && k <= socbus_model::word::MAX_WIDTH);
+        Scheme::Uncoded.assert_builds(k);
         Uncoded { k }
     }
 }
@@ -194,6 +196,16 @@ impl BusCode for Uncoded {
     fn decode(&mut self, bus: Word) -> Word {
         assert_eq!(bus.width(), self.k, "bus width mismatch");
         bus
+    }
+}
+
+impl Planes for Uncoded {
+    fn encode_planes(&mut self, data: &WordBlock) -> WordBlock {
+        data.clone()
+    }
+
+    fn decode_planes(&mut self, bus: &WordBlock) -> (WordBlock, BlockStatus) {
+        (bus.clone(), BlockStatus::all_unchecked(bus.len()))
     }
 }
 

@@ -1,7 +1,9 @@
 //! Gate-level encoder/decoder generators for every scheme in the catalog.
 //!
 //! Each generator mirrors the bit-exact behavior of its golden model in
-//! `socbus-codes` (checked by the equivalence tests at the bottom), so the
+//! `socbus-codes` (checked by the equivalence tests at the bottom), and
+//! reads its layout decisions from that codec — the bus-invert sub-bus
+//! partition, the Hamming positions and HammingX's parity wires — so the
 //! STA and power numbers measured on these netlists describe codecs that
 //! *provably implement* the codes being evaluated — the reproduction's
 //! stand-in for the paper's "synthesized using a 0.13-µm standard cell
@@ -20,7 +22,7 @@ use crate::graph::{Netlist, NodeId};
 use socbus_codes::cac::{ftc_codebook, ftc_groups};
 use socbus_codes::ecc::Hamming;
 use socbus_codes::BusCode as _;
-use socbus_codes::Scheme;
+use socbus_codes::{BusInvert, Scheme};
 
 /// An encoder/decoder netlist pair for one scheme instance.
 #[derive(Clone, Debug)]
@@ -163,19 +165,10 @@ fn hamming_corrector(
         .zip(parity)
         .map(|(&r, &p)| nl.xor(r, p))
         .collect();
-    // Canonical position of data bit i: the i-th non-power-of-two >= 3.
-    let mut positions = Vec::with_capacity(data.len());
-    let mut pos = 1usize;
-    while positions.len() < data.len() {
-        if !pos.is_power_of_two() {
-            positions.push(pos);
-        }
-        pos += 1;
-    }
     data.iter()
-        .zip(&positions)
-        .map(|(&d, &p)| {
-            let hit = equals_const(nl, &syndrome, p as u64);
+        .enumerate()
+        .map(|(i, &d)| {
+            let hit = equals_const(nl, &syndrome, code.position(i) as u64);
             nl.xor(d, hit)
         })
         .collect()
@@ -203,25 +196,12 @@ fn hamming(k: usize) -> (Netlist, Netlist) {
 
 fn hamming_x(k: usize) -> (Netlist, Netlist) {
     // Same logic as Hamming; only the wire layout differs (shields among
-    // the parity group). Mirror socbus_codes::HammingX's layout:
-    // singleton, then shield-separated pairs.
-    let code = Hamming::new(k);
-    let m = code.parity_bits();
-    let mut parity_slot = Vec::with_capacity(m);
-    let mut wire = k;
-    let mut placed = 0;
-    while placed < m {
-        let group = if placed == 0 { 1 } else { 2.min(m - placed) };
-        if placed > 0 {
-            wire += 1;
-        }
-        for _ in 0..group {
-            parity_slot.push(wire);
-            wire += 1;
-            placed += 1;
-        }
-    }
-    let total = wire;
+    // the parity group), read from the codec.
+    let code = Hamming::hamming_x(k);
+    let parity_slot: Vec<usize> = (0..code.parity_bits())
+        .map(|j| code.parity_wire(j))
+        .collect();
+    let total = code.wires();
 
     let mut enc = Netlist::new();
     let ins = enc.inputs(k);
@@ -253,19 +233,6 @@ fn hamming_x(k: usize) -> (Netlist, Netlist) {
     (enc, dec)
 }
 
-/// Bus-invert sub-bus partition, mirroring `socbus_codes::BusInvert`.
-fn bi_partition(k: usize, i: usize) -> Vec<(usize, usize)> {
-    let (base, extra) = (k / i, k % i);
-    let mut out = Vec::with_capacity(i);
-    let mut lo = 0;
-    for s in 0..i {
-        let len = base + usize::from(s < extra);
-        out.push((lo, len));
-        lo += len;
-    }
-    out
-}
-
 /// One bus-invert sub-bus encoder block: returns `(y_bits, invert)` and
 /// installs the state DFBs tracking the driven lines.
 fn bi_subbus_encoder(nl: &mut Netlist, data: &[NodeId]) -> (Vec<NodeId>, NodeId) {
@@ -283,11 +250,11 @@ fn bi_subbus_encoder(nl: &mut Netlist, data: &[NodeId]) -> (Vec<NodeId>, NodeId)
 }
 
 fn bus_invert(k: usize, i: usize) -> (Netlist, Netlist) {
-    let parts = bi_partition(k, i);
+    let code = BusInvert::new(k, i);
     let mut enc = Netlist::new();
     let ins = enc.inputs(k);
-    for &(lo, len) in &parts {
-        let (y, inv) = bi_subbus_encoder(&mut enc, &ins[lo..lo + len]);
+    for sub in code.subs() {
+        let (y, inv) = bi_subbus_encoder(&mut enc, &ins[sub.data_lo..sub.data_lo + sub.len]);
         for &bit in &y {
             enc.output(bit);
         }
@@ -295,20 +262,18 @@ fn bus_invert(k: usize, i: usize) -> (Netlist, Netlist) {
     }
     let mut dec = Netlist::new();
     let ins = dec.inputs(k + i);
-    let mut wire = 0;
-    for &(_, len) in &parts {
-        let inv = ins[wire + len];
-        for j in 0..len {
-            let o = dec.xor(ins[wire + j], inv);
+    for sub in code.subs() {
+        let inv = ins[sub.wire_lo + sub.len];
+        for j in 0..sub.len {
+            let o = dec.xor(ins[sub.wire_lo + j], inv);
             dec.output(o);
         }
-        wire += len + 1;
     }
     (enc, dec)
 }
 
 fn bih(k: usize) -> (Netlist, Netlist) {
-    let code = Hamming::new(k + 1);
+    let code = Hamming::bih(k);
     let m = code.parity_bits();
     let mut enc = Netlist::new();
     let ins = enc.inputs(k);
@@ -318,14 +283,10 @@ fn bih(k: usize) -> (Netlist, Netlist) {
     let (y, inv) = bi_subbus_encoder(&mut enc, &ins);
     let payload = raw_payload(&mut enc, &ins);
     let raw_parities = hamming_parity_trees(&mut enc, &code, &payload);
-    let parities: Vec<NodeId> = (0..m)
-        .map(|j| {
-            if code.parity_coverage(j).len() % 2 == 1 {
-                enc.xor(raw_parities[j], inv)
-            } else {
-                raw_parities[j]
-            }
-        })
+    let parities: Vec<NodeId> = raw_parities
+        .iter()
+        .zip(code.parity_inverts())
+        .map(|(&p, flip)| if flip { enc.xor(p, inv) } else { p })
         .collect();
     for &bit in &y {
         enc.output(bit);

@@ -8,12 +8,13 @@
 //! carrying their state across block boundaries. The exhaustive suite in
 //! `crates/codes/tests/batch_equiv.rs` goes deeper; this file keeps a
 //! fast slice of it in the root package so a broken kernel fails
-//! `cargo test`.
+//! `cargo test`. Each scheme's codec is one type with one state, so the
+//! contract also holds for one instance driven in both forms at once.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use socbus::channel::montecarlo::{word_error_rate, word_error_rate_scalar};
-use socbus::codes::{batch_build, BatchCode, BusCode, Scheme, WordBlock};
+use socbus::codes::{batch_build, BatchCode, BlockStatus, BusCode, Codec, Scheme, WordBlock};
 use socbus::model::Word;
 
 /// Every catalog scheme plus the planted-fault `Sabotaged`, buildable at
@@ -100,6 +101,121 @@ fn every_batch_kernel_equals_its_scalar_codec() {
                     codecs.check(&words, noise, &mut rng);
                 }
             }
+        }
+    }
+}
+
+/// A seeded schedule over `n` words: `None` is one word call, `Some(len)`
+/// one block call of 0 to 64 words (so blocks are often partial, and
+/// their edges fall at every BSC phase and after both invert states).
+fn schedule(rng: &mut StdRng, n: usize) -> Vec<Option<usize>> {
+    let mut steps = Vec::new();
+    let mut at = 0;
+    while at < n {
+        let step = rng
+            .gen::<bool>()
+            .then(|| rng.gen_range(0..=64usize).min(n - at));
+        at += step.unwrap_or(1);
+        steps.push(step);
+    }
+    steps
+}
+
+/// `words` (all `width` wide) as one block; an empty block keeps the
+/// width.
+fn block_of(words: &[Word], width: usize) -> WordBlock {
+    if words.is_empty() {
+        WordBlock::zero(width, 0)
+    } else {
+        WordBlock::from_words(words)
+    }
+}
+
+/// Drives `codec` over `inputs` (each `width` wide) with a seeded mix of
+/// word and block calls of `word` and `block`, returning every output in
+/// input order.
+fn drive<T>(
+    codec: &mut dyn Codec,
+    inputs: &[Word],
+    width: usize,
+    rng: &mut StdRng,
+    word: impl Fn(&mut dyn Codec, Word) -> T,
+    block: impl Fn(&mut dyn Codec, &WordBlock) -> Vec<T>,
+) -> Vec<T> {
+    let mut out = Vec::with_capacity(inputs.len());
+    let mut at = 0;
+    for step in schedule(rng, inputs.len()) {
+        match step {
+            None => out.push(word(codec, inputs[at])),
+            Some(len) => out.extend(block(codec, &block_of(&inputs[at..at + len], width))),
+        }
+        at += step.unwrap_or(1);
+    }
+    out
+}
+
+/// One instance, both forms: every catalog scheme and `Sabotaged`, at
+/// every width of the grid it builds at, encodes a random stream through
+/// a seeded mix of word and block calls on one instance, and a second
+/// instance decodes the noisy bus words the same way. Bus words, decoded
+/// words and statuses equal those of fresh instances driven word by word.
+#[test]
+fn one_instance_mixes_word_and_block_calls() {
+    let mut rng = StdRng::seed_from_u64(0x0B07_4F02);
+    let mut all = Scheme::catalog();
+    all.push(Scheme::Sabotaged);
+    for k in [1, 5, 16, 17, 33, 64, 100] {
+        for &scheme in all.iter().filter(|s| s.check(k).is_ok()) {
+            let name = scheme.name();
+            let data: Vec<Word> = (0..400).map(|_| random_word(&mut rng, k)).collect();
+            let mut reference = scheme.codec(k);
+            let sent: Vec<Word> = data
+                .iter()
+                .map(|&w| BusCode::encode(&mut *reference, w))
+                .collect();
+            let wires = sent[0].width();
+            let mixed = drive(
+                &mut *scheme.codec(k),
+                &data,
+                k,
+                &mut rng,
+                |c, w| BusCode::encode(c, w),
+                |c, b| BatchCode::encode(c, b).to_words(),
+            );
+            assert_eq!(mixed, sent, "{name} k={k}: encode");
+            let received: Vec<Word> = sent
+                .iter()
+                .map(|&w| {
+                    (0..wires).fold(w, |acc, i| {
+                        if rng.gen::<f64>() < 0.03 {
+                            acc.with_bit(i, !acc.bit(i))
+                        } else {
+                            acc
+                        }
+                    })
+                })
+                .collect();
+            let mut reference = scheme.codec(k);
+            let want: Vec<_> = received
+                .iter()
+                .map(|&w| BusCode::decode_checked(&mut *reference, w))
+                .collect();
+            let statuses = |b: &WordBlock, s: BlockStatus| (0..b.len()).map(move |j| s.status(j));
+            let got = drive(
+                &mut *scheme.codec(k),
+                &received,
+                wires,
+                &mut rng,
+                |c, w| BusCode::decode_checked(c, w),
+                |c, b| {
+                    let (out, status) = BatchCode::decode_checked(c, b);
+                    out.to_words()
+                        .into_iter()
+                        .zip(statuses(b, status))
+                        .collect()
+                },
+            );
+            assert_eq!(got, want, "{name} k={k}: decode_checked");
         }
     }
 }

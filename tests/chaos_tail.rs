@@ -168,11 +168,12 @@ fn a_trace_that_cannot_be_written_is_reported_not_fatal() {
 
 /// `chaos case` and `trace` parse `<scheme> <family> [seed] [words]
 /// [hops]` with one parser that checks the case as a repro file's is:
-/// an argument that does not parse, or a hop count outside 1..=1024,
-/// exits 2 with a message and runs nothing.
+/// an argument that does not parse, a scheme that does not build at the
+/// case's 16 data bits, or a hop count outside 1..=1024, exits 2 with a
+/// message and runs nothing.
 #[test]
 fn bad_case_arguments_exit_2_in_both_binaries() {
-    let table: [(&str, &[&str], &str); 9] = [
+    let table: [(&str, &[&str], &str); 12] = [
         (
             "chaos",
             &["case", "DAP", "burst_train", "1", "100", "0"],
@@ -214,6 +215,21 @@ fn bad_case_arguments_exit_2_in_both_binaries() {
             "chaos: unknown scheme \"Nope\"",
         ),
         ("trace", &["DAP", "nope"], "trace: unknown family \"nope\""),
+        (
+            "chaos",
+            &["case", "BI(0)", "burst_train", "1"],
+            "chaos: BI(0) does not build at 16 data bits: need at least one sub-bus",
+        ),
+        (
+            "chaos",
+            &["case", "BI(17)", "burst_train", "1"],
+            "chaos: BI(17) does not build at 16 data bits: more sub-buses (17) than data bits (16)",
+        ),
+        (
+            "trace",
+            &["BI(17)", "mixed_mayhem"],
+            "trace: BI(17) does not build at 16 data bits: more sub-buses (17) than data bits (16)",
+        ),
     ];
     let dir = scratch("args");
     for (bin, args, first_line) in table {
