@@ -28,9 +28,11 @@
 //! windows stay aligned with link retransmissions.
 
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::{RngCore, SeedableRng};
 use socbus_model::{q, q_inv, Word};
 use socbus_telemetry::Telemetry;
+
+use crate::flip_stream::hit_count;
 
 /// What a shorted wire pair reads back.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -202,16 +204,25 @@ pub trait FaultModel {
     fn reset(&mut self) {}
 }
 
-/// Flips each wire of `word` with probability `eps`, one draw per wire
-/// in wire order, and counts the flips: each wire flips at most once, so
-/// the count is the output's distance from `word`. Always inlined, so a
-/// `corrupt` that drops the count compiles to the uncounted loop.
+/// Whether the next draw of `rng` hits at the rate whose
+/// [`hit_count`] is `count`: exactly when the `f64` rule
+/// `rng.gen::<f64>() < ε` would, with the same one draw (DESIGN.md §22).
 #[inline(always)]
-fn flip_each(rng: &mut StdRng, eps: f64, word: Word) -> (Word, u32) {
+fn hits(rng: &mut StdRng, count: u64) -> bool {
+    rng.next_u64() >> 11 < count
+}
+
+/// Flips each wire of `word` at the rate whose [`hit_count`] is `count`,
+/// one draw per wire in wire order, and counts the flips: each wire flips
+/// at most once, so the count is the output's distance from `word`.
+/// Always inlined, so a `corrupt` that drops the count compiles to the
+/// uncounted loop.
+#[inline(always)]
+fn flip_each(rng: &mut StdRng, count: u64, word: Word) -> (Word, u32) {
     let mut out = word;
     let mut flipped = 0;
     for i in 0..word.width() {
-        if rng.gen::<f64>() < eps {
+        if hits(rng, count) {
             out.set_bit(i, !out.bit(i));
             flipped += 1;
         }
@@ -223,6 +234,8 @@ fn flip_each(rng: &mut StdRng, eps: f64, word: Word) -> (Word, u32) {
 #[derive(Clone, Debug)]
 pub struct IidFault {
     eps: f64,
+    /// `hit_count(eps)`, kept in step with `eps`.
+    count: u64,
     seed: u64,
     rng: StdRng,
 }
@@ -238,6 +251,7 @@ impl IidFault {
         assert!((0.0..=1.0).contains(&eps), "eps out of range");
         IidFault {
             eps,
+            count: hit_count(eps),
             seed,
             rng: StdRng::seed_from_u64(seed),
         }
@@ -256,15 +270,16 @@ impl FaultModel for IidFault {
     }
 
     fn corrupt(&mut self, _cycle: u64, word: Word) -> Word {
-        flip_each(&mut self.rng, self.eps, word).0
+        flip_each(&mut self.rng, self.count, word).0
     }
 
     fn corrupt_counted(&mut self, _cycle: u64, word: Word) -> (Word, u32) {
-        flip_each(&mut self.rng, self.eps, word)
+        flip_each(&mut self.rng, self.count, word)
     }
 
     fn rescale_swing(&mut self, factor: f64) {
         self.eps = rescale_eps(self.eps, factor);
+        self.count = hit_count(self.eps);
     }
 
     fn reset(&mut self) {
@@ -282,6 +297,9 @@ pub struct GilbertElliott {
     eps_bad: f64,
     p_enter: f64,
     p_exit: f64,
+    /// `hit_count` of `eps_good`, `eps_bad`, `p_enter` and `p_exit`, in
+    /// that order, kept in step with the rates.
+    counts: [u64; 4],
     in_burst: bool,
     seed: u64,
     rng: StdRng,
@@ -303,6 +321,7 @@ impl GilbertElliott {
             eps_bad,
             p_enter,
             p_exit,
+            counts: [eps_good, eps_bad, p_enter, p_exit].map(hit_count),
             in_burst: false,
             seed,
             rng: StdRng::seed_from_u64(seed),
@@ -325,20 +344,17 @@ impl GilbertElliott {
         self.in_burst
     }
 
-    /// Steps the two-state chain once and returns the state's ε.
-    fn advance(&mut self) -> f64 {
-        let flip = if self.in_burst {
-            self.p_exit
-        } else {
-            self.p_enter
-        };
-        if self.rng.gen::<f64>() < flip {
+    /// Steps the two-state chain once and returns the [`hit_count`] of
+    /// the state's ε.
+    fn advance(&mut self) -> u64 {
+        let [good, bad, enter, exit] = self.counts;
+        if hits(&mut self.rng, if self.in_burst { exit } else { enter }) {
             self.in_burst = !self.in_burst;
         }
         if self.in_burst {
-            self.eps_bad
+            bad
         } else {
-            self.eps_good
+            good
         }
     }
 }
@@ -349,18 +365,20 @@ impl FaultModel for GilbertElliott {
     }
 
     fn corrupt(&mut self, _cycle: u64, word: Word) -> Word {
-        let eps = self.advance();
-        flip_each(&mut self.rng, eps, word).0
+        let count = self.advance();
+        flip_each(&mut self.rng, count, word).0
     }
 
     fn corrupt_counted(&mut self, _cycle: u64, word: Word) -> (Word, u32) {
-        let eps = self.advance();
-        flip_each(&mut self.rng, eps, word)
+        let count = self.advance();
+        flip_each(&mut self.rng, count, word)
     }
 
     fn rescale_swing(&mut self, factor: f64) {
         self.eps_good = rescale_eps(self.eps_good, factor);
         self.eps_bad = rescale_eps(self.eps_bad, factor);
+        self.counts[0] = hit_count(self.eps_good);
+        self.counts[1] = hit_count(self.eps_bad);
     }
 
     fn reset(&mut self) {
@@ -442,6 +460,8 @@ pub struct DroopFault {
     scale: f64,
     start: u64,
     duration: u64,
+    /// `hit_count` of [`DroopFault::rates`], kept in step with `eps`.
+    counts: [u64; 2],
     seed: u64,
     rng: StdRng,
 }
@@ -465,9 +485,21 @@ impl DroopFault {
             scale,
             start,
             duration,
+            counts: Self::rates(eps, scale).map(hit_count),
             seed,
             rng: StdRng::seed_from_u64(seed),
         }
+    }
+
+    /// The ε outside and inside the window.
+    fn rates(eps: f64, scale: f64) -> [f64; 2] {
+        [eps, (eps * scale).min(1.0)]
+    }
+
+    /// 1 if `cycle` lies in the window (see [`DroopFault::eps_at`]),
+    /// else 0: the index of its rate in [`DroopFault::rates`].
+    fn window_index(&self, cycle: u64) -> usize {
+        usize::from(cycle >= self.start && cycle - self.start < self.duration)
     }
 
     /// The effective ε at the given cycle.
@@ -480,11 +512,7 @@ impl DroopFault {
     /// even when `start + duration` would overflow `u64`.
     #[must_use]
     pub fn eps_at(&self, cycle: u64) -> f64 {
-        if cycle >= self.start && cycle - self.start < self.duration {
-            (self.eps * self.scale).min(1.0)
-        } else {
-            self.eps
-        }
+        Self::rates(self.eps, self.scale)[self.window_index(cycle)]
     }
 }
 
@@ -497,17 +525,18 @@ impl FaultModel for DroopFault {
     }
 
     fn corrupt(&mut self, cycle: u64, word: Word) -> Word {
-        let eps = self.eps_at(cycle);
-        flip_each(&mut self.rng, eps, word).0
+        let count = self.counts[self.window_index(cycle)];
+        flip_each(&mut self.rng, count, word).0
     }
 
     fn corrupt_counted(&mut self, cycle: u64, word: Word) -> (Word, u32) {
-        let eps = self.eps_at(cycle);
-        flip_each(&mut self.rng, eps, word)
+        let count = self.counts[self.window_index(cycle)];
+        flip_each(&mut self.rng, count, word)
     }
 
     fn rescale_swing(&mut self, factor: f64) {
         self.eps = rescale_eps(self.eps, factor);
+        self.counts = Self::rates(self.eps, self.scale).map(hit_count);
     }
 
     fn reset(&mut self) {
@@ -1139,39 +1168,156 @@ mod tests {
         assert_eq!(recorder.counter_value("fault.corruptions", &stuck), 0);
     }
 
-    /// The soft models count their flips inside the draw loop: the
-    /// counted form draws exactly what `corrupt` draws, and its count is
-    /// the distance the default compare would report.
+    /// The reference the integer counts must equal: the `f64` rule, one
+    /// `gen::<f64>()` per decision compared with the rate, in the order
+    /// the models draw (a burst's state step, then one draw per wire).
+    struct F64Rule {
+        spec: FaultSpec,
+        in_burst: bool,
+        rng: StdRng,
+    }
+
+    impl F64Rule {
+        fn new(spec: &FaultSpec, seed: u64) -> Self {
+            F64Rule {
+                spec: spec.clone(),
+                in_burst: false,
+                rng: StdRng::seed_from_u64(seed),
+            }
+        }
+
+        fn draw(&mut self, p: f64) -> bool {
+            use rand::Rng;
+            self.rng.gen::<f64>() < p
+        }
+
+        fn rescale_swing(&mut self, factor: f64) {
+            match &mut self.spec {
+                FaultSpec::Iid { eps } | FaultSpec::Droop { eps, .. } => {
+                    *eps = rescale_eps(*eps, factor);
+                }
+                FaultSpec::Burst {
+                    eps_good, eps_bad, ..
+                } => {
+                    *eps_good = rescale_eps(*eps_good, factor);
+                    *eps_bad = rescale_eps(*eps_bad, factor);
+                }
+                FaultSpec::StuckAt { .. } | FaultSpec::Bridge { .. } => {}
+            }
+        }
+
+        /// The corrupted word and its number of flipped wires.
+        fn corrupt(&mut self, cycle: u64, word: Word) -> (Word, u32) {
+            let eps = match self.spec {
+                FaultSpec::Iid { eps } => eps,
+                FaultSpec::Burst {
+                    eps_good,
+                    eps_bad,
+                    p_enter,
+                    p_exit,
+                } => {
+                    if self.draw(if self.in_burst { p_exit } else { p_enter }) {
+                        self.in_burst = !self.in_burst;
+                    }
+                    if self.in_burst {
+                        eps_bad
+                    } else {
+                        eps_good
+                    }
+                }
+                FaultSpec::Droop {
+                    eps,
+                    scale,
+                    start,
+                    duration,
+                } => {
+                    if cycle >= start && cycle - start < duration {
+                        (eps * scale).min(1.0)
+                    } else {
+                        eps
+                    }
+                }
+                FaultSpec::StuckAt { .. } | FaultSpec::Bridge { .. } => unreachable!("soft only"),
+            };
+            let mut out = word;
+            let mut flipped = 0;
+            for i in 0..word.width() {
+                if self.draw(eps) {
+                    out.set_bit(i, !out.bit(i));
+                    flipped += 1;
+                }
+            }
+            (out, flipped)
+        }
+    }
+
+    /// The soft models decide every draw by its integer count exactly as
+    /// the `f64` rule would, with the same draws: at widths on both sides
+    /// of each limb boundary, at rates from 0 through the smallest
+    /// subnormal and `1 − 2⁻⁵³` to 1, with a burst chain that never or
+    /// always moves, in and out of a droop window, and before and after
+    /// a swing rescale. `corrupt` and `corrupt_counted` both equal the
+    /// reference word for word over 1 000 words, and the count is the
+    /// reference's; a draw more or fewer per word would shift every word
+    /// after it.
     #[test]
     fn soft_models_count_their_flips_with_the_same_draws() {
-        let specs = [
-            FaultSpec::Iid { eps: 0.2 },
-            FaultSpec::Burst {
-                eps_good: 0.01,
-                eps_bad: 0.4,
-                p_enter: 0.2,
-                p_exit: 0.3,
-            },
-            FaultSpec::Droop {
-                eps: 0.05,
-                scale: 6.0,
-                start: 10,
-                duration: 20,
-            },
-        ];
-        for spec in &specs {
-            let (mut plain, mut counted) = (spec.build(3), spec.build(3));
-            let mut flips = 0;
-            for cycle in 0..200u64 {
-                let word = Word::from_bits(u128::from(cycle.wrapping_mul(0x9E37_79B9)), 40);
-                let out = plain.corrupt(cycle, word);
-                let (same, flipped) = counted.corrupt_counted(cycle, word);
-                assert_eq!(same, out, "{} at cycle {cycle}", spec.label());
-                assert_eq!(flipped, word.hamming_distance(out));
-                flips += flipped;
+        const WORDS: u64 = 1_000;
+        let rates = [0.0, 5e-324, 1e-12, 1e-3, 0.5, 1.0 - 2f64.powi(-53), 1.0];
+        let chains = [(0.0, 0.0), (0.0, 1.0), (1.0, 0.0), (1.0, 1.0), (0.02, 0.3)];
+        let mut specs = Vec::new();
+        for (r, &eps) in rates.iter().enumerate() {
+            specs.push(FaultSpec::Iid { eps });
+            for (p_enter, p_exit) in chains {
+                specs.push(FaultSpec::Burst {
+                    eps_good: eps,
+                    eps_bad: rates[rates.len() - 1 - r],
+                    p_enter,
+                    p_exit,
+                });
             }
-            assert!(flips > 0, "{} flipped nothing", spec.label());
+            // The largest of these that keeps the drooped rate at most 1.
+            let scale = [8.0, 1.0 / eps, 1.0]
+                .into_iter()
+                .find(|s| eps * s <= 1.0)
+                .expect("scale 1 always fits");
+            specs.push(FaultSpec::Droop {
+                eps,
+                scale,
+                start: WORDS / 4,
+                duration: WORDS / 2,
+            });
         }
+        let mut data = StdRng::seed_from_u64(0xF64);
+        let mut flips = 0u64;
+        for spec in &specs {
+            for width in [1, 63, 64, 65, 128, 129, 256] {
+                // The swing moves halfway through the run, inside the
+                // droop window, so each row runs both before and after.
+                for swing in [1.3, 0.7] {
+                    let seed = data.next_u64();
+                    let mut reference = F64Rule::new(spec, seed);
+                    let (mut plain, mut counted) = (spec.build(seed), spec.build(seed));
+                    for cycle in 0..WORDS {
+                        if cycle == WORDS / 2 {
+                            reference.rescale_swing(swing);
+                            plain.rescale_swing(swing);
+                            counted.rescale_swing(swing);
+                        }
+                        let limbs = std::array::from_fn(|_| data.next_u64());
+                        let word = Word::from_limbs(limbs, width);
+                        let want = reference.corrupt(cycle, word);
+                        let at = || {
+                            format!("{} width {width} swing {swing} cycle {cycle}", spec.label())
+                        };
+                        assert_eq!(plain.corrupt(cycle, word), want.0, "{}", at());
+                        assert_eq!(counted.corrupt_counted(cycle, word), want, "{}", at());
+                        flips += u64::from(want.1);
+                    }
+                }
+            }
+        }
+        assert!(flips > 0, "the table flipped nothing");
     }
 
     #[test]

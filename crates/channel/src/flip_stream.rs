@@ -121,13 +121,23 @@ enum Threshold {
 
 impl Threshold {
     fn new(eps: f64) -> Self {
-        let count = (eps * (1u64 << 53) as f64).ceil() as u64;
+        let count = hit_count(eps);
         if count < 1 << 53 {
             Threshold::Below(count << 11)
         } else {
             Threshold::Every
         }
     }
+}
+
+/// `ceil(ε·2⁵³)`: a draw `x` hits at rate ε iff `x >> 11` is below this
+/// count, exactly where the `f64` rule `(x >> 11)·2⁻⁵³ < ε` holds (the
+/// proof is on [`Threshold`]). The stream and the fault models
+/// (`crate::fault`) both decide their draws by it. `f64::ceil` is a libm
+/// call on the baseline x86-64 target, so callers compute the count once
+/// per rate, never per draw.
+pub(crate) fn hit_count(eps: f64) -> u64 {
+    (eps * (1u64 << 53) as f64).ceil() as u64
 }
 
 /// Fills `hits` with the outcomes of the next [`BUF_DRAWS`] draws from

@@ -53,7 +53,7 @@ use crate::harness::{
 };
 use crate::monitor::{Invariant, InvariantStats, Verdicts, Violation};
 use crate::replay::{
-    check_prob, check_spec, check_widths, kv, parse_activate, parse_f64, parse_num, spec_str,
+    check_prob, check_spec, check_width, kv, parse_activate, parse_f64, parse_num, spec_str,
 };
 use crate::runner::activate;
 use crate::schedule::{window, FaultWindow, WindowKind};
@@ -1073,7 +1073,7 @@ impl Harness for MeshCaseConfig {
     /// `MAX_MESH_NODES`), a probability that is not one, a hotspot node
     /// off the mesh, or an event naming a link the mesh lacks.
     fn check(&self) -> Result<(), String> {
-        check_widths(self.data_bits, [self.scheme])?;
+        check_width(self.data_bits, self.scheme)?;
         let nodes = self.width.saturating_mul(self.height);
         if self.width < 2 || self.height < 2 || nodes > MAX_MESH_NODES {
             return Err(format!(

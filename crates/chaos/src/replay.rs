@@ -267,22 +267,17 @@ impl Harness for CaseConfig {
     }
 
     /// Rejects a parsed case the simulator would assert on: a data width
-    /// outside the traffic generator's 1..=128 or one a scheme the path
-    /// can run (its own, a ladder's switch target, a controller point)
-    /// does not build at, no hops (or more than `MAX_HOPS`), a
+    /// outside the traffic generator's 1..=128 or one the case's scheme
+    /// does not build at, a ladder that fails
+    /// [`DegradationPolicy::validate`] (a switch target that does not
+    /// build at the width), no hops (or more than `MAX_HOPS`), a
     /// probability that is not one, an event naming a hop the path lacks,
     /// or a controller policy that fails [`ControlPolicy::validate`].
     fn check(&self) -> Result<(), String> {
-        let rungs = self.degradation.iter().flat_map(|p| &p.ladder);
-        let switches = rungs.filter_map(|action| match action {
-            DegradationAction::SwitchScheme(s) => Some(*s),
-            DegradationAction::RaiseSwing { .. } => None,
-        });
-        let points = self.controller.iter().flat_map(|p| &p.points);
-        let schemes = std::iter::once(self.scheme)
-            .chain(switches)
-            .chain(points.map(|p| p.scheme));
-        check_widths(self.data_bits, schemes)?;
+        check_width(self.data_bits, self.scheme)?;
+        if let Some(policy) = &self.degradation {
+            policy.validate(self.data_bits)?;
+        }
         if !(1..=MAX_HOPS).contains(&self.hops) {
             return Err(format!("hops {} is outside 1..={MAX_HOPS}", self.hops));
         }
@@ -317,15 +312,12 @@ impl Harness for CaseConfig {
 const MAX_HOPS: usize = 1 << 10;
 
 /// Rejects a data width outside the traffic generator's 1..=128, or one
-/// any of `schemes` does not build at ([`Scheme::check`]).
-pub(crate) fn check_widths(
-    data_bits: usize,
-    schemes: impl IntoIterator<Item = Scheme>,
-) -> Result<(), String> {
+/// `scheme` does not build at ([`Scheme::check`]).
+pub(crate) fn check_width(data_bits: usize, scheme: Scheme) -> Result<(), String> {
     if !(1..=128).contains(&data_bits) {
         return Err(format!("data_bits {data_bits} is outside 1..=128"));
     }
-    schemes.into_iter().try_for_each(|s| s.check(data_bits))
+    scheme.check(data_bits)
 }
 
 /// Rejects `p` unless it is a finite probability in `[0, 1]`.

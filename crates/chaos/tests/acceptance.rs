@@ -227,6 +227,10 @@ fn replay_rejects_out_of_range_fields() {
             "\ncontroller target=0.01 window=50 dwell=2 lower=0.05 raise=0.2 storm=0.4\n\
              point swing=1.0 scheme=BI(17)\nwords ",
         ),
+        (
+            "\nwords ",
+            "\ndegradation window=200 trigger=0.2\nrung switch-scheme BI(17)\nwords ",
+        ),
     ];
     let mesh_edits = [
         ("\nwidth 3\n", "\nwidth 0\n"),

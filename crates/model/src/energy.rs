@@ -166,21 +166,33 @@ pub fn word_transition_energy(before: Word, after: Word) -> EnergyCoeff {
             coupling_coeff: 0.5 * empty_sum,
         };
     }
-    let toggle = before.xor(after);
     // Pair l couples wires l and l + 1: compare each plane with itself
-    // shifted down by one wire.
-    let pairs = n - 1;
-    let (t_lo, t_hi) = (toggle.slice(0, pairs), toggle.slice(1, pairs));
-    let (a_lo, a_hi) = (after.slice(0, pairs), after.slice(1, pairs));
-    let one_switches = t_lo.xor(t_hi).count_ones();
-    let opposing = t_lo.and(t_hi).and(a_lo.xor(a_hi)).count_ones();
-    let coupling_sum = if pairs == 0 {
+    // shifted down by one wire, limb by limb from the top, carrying each
+    // limb's low wire into the limb below. Both words are zero above
+    // wire n − 1, so wire n − 1's shifted partner is 0: no pair starts
+    // there, and its toggle bit in `t ^ t_hi` is taken back out below.
+    let (mut toggles, mut one_switches, mut opposing) = (0, 0, 0);
+    let (mut t_up, mut a_up) = (0u64, 0u64);
+    for l in (0..n.div_ceil(64)).rev() {
+        let a = after.limb(l);
+        let t = before.limb(l) ^ a;
+        let t_hi = t >> 1 | t_up << 63;
+        let a_hi = a >> 1 | a_up << 63;
+        toggles += t.count_ones();
+        one_switches += (t ^ t_hi).count_ones();
+        opposing += (t & t_hi & (a ^ a_hi)).count_ones();
+        (t_up, a_up) = (t, a);
+    }
+    let last = n - 1;
+    let last_toggle = (before.limb(last / 64) ^ after.limb(last / 64)) >> (last % 64) & 1;
+    one_switches -= last_toggle as u32;
+    let coupling_sum = if last == 0 {
         empty_sum
     } else {
         f64::from(one_switches + 4 * opposing)
     };
     EnergyCoeff {
-        self_coeff: 0.5 * f64::from(toggle.count_ones()),
+        self_coeff: 0.5 * f64::from(toggles),
         coupling_coeff: 0.5 * coupling_sum,
     }
 }

@@ -70,6 +70,16 @@ pub enum ControlError {
         /// Index of the offending point.
         index: usize,
     },
+    /// An operating point's scheme does not build at the link's data
+    /// width ([`Scheme::check`]).
+    SchemeDoesNotBuild {
+        /// Index of the offending point.
+        index: usize,
+        /// The point's scheme.
+        scheme: Scheme,
+        /// The data width it was checked at.
+        data_bits: usize,
+    },
     /// The target residual word-error rate is outside `(0, 1)`.
     TargetOutOfRange,
     /// The observation window is zero words long.
@@ -94,6 +104,15 @@ impl std::fmt::Display for ControlError {
             ControlError::DegenerateSwing { index } => {
                 write!(f, "operating point {index} has a degenerate swing")
             }
+            ControlError::SchemeDoesNotBuild {
+                index,
+                scheme,
+                data_bits,
+            } => write!(
+                f,
+                "operating point {index} runs {}, which does not build at {data_bits} data bits",
+                scheme.name()
+            ),
             ControlError::TargetOutOfRange => {
                 write!(f, "target residual WER must lie in (0, 1)")
             }
@@ -146,6 +165,11 @@ pub struct ControlPolicy {
 impl ControlPolicy {
     /// Advertised single-transfer detection guarantees of every point,
     /// for `data_bits`-bit payloads.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a point's scheme does not build at `data_bits`; a policy
+    /// that passes [`ControlPolicy::validate`] at `data_bits` never does.
     #[must_use]
     pub fn guarantees(&self, data_bits: usize) -> Vec<u32> {
         self.points
@@ -162,7 +186,8 @@ impl ControlPolicy {
     /// # Errors
     ///
     /// Returns the first [`ControlError`] found: an empty ladder, a
-    /// degenerate swing (via [`swing_energy_scale`]), an out-of-range
+    /// degenerate swing (via [`swing_energy_scale`]), a scheme that does
+    /// not build at `data_bits` (via [`Scheme::check`]), an out-of-range
     /// target, a zero window or dwell, inverted thresholds, or a ladder
     /// whose detection guarantees increase with the index.
     pub fn validate(&self, data_bits: usize) -> Result<(), ControlError> {
@@ -172,6 +197,13 @@ impl ControlPolicy {
         for (index, p) in self.points.iter().enumerate() {
             if swing_energy_scale(p.swing).is_err() {
                 return Err(ControlError::DegenerateSwing { index });
+            }
+            if p.scheme.check(data_bits).is_err() {
+                return Err(ControlError::SchemeDoesNotBuild {
+                    index,
+                    scheme: p.scheme,
+                    data_bits,
+                });
             }
         }
         if !(self.target_wer > 0.0 && self.target_wer < 1.0) {
@@ -527,6 +559,26 @@ mod tests {
         assert_eq!(
             p.validate(8),
             Err(ControlError::GuaranteeNotMonotone { index: 2 })
+        );
+    }
+
+    /// A point whose scheme is too wide for the link is refused by
+    /// index before any codec is built (building it would panic), and so
+    /// is the controller.
+    #[test]
+    fn validation_refuses_a_point_scheme_the_width_cannot_build() {
+        let mut p = policy();
+        p.points[1].scheme = Scheme::BusInvert(17);
+        let err = ControlError::SchemeDoesNotBuild {
+            index: 1,
+            scheme: Scheme::BusInvert(17),
+            data_bits: 16,
+        };
+        assert_eq!(p.validate(16), Err(err));
+        assert_eq!(Controller::new(p, 16).err(), Some(err));
+        assert_eq!(
+            err.to_string(),
+            "operating point 1 runs BI(17), which does not build at 16 data bits"
         );
     }
 

@@ -170,6 +170,24 @@ pub struct DegradationPolicy {
     pub promote: Option<PromotePolicy>,
 }
 
+impl DegradationPolicy {
+    /// Checks every [`DegradationAction::SwitchScheme`] target against a
+    /// `data_bits`-bit link, so a rung that could never provision its
+    /// codec is refused before the run instead of panicking when it
+    /// fires.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`Scheme::check`]'s message for the first switch target
+    /// that does not build at `data_bits`.
+    pub fn validate(&self, data_bits: usize) -> Result<(), String> {
+        self.ladder.iter().try_for_each(|action| match action {
+            DegradationAction::SwitchScheme(scheme) => scheme.check(data_bits),
+            DegradationAction::RaiseSwing { .. } => Ok(()),
+        })
+    }
+}
+
 /// A recorded degradation-ladder transition.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct LinkTransition {
@@ -540,14 +558,20 @@ impl LinkEngine {
     /// # Panics
     ///
     /// Panics if both a degradation ladder and a controller are
-    /// configured, or if the control policy fails
-    /// [`ControlPolicy::validate`].
+    /// configured, if the ladder fails [`DegradationPolicy::validate`]
+    /// (a switch target that does not build at the link's width), or if
+    /// the control policy fails [`ControlPolicy::validate`].
     #[must_use]
     pub fn new(cfg: &LinkConfig, extra: &[FaultSpec], seed: u64) -> Self {
         assert!(
             cfg.degradation.is_none() || cfg.controller.is_none(),
             "a link runs either a degradation ladder or a closed-loop controller, not both"
         );
+        if let Some(policy) = &cfg.degradation {
+            policy
+                .validate(cfg.data_bits)
+                .expect("degradation ladder must validate");
+        }
         let controller = cfg.controller.as_ref().map(|p| {
             Controller::new(p.clone(), cfg.data_bits).expect("control policy must validate")
         });
@@ -1864,5 +1888,44 @@ mod tests {
                 storm_trouble: 0.5,
             });
         let _ = LinkEngine::new(&cfg, &[], 1);
+    }
+
+    /// A ladder whose switch target does not build at the link's width
+    /// fails `validate` with the scheme's own message.
+    #[test]
+    fn ladder_validation_checks_every_switch_target() {
+        let mut policy = too_wide_ladder();
+        assert_eq!(
+            policy.validate(16),
+            Err(
+                "BI(17) does not build at 16 data bits: more sub-buses (17) than data bits (16)"
+                    .into()
+            )
+        );
+        assert_eq!(policy.validate(17), Ok(()));
+        policy.ladder[1] = DegradationAction::SwitchScheme(Scheme::Dap);
+        assert_eq!(policy.validate(16), Ok(()));
+    }
+
+    /// A switch target the link's width cannot build is refused at
+    /// construction, not when its rung fires mid-run.
+    #[test]
+    #[should_panic(expected = "degradation ladder must validate")]
+    fn a_switch_target_too_wide_for_the_link_panics_at_construction() {
+        let cfg = LinkConfig::new(Scheme::Parity, 16, 0.0).with_degradation(too_wide_ladder());
+        let _ = LinkEngine::new(&cfg, &[], 1);
+    }
+
+    /// A swing step, then a switch to BI(17), which needs 17 data bits.
+    fn too_wide_ladder() -> DegradationPolicy {
+        DegradationPolicy {
+            window: 100,
+            trigger: 0.5,
+            ladder: vec![
+                DegradationAction::RaiseSwing { factor: 1.25 },
+                DegradationAction::SwitchScheme(Scheme::BusInvert(17)),
+            ],
+            promote: None,
+        }
     }
 }

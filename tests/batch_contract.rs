@@ -17,12 +17,18 @@ use socbus::channel::montecarlo::{word_error_rate, word_error_rate_scalar};
 use socbus::codes::{batch_build, BatchCode, BlockStatus, BusCode, Codec, Scheme, WordBlock};
 use socbus::model::Word;
 
-/// Every catalog scheme plus the planted-fault `Sabotaged`, buildable at
-/// `k` data bits.
-fn schemes(k: usize) -> Vec<Scheme> {
+/// Every catalog scheme plus the planted-fault `Sabotaged`.
+fn all_schemes() -> Vec<Scheme> {
     let mut all = Scheme::catalog();
     all.push(Scheme::Sabotaged);
-    all.retain(|s| !matches!(s, Scheme::BusInvert(i) if *i > k));
+    all
+}
+
+/// The schemes of [`all_schemes`] that build at `k` data bits, by
+/// [`Scheme::check`], the one statement of each scheme's width limits.
+fn schemes(k: usize) -> Vec<Scheme> {
+    let mut all = all_schemes();
+    all.retain(|s| s.check(k).is_ok());
     all
 }
 
@@ -162,10 +168,8 @@ fn drive<T>(
 #[test]
 fn one_instance_mixes_word_and_block_calls() {
     let mut rng = StdRng::seed_from_u64(0x0B07_4F02);
-    let mut all = Scheme::catalog();
-    all.push(Scheme::Sabotaged);
     for k in [1, 5, 16, 17, 33, 64, 100] {
-        for &scheme in all.iter().filter(|s| s.check(k).is_ok()) {
+        for scheme in schemes(k) {
             let name = scheme.name();
             let data: Vec<Word> = (0..400).map(|_| random_word(&mut rng, k)).collect();
             let mut reference = scheme.codec(k);
@@ -220,17 +224,6 @@ fn one_instance_mixes_word_and_block_calls() {
     }
 }
 
-/// The schemes whose bus at 129 data bits needs more than `MAX_WIDTH`
-/// (256) wires: they panic at construction, batch and scalar alike.
-const TOO_WIDE_AT_129: [Scheme; 6] = [
-    Scheme::Shielding,
-    Scheme::Duplication,
-    Scheme::Dap,
-    Scheme::Dapx,
-    Scheme::Dapbi,
-    Scheme::Bsc,
-];
-
 /// The batch Monte-Carlo engine reproduces the scalar one exactly. At
 /// k = 8 over a trial count that ends one word into a block; elsewhere
 /// over two full blocks and a partial one, at an ε that makes failures
@@ -251,17 +244,40 @@ fn batch_monte_carlo_equals_scalar() {
         (65, 0.05, 133),
         (129, 0.05, 133),
     ] {
-        let mut schemes = schemes(k);
-        if k == 129 {
-            schemes.retain(|s| !TOO_WIDE_AT_129.contains(s));
-        }
-        for scheme in schemes {
+        for scheme in schemes(k) {
             let batch = word_error_rate(scheme, k, eps, trials, 0xB10C);
             let scalar = word_error_rate_scalar(scheme, k, eps, trials, 0xB10C);
             assert_eq!(batch, scalar, "{} at k = {k}", scheme.name());
             // From k = 16 on every estimate sees failures, so those cells
             // never compare two zeros (a few at k <= 3 do).
             assert!(k < 16 || batch.failures > 0, "{} at k = {k}", scheme.name());
+        }
+    }
+}
+
+/// At every width this file runs, [`schemes`] keeps every (scheme, k)
+/// case of the explicit width limits: `BI(i)` needs `i <= k`, and at
+/// k = 129 the six schemes below need more than 256 wires. A drift in
+/// [`Scheme::check`] cannot silently drop a case from the tests above.
+#[test]
+fn derived_cases_keep_every_hand_written_case() {
+    const TOO_WIDE_AT_129: [Scheme; 6] = [
+        Scheme::Shielding,
+        Scheme::Duplication,
+        Scheme::Dap,
+        Scheme::Dapx,
+        Scheme::Dapbi,
+        Scheme::Bsc,
+    ];
+    for k in [1, 2, 3, 4, 5, 8, 16, 17, 32, 33, 64, 65, 100, 129] {
+        let derived = schemes(k);
+        let mut old = all_schemes();
+        old.retain(|s| !matches!(s, Scheme::BusInvert(i) if *i > k));
+        if k == 129 {
+            old.retain(|s| !TOO_WIDE_AT_129.contains(s));
+        }
+        for scheme in old {
+            assert!(derived.contains(&scheme), "{} at k = {k}", scheme.name());
         }
     }
 }
