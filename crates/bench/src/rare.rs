@@ -10,9 +10,9 @@
 //!    is judged against;
 //! 2. runs the adaptive rare-event driver
 //!    ([`socbus_channel::rare::adapt::certify`]): pilot-planned
-//!    importance sampling (or multilevel splitting) in geometrically
-//!    growing batches until the relative 95% CI half-width is within
-//!    [`TARGET_REL_CI`] or the word budget is spent;
+//!    importance sampling in geometrically growing batches until the
+//!    relative 95% CI half-width is within [`TARGET_REL_CI`] or the
+//!    word budget is spent;
 //! 3. marks the cell **certified** when the run converged and the CI is
 //!    statistically consistent with the exact rate (within 2 half-widths).
 //!
@@ -29,9 +29,7 @@
 use std::fmt::Write as _;
 use std::rc::Rc;
 
-use socbus_channel::rare::{
-    certify, failure_profile, oracle_catalog, Certification, Method, RareChannel,
-};
+use socbus_channel::rare::{certify, failure_profile, oracle_catalog, Certification};
 use socbus_chaos::ctx::{num, push_rows, RunArgs};
 use socbus_codes::Scheme;
 use socbus_exec::shard_seed;
@@ -155,7 +153,7 @@ pub fn run_sweep(smoke: bool, threads: usize, tel: &Telemetry) -> Vec<CellResult
             let cert = certify(
                 cell.scheme,
                 cell.k,
-                RareChannel::Iid { eps: cell.eps },
+                cell.eps,
                 TARGET_REL_CI,
                 budget,
                 shard_seed(SEED, i as u64),
@@ -182,14 +180,6 @@ pub fn deep_certified(results: &[CellResult]) -> usize {
         .iter()
         .filter(|r| r.cell.deep && r.certified)
         .count()
-}
-
-/// Short method label for the JSON.
-fn method_label(method: &Method) -> String {
-    match method {
-        Method::Twist(t) => format!("twist(theta={:.4},boost={:.1})", t.theta, t.burst_boost),
-        Method::Split(c) => format!("split(levels={:?},effort={})", c.levels, c.effort),
-    }
 }
 
 /// Renders the sweep JSON (the `results/BENCH_rare.json` format).
@@ -228,7 +218,14 @@ pub fn render_json(results: &[CellResult], smoke: bool) -> String {
         let _ = write!(json, "\"ci95\": {}, ", num(r.cert.ci95));
         let _ = write!(json, "\"rel_ci95\": {}, ", num(r.cert.rel_ci95));
         let _ = write!(json, "\"words\": {}, ", r.cert.words);
-        let _ = write!(json, "\"method\": \"{}\", ", method_label(&r.cert.method));
+        // `boost=1.0` is a literal: it keeps `results/BENCH_rare.json`
+        // byte-identical to the files written when the label carried a
+        // burst-occupancy boost.
+        let _ = write!(
+            json,
+            "\"method\": \"twist(theta={:.4},boost=1.0)\", ",
+            r.cert.theta
+        );
         let _ = write!(json, "\"converged\": {}, ", r.cert.converged);
         let _ = write!(json, "\"certified\": {}", r.certified);
         json.push('}');

@@ -11,9 +11,9 @@
 //!   transient voltage droop;
 //! * [`montecarlo`] — residual word-error measurement through real
 //!   codecs, validating eqs. (7)–(9) and Appendix II;
-//! * [`rare`] — rare-event estimation (importance sampling, multilevel
-//!   splitting, exhaustive-enumeration oracle) reaching the WER ≤ 1e-12
-//!   regime plain Monte-Carlo cannot;
+//! * [`rare`] — rare-event estimation on the i.i.d. channel
+//!   (importance sampling checked against an exhaustive-enumeration
+//!   oracle) reaching the WER ≤ 1e-12 regime plain Monte-Carlo cannot;
 //! * [`scaling`] — the eq. (11) voltage-scaling solver behind the
 //!   paper's Table III `V̂dd` column.
 //!
@@ -44,5 +44,4 @@ pub use fault::{
 pub use montecarlo::{
     mc_shards, word_error_rate, word_error_rate_parallel, WeightedTally, WordErrorEstimate,
 };
-pub use rare::{RareChannel, Twist};
 pub use scaling::{scale_voltage, try_scale_voltage, ResidualModel, ScaledDesign, ScalingError};

@@ -1,4 +1,4 @@
-//! The adaptive driver: per-`(scheme, ε)` estimator selection and
+//! The adaptive driver: per-`(scheme, ε)` tilt selection and
 //! relative-error-controlled certification.
 //!
 //! The right twist θ depends on which error weights dominate a scheme's
@@ -6,20 +6,20 @@
 //! tilt that makes weight-2 patterns common, a DEC code wants weight-3,
 //! and an uncoded bus wants barely any tilt at all. Rather than encode
 //! per-scheme analysis, [`plan`] runs a short **pilot** at each
-//! candidate twist and keeps the one with the smallest pilot relative
-//! CI; when *no* candidate reaches the failure set at pilot effort, the
-//! cell falls back to [multilevel splitting](super::split), whose level
-//! cascade reaches any failure set the decode contract bounds.
+//! candidate tilt and keeps the one with the smallest pilot relative
+//! CI among those whose pilot saw a failure. When no candidate fails,
+//! θ stays 0 with pilot rate 0. That happens only where the true rate
+//! is 0: at ε = 0, and at ε = 1 on a code whose decoder undoes a flip
+//! of every wire (BI(1), BI(8), BIH, DAPBI). [`certify`] then runs the
+//! plain sampler there and reports rate 0, not converged.
 //!
-//! [`certify`] then drives the chosen estimator in geometrically growing
-//! batches, merging tallies in batch order (deterministic at any thread
-//! count), until the 95% CI half-width is within the requested fraction
-//! of the estimate or the word budget is exhausted — the loop behind
-//! every `BENCH_rare.json` cell.
+//! [`certify`] drives the chosen tilt in geometrically growing batches,
+//! merging tallies in batch order (deterministic at any thread count),
+//! until the 95% CI half-width is within the requested fraction of the
+//! estimate or the word budget is exhausted — the loop behind every
+//! `BENCH_rare.json` cell.
 
-use super::split::{split_word_error_parallel, SplitConfig, SplitEstimate};
-use super::twist::{is_parallel_occ, is_word_error, Twist};
-use super::RareChannel;
+use super::twist::{is_word_error, is_word_error_parallel};
 use crate::montecarlo::WeightedTally;
 use socbus_codes::Scheme;
 use socbus_exec::shard_seed;
@@ -34,89 +34,60 @@ pub const PILOT_TRIALS: u64 = 2_048;
 /// fixed θ grid can't serve both, a target grid serves any ε.
 const TWISTED_EPS_TARGETS: [f64; 7] = [0.02, 0.05, 0.1, 0.15, 0.25, 0.35, 0.5];
 
-/// Candidate burst-occupancy odds boosts (burst channels only).
-const BOOST_GRID: [f64; 3] = [1.0, 10.0, 100.0];
-
 /// The tilt θ that maps flip probability `eps` to `target` under
 /// exponential twisting: θ = logit(target) − logit(eps).
 fn theta_for(eps: f64, target: f64) -> f64 {
     (target / (1.0 - target)).ln() - (eps / (1.0 - eps)).ln()
 }
 
-/// The pilot's candidate twists for `channel`: the identity twist plus
-/// one tilt per [`TWISTED_EPS_TARGETS`] entry meaningfully above the
-/// channel's base ε, each crossed with the burst boosts when the
-/// channel has a burst state.
-fn candidate_twists(channel: RareChannel) -> Vec<Twist> {
-    let eps = channel.base_eps();
-    let boosts: &[f64] = match channel {
-        RareChannel::Iid { .. } => &BOOST_GRID[..1],
-        RareChannel::Burst { .. } => &BOOST_GRID[..],
-    };
-    let mut out = Vec::new();
-    for &burst_boost in boosts {
-        out.push(Twist {
-            theta: 0.0,
-            burst_boost,
-        });
-        if eps > 0.0 && eps < 0.5 {
-            for &target in &TWISTED_EPS_TARGETS {
-                if target > 2.0 * eps {
-                    out.push(Twist {
-                        theta: theta_for(eps, target),
-                        burst_boost,
-                    });
-                }
+/// The pilot's candidate tilts at flip probability `eps`: 0 (the
+/// nominal measure) plus one tilt per [`TWISTED_EPS_TARGETS`] entry
+/// meaningfully above `eps`.
+fn candidate_thetas(eps: f64) -> Vec<f64> {
+    let mut out = vec![0.0];
+    if eps > 0.0 && eps < 0.5 {
+        for &target in &TWISTED_EPS_TARGETS {
+            if target > 2.0 * eps {
+                out.push(theta_for(eps, target));
             }
         }
     }
     out
 }
 
-/// The estimator a pilot run selected for one cell.
-#[derive(Clone, Debug, PartialEq)]
-pub enum Method {
-    /// Importance sampling at the given twist.
-    Twist(Twist),
-    /// Multilevel splitting with the given schedule (chosen when no
-    /// pilot twist reached the failure set).
-    Split(SplitConfig),
-}
-
-/// Result of [`plan`]: the chosen estimator plus the pilot evidence.
+/// Result of [`plan`]: the chosen tilt plus the pilot evidence.
 #[derive(Clone, Debug, PartialEq)]
 pub struct Plan {
     /// Scheme under test.
     pub scheme: Scheme,
     /// Data bits per transfer.
     pub k: usize,
-    /// Channel the cell integrates over.
-    pub channel: RareChannel,
-    /// The selected estimator.
-    pub method: Method,
+    /// i.i.d. per-wire flip probability of the cell.
+    pub eps: f64,
+    /// The selected exponential tilt (0 when no pilot candidate failed).
+    pub theta: f64,
     /// Pilot estimate of the rate under the winning candidate (0 when
-    /// the pilot never failed and splitting was selected).
+    /// the pilot never failed).
     pub pilot_rate: f64,
     /// Total pilot words simulated across all candidates.
     pub pilot_words: u64,
 }
 
-/// Pilot-selects the estimator for `(scheme, k, channel)`: runs
-/// [`PILOT_TRIALS`] importance-sampled words at every candidate twist,
-/// keeps the candidate with the smallest pilot relative CI among those
-/// that observed at least one failure, and falls back to
-/// [`SplitConfig::for_scheme`] splitting when none did. Fully
+/// Pilot-selects the tilt for `(scheme, k, eps)`: runs [`PILOT_TRIALS`]
+/// importance-sampled words at every candidate tilt and keeps the
+/// candidate with the smallest pilot relative CI among those that
+/// observed at least one failure, or θ = 0 when none did. Fully
 /// deterministic in `seed` (each candidate gets a split sub-seed).
 #[must_use]
-pub fn plan(scheme: Scheme, k: usize, channel: RareChannel, seed: u64) -> Plan {
+pub fn plan(scheme: Scheme, k: usize, eps: f64, seed: u64) -> Plan {
     let mut pilot_words = 0u64;
-    let mut best: Option<(Twist, WeightedTally, f64)> = None;
-    for (candidate, twist) in candidate_twists(channel).into_iter().enumerate() {
+    let mut best: Option<(f64, f64, f64)> = None;
+    for (candidate, theta) in candidate_thetas(eps).into_iter().enumerate() {
         let tally = is_word_error(
             scheme,
             k,
-            channel,
-            twist,
+            eps,
+            theta,
             PILOT_TRIALS,
             shard_seed(seed, candidate as u64),
         );
@@ -125,33 +96,18 @@ pub fn plan(scheme: Scheme, k: usize, channel: RareChannel, seed: u64) -> Plan {
             continue;
         }
         let score = tally.relative_ci95();
-        let better = match &best {
-            None => true,
-            Some((_, _, best_score)) => score < *best_score,
-        };
-        if better {
-            best = Some((twist, tally, score));
+        if best.is_none_or(|(_, _, best_score)| score < best_score) {
+            best = Some((theta, tally.rate(), score));
         }
     }
-    match best {
-        Some((twist, tally, _)) => Plan {
-            scheme,
-            k,
-            channel,
-            method: Method::Twist(twist),
-            pilot_rate: tally.rate(),
-            pilot_words,
-        },
-        None => Plan {
-            scheme,
-            k,
-            channel,
-            // No twist reached the failure set at pilot effort: the
-            // weight cascade will.
-            method: Method::Split(SplitConfig::for_scheme(scheme, k, 4_096, 8)),
-            pilot_rate: 0.0,
-            pilot_words,
-        },
+    let (theta, pilot_rate, _) = best.unwrap_or((0.0, 0.0, f64::INFINITY));
+    Plan {
+        scheme,
+        k,
+        eps,
+        theta,
+        pilot_rate,
+        pilot_words,
     }
 }
 
@@ -163,10 +119,10 @@ pub struct Certification {
     pub scheme: Scheme,
     /// Data bits per transfer.
     pub k: usize,
-    /// Channel the estimate integrates over.
-    pub channel: RareChannel,
-    /// The estimator that produced the numbers.
-    pub method: Method,
+    /// i.i.d. per-wire flip probability the estimate integrates over.
+    pub eps: f64,
+    /// The exponential tilt that produced the numbers.
+    pub theta: f64,
     /// The word-error estimate.
     pub rate: f64,
     /// 95% CI half-width.
@@ -179,12 +135,12 @@ pub struct Certification {
     pub converged: bool,
 }
 
-/// Certifies the WER of `(scheme, k, channel)` to relative 95% CI
+/// Certifies the WER of `(scheme, k, eps)` to relative 95% CI
 /// half-width `target_rel` using at most `max_words` simulated words
-/// (pilot included): plans via [`plan`], then drives the chosen
-/// estimator in geometrically growing batches merged in batch order —
-/// so the stopping decision depends only on thread-count-invariant
-/// merged tallies and the result is byte-identical at any `threads`.
+/// (pilot included): plans via [`plan`], then drives the chosen tilt in
+/// geometrically growing batches merged in batch order — so the
+/// stopping decision depends only on thread-count-invariant merged
+/// tallies and the result is byte-identical at any `threads`.
 ///
 /// `tel` records one `mc.rare.certify.batch` event per batch (value =
 /// words done) and the final `mc.rare.rate`/`mc.rare.ci95` gauges, all
@@ -195,14 +151,14 @@ pub struct Certification {
 pub fn certify(
     scheme: Scheme,
     k: usize,
-    channel: RareChannel,
+    eps: f64,
     target_rel: f64,
     max_words: u64,
     seed: u64,
     threads: usize,
     tel: &Telemetry,
 ) -> Certification {
-    let plan = plan(scheme, k, channel, seed);
+    let plan = plan(scheme, k, eps, seed);
     let mut words = plan.pilot_words;
     let scheme_name = if tel.is_enabled() {
         scheme.name()
@@ -210,77 +166,32 @@ pub fn certify(
         String::new()
     };
     let labels = [("scheme", scheme_name.as_str())];
-    // Every batch targets the occupancy of the full-budget horizon so
-    // the merged burst estimate has a single well-defined target.
-    let occupancy = channel.occupancy(max_words);
     let mut batch_words = 65_536u64.min(max_words.saturating_sub(words).max(1));
     let mut batch_index = 0u64;
-    let (rate, ci95) = match &plan.method {
-        Method::Twist(twist) => {
-            let mut merged = WeightedTally::zero();
-            while words < max_words {
-                let trials = batch_words.min(max_words - words);
-                let batch = is_parallel_occ(
-                    scheme,
-                    k,
-                    channel,
-                    *twist,
-                    occupancy,
-                    trials,
-                    shard_seed(seed ^ 0xCE87, batch_index),
-                    threads,
-                );
-                merged = WeightedTally::merged([merged, batch]);
-                words += trials;
-                batch_index += 1;
-                if tel.is_enabled() {
-                    tel.event("mc.rare.certify.batch", &labels, words);
-                }
-                if merged.failures > 0 && merged.relative_ci95() <= target_rel {
-                    break;
-                }
-                batch_words = batch_words.saturating_mul(2);
-            }
-            (merged.rate(), merged.confidence95())
+    let mut merged = WeightedTally::zero();
+    while words < max_words {
+        let trials = batch_words.min(max_words - words);
+        let batch = is_word_error_parallel(
+            scheme,
+            k,
+            eps,
+            plan.theta,
+            trials,
+            shard_seed(seed ^ 0xCE87, batch_index),
+            threads,
+        );
+        merged = WeightedTally::merged([merged, batch]);
+        words += trials;
+        batch_index += 1;
+        if tel.is_enabled() {
+            tel.event("mc.rare.certify.batch", &labels, words);
         }
-        Method::Split(config) => {
-            let mut merged = SplitEstimate::zero();
-            let per_replica = config.words_per_replica();
-            while words < max_words {
-                let budget = (max_words - words).min(batch_words);
-                let replicas = (budget / per_replica).max(2);
-                let batch_config = SplitConfig {
-                    levels: config.levels.clone(),
-                    effort: config.effort,
-                    replicas,
-                };
-                let batch = split_word_error_parallel(
-                    scheme,
-                    k,
-                    channel,
-                    &batch_config,
-                    shard_seed(seed ^ 0xCE87, batch_index),
-                    threads,
-                );
-                merged = SplitEstimate::merged([merged, batch]);
-                words += batch.trials;
-                batch_index += 1;
-                if tel.is_enabled() {
-                    tel.event("mc.rare.certify.batch", &labels, words);
-                }
-                if merged.failures > 0 && merged.relative_ci95() <= target_rel {
-                    break;
-                }
-                batch_words = batch_words.saturating_mul(2);
-            }
-            (merged.rate(), merged.confidence95())
+        if merged.failures > 0 && merged.relative_ci95() <= target_rel {
+            break;
         }
-    };
-    let rel = if rate > 0.0 {
-        ci95 / rate
-    } else {
-        f64::INFINITY
-    };
+        batch_words = batch_words.saturating_mul(2);
+    }
+    let (rate, ci95, rel_ci95) = (merged.rate(), merged.confidence95(), merged.relative_ci95());
     if tel.is_enabled() {
         tel.gauge("mc.rare.rate", &labels, rate);
         tel.gauge("mc.rare.ci95", &labels, ci95);
@@ -288,13 +199,13 @@ pub fn certify(
     Certification {
         scheme,
         k,
-        channel,
-        method: plan.method,
+        eps,
+        theta: plan.theta,
         rate,
         ci95,
-        rel_ci95: rel,
+        rel_ci95,
         words,
-        converged: rel <= target_rel,
+        converged: rel_ci95 <= target_rel,
     }
 }
 
@@ -307,11 +218,8 @@ mod tests {
         // At ε = 0.05 an uncoded bus fails constantly: the untwisted
         // pilot has the best relative CI, or near it — the chosen theta
         // must be small.
-        let p = plan(Scheme::Uncoded, 8, RareChannel::Iid { eps: 0.05 }, 1);
-        match p.method {
-            Method::Twist(t) => assert!(t.theta <= 3.0, "chose theta {}", t.theta),
-            Method::Split(_) => panic!("high-eps cell must not need splitting"),
-        }
+        let p = plan(Scheme::Uncoded, 8, 0.05, 1);
+        assert!(p.theta <= 3.0, "chose theta {}", p.theta);
         assert!(p.pilot_rate > 0.1);
         assert!(p.pilot_words >= PILOT_TRIALS);
     }
@@ -320,11 +228,8 @@ mod tests {
     fn plan_picks_aggressive_twist_at_low_eps() {
         // At ε = 1e-6 a DEC code fails only at weight >= 3 — untwisted
         // pilots see nothing; the target-grid tilt reaches in anyway.
-        let p = plan(Scheme::BchDec, 4, RareChannel::Iid { eps: 1e-6 }, 2);
-        match p.method {
-            Method::Twist(t) => assert!(t.theta >= 5.0, "chose theta {}", t.theta),
-            Method::Split(_) => panic!("target-grid pilot must reach the failure set"),
-        }
+        let p = plan(Scheme::BchDec, 4, 1e-6, 2);
+        assert!(p.theta >= 5.0, "chose theta {}", p.theta);
         assert!(p.pilot_rate > 0.0);
     }
 
@@ -346,7 +251,7 @@ mod tests {
         let cert = certify(
             Scheme::Dap,
             8,
-            RareChannel::Iid { eps: 1e-4 },
+            1e-4,
             0.3,
             2_000_000,
             7,
@@ -361,10 +266,9 @@ mod tests {
 
     #[test]
     fn certify_is_thread_count_invariant() {
-        let ch = RareChannel::Iid { eps: 1e-3 };
         let off = Telemetry::off();
-        let a = certify(Scheme::Hamming, 8, ch, 0.3, 500_000, 11, 1, &off);
-        let b = certify(Scheme::Hamming, 8, ch, 0.3, 500_000, 11, 8, &off);
+        let a = certify(Scheme::Hamming, 8, 1e-3, 0.3, 500_000, 11, 1, &off);
+        let b = certify(Scheme::Hamming, 8, 1e-3, 0.3, 500_000, 11, 8, &off);
         assert_eq!(a, b);
     }
 }

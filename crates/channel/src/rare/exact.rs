@@ -15,7 +15,6 @@
 //! phases of stateful schemes — once per `(scheme, k)`, ε-free; the true
 //! WER at any ε is then a single binomial-weighted sum.
 
-use super::RareChannel;
 use socbus_codes::Scheme;
 use socbus_model::Word;
 
@@ -62,26 +61,6 @@ impl FailureProfile {
         total
     }
 
-    /// The exact word-error rate through `channel` averaged over a
-    /// `trials`-word run: the i.i.d. case is [`FailureProfile::wer`];
-    /// the Gilbert–Elliott case marginalizes the chain exactly via the
-    /// closed-form average occupancy `q̄` —
-    /// `q̄·wer(ε_bad) + (1−q̄)·wer(ε_good)` — the same `q̄` the
-    /// importance sampler targets, so oracle and estimator describe the
-    /// identical quantity, transient included.
-    #[must_use]
-    pub fn wer_channel(&self, channel: RareChannel, trials: u64) -> f64 {
-        match channel {
-            RareChannel::Iid { eps } => self.wer(eps),
-            RareChannel::Burst {
-                eps_good, eps_bad, ..
-            } => {
-                let q = channel.occupancy(trials);
-                q * self.wer(eps_bad) + (1.0 - q) * self.wer(eps_good)
-            }
-        }
-    }
-
     /// Total failing-pattern mass summed over all weights (diagnostic:
     /// `0` means the code corrects every enumerable pattern, which no
     /// finite-distance code does once `w > t`).
@@ -93,13 +72,13 @@ impl FailureProfile {
 
 /// Enumerates the exact [`FailureProfile`] of `scheme` at width `k`.
 ///
-/// For each phase (stateful schemes get [`STATEFUL_PHASES`] warm-up
-/// depths; stateless get one) and each of the `2^k` data words, a fresh
-/// encoder/decoder pair is built, warmed up in lockstep, and the data
-/// word encoded; then **every** `2^n` error pattern is XORed onto the
-/// codeword and decoded against a [`clone`](socbus_codes::CloneBusCode)
-/// of the warmed decoder — the clone is what lets a stateful decoder be
-/// probed `2^n` times from the identical state.
+/// For each phase (stateful schemes get two warm-up depths; stateless
+/// get one) and each of the `2^k` data words, a fresh encoder/decoder
+/// pair is built, warmed up in lockstep, and the data word encoded;
+/// then **every** `2^n` error pattern is XORed onto the codeword and
+/// decoded against a [`clone`](socbus_codes::CloneBusCode) of the
+/// warmed decoder — the clone is what lets a stateful decoder be probed
+/// `2^n` times from the identical state.
 ///
 /// # Panics
 ///
@@ -260,25 +239,6 @@ mod tests {
                 scheme.name()
             );
         }
-    }
-
-    #[test]
-    fn burst_wer_is_occupancy_mix() {
-        let p = failure_profile(Scheme::Uncoded, 4);
-        let ch = RareChannel::Burst {
-            eps_good: 1e-4,
-            eps_bad: 0.05,
-            p_enter: 0.01,
-            p_exit: 0.2,
-        };
-        let trials = 10_000;
-        let q = ch.occupancy(trials);
-        let expect = q * p.wer(0.05) + (1.0 - q) * p.wer(1e-4);
-        assert_eq!(p.wer_channel(ch, trials), expect);
-        assert_eq!(
-            p.wer_channel(RareChannel::Iid { eps: 1e-3 }, trials),
-            p.wer(1e-3)
-        );
     }
 
     #[test]

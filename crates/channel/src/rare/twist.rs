@@ -14,56 +14,24 @@
 //! on the error weights that dominate the failure set, shrinking the
 //! variance by orders of magnitude at low ε.
 //!
-//! For the Gilbert–Elliott burst channel the chain is marginalized
-//! *exactly*: word `t` is in the burst state with closed-form probability
-//! `b_t` ([`RareChannel::occupancy`] averages it), the sampler draws each
-//! trial's state from a `burst_boost`-tilted occupancy with its own
-//! likelihood ratio, and the per-wire twist applies within the state.
-//! Tilting the marginal rather than the path avoids the classic
-//! path-weight degeneration of chain-level twisting (a product of
-//! per-step ratios over millions of steps has unbounded variance).
-//!
-//! Zero twist (`Twist::NONE`) is special-cased to use `ε` *exactly* —
+//! Zero twist (`theta = 0`) is special-cased to use `ε` *exactly* —
 //! same flip-RNG stream, draw count, and threshold as
 //! [`crate::BitFlipChannel`] — so it reproduces
 //! [`crate::montecarlo::word_error_rate`] byte for byte; the regression
 //! suite pins that down.
 
-use super::{RareChannel, TrialStream, FLIP_SEED_SALT};
 use crate::montecarlo::{mc_shards, WeightedTally};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use socbus_codes::{Scheme, BLOCK_WORDS};
+use socbus_codes::{batch_build, Scheme, WordBlock, BLOCK_WORDS};
 use socbus_exec::run_shards;
+use socbus_model::Word;
 
-/// The sampling-measure tilt of one importance-sampled run.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct Twist {
-    /// Exponential tilt θ of the per-wire flip probability; `0` samples
-    /// the nominal measure.
-    pub theta: f64,
-    /// Multiplicative odds boost on the burst-state occupancy of a
-    /// [`RareChannel::Burst`] channel; `1` leaves the chain marginal
-    /// untouched. Ignored for i.i.d. channels.
-    pub burst_boost: f64,
-}
-
-impl Twist {
-    /// The identity twist: sample the nominal measure, all weights 1.
-    pub const NONE: Twist = Twist {
-        theta: 0.0,
-        burst_boost: 1.0,
-    };
-
-    /// A pure per-wire tilt (no burst boost).
-    #[must_use]
-    pub fn theta(theta: f64) -> Twist {
-        Twist {
-            theta,
-            burst_boost: 1.0,
-        }
-    }
-}
+/// Seed salt separating the flip-draw RNG stream from the data stream —
+/// the same constant [`crate::montecarlo::word_error_rate`] uses,
+/// which is what lets zero-twist importance sampling reproduce the plain
+/// estimator byte for byte.
+const FLIP_SEED_SALT: u64 = 0x5EED;
 
 /// The exponentially twisted flip probability
 /// `ε_θ = ε·e^θ / (ε·e^θ + 1 − ε)`.
@@ -81,103 +49,68 @@ pub fn twisted_eps(eps: f64, theta: f64) -> f64 {
     tilted / (tilted + (1.0 - eps))
 }
 
-/// The boosted burst occupancy `q' = q·B / (q·B + 1 − q)` (odds scaled
-/// by `B`); `B = 1` returns `q` exactly, mirroring [`twisted_eps`].
-fn boosted_occupancy(q: f64, boost: f64) -> f64 {
-    if boost == 1.0 {
-        return q;
-    }
-    let tilted = q * boost;
-    tilted / (tilted + (1.0 - q))
-}
-
-/// One single-threaded shard of the IS estimator: `trials` words of
-/// `scheme` at width `k` through `channel` sampled under `twist`, with
-/// the burst occupancy `occupancy` fixed by the caller (the *whole-run*
-/// average — every shard of one run must target the same marginal or the
-/// sharded estimate would depend on the decomposition).
-fn is_shard(
+/// Importance-sampled word-error estimate of `scheme` at width `k`
+/// through the i.i.d. channel of flip probability `eps`, sampling under
+/// the tilt `theta`, over `trials` words.
+///
+/// Encoder and decoder persist across trials (endpoint state advances
+/// exactly as in [`crate::montecarlo::word_error_rate`]), and trials run
+/// in [`BLOCK_WORDS`]-sized blocks: the block's data words are drawn
+/// and encoded, then each word's flips are drawn wire by wire straight
+/// into the encoded block, then one decode. The data and flip streams
+/// are separate RNGs, so each keeps the per-trial order. With
+/// `theta = 0` this reproduces [`crate::montecarlo::word_error_rate`]
+/// byte for byte (same seeds, same RNG streams, weights exactly 1).
+#[must_use]
+pub fn is_word_error(
     scheme: Scheme,
     k: usize,
-    channel: RareChannel,
-    twist: Twist,
-    occupancy: f64,
+    eps: f64,
+    theta: f64,
     trials: u64,
     seed: u64,
 ) -> WeightedTally {
-    let mut stream = TrialStream::new(scheme, k, seed);
+    let mut enc = batch_build(scheme, k);
+    let mut dec = batch_build(scheme, k);
+    let wires = enc.wires();
+    let mut data_rng = StdRng::seed_from_u64(seed);
     let mut flip_rng = StdRng::seed_from_u64(seed ^ FLIP_SEED_SALT);
-    let wires = stream.wires();
+    let eps_t = twisted_eps(eps, theta);
+    // Exact zero twist (or degenerate ε ∈ {0, 1}): unit weights,
+    // avoiding the 0/0 shape at ε = 0.
+    let (flip_w, keep_w) = if eps_t == eps {
+        (1.0, 1.0)
+    } else {
+        (eps / eps_t, (1.0 - eps) / (1.0 - eps_t))
+    };
     let mut tally = WeightedTally::zero();
-    // Per-state twisted parameters are trial-invariant: precompute the
-    // (ε, ε_θ, flip-ratio, keep-ratio) tuple per reachable state.
-    let params = |eps: f64| -> (f64, f64, f64) {
-        let eps_t = twisted_eps(eps, twist.theta);
-        if eps_t == eps {
-            // Exact zero-twist (or degenerate ε ∈ {0, 1}): unit weights,
-            // avoiding the 0/0 shape at ε = 0.
-            (eps_t, 1.0, 1.0)
-        } else {
-            (eps_t, eps / eps_t, (1.0 - eps) / (1.0 - eps_t))
-        }
-    };
-    let iid = params(channel.base_eps());
-    let burst = match channel {
-        RareChannel::Iid { .. } => None,
-        RareChannel::Burst { eps_bad, .. } => {
-            let q = occupancy;
-            let qb = boosted_occupancy(q, twist.burst_boost);
-            // State weights q/q' and (1−q)/(1−q'): exact 1.0 at B = 1.
-            let (w_bad, w_good) = if qb == q {
-                (1.0, 1.0)
-            } else {
-                (q / qb, (1.0 - q) / (1.0 - qb))
-            };
-            Some((params(eps_bad), qb, w_bad, w_good))
-        }
-    };
-    // Trials run in BLOCK_WORDS-sized batches: all of a block's noise
-    // draws happen first (the flip RNG is a separate stream from the data
-    // RNG, so its per-stream order is unchanged), then one batch
-    // encode/decode, then the tally records per trial in original order —
-    // the float sums stay byte-identical to the per-trial loop.
-    let mut patterns: Vec<u128> = Vec::with_capacity(BLOCK_WORDS);
-    let mut weights: Vec<f64> = Vec::with_capacity(BLOCK_WORDS);
+    let mut words = [Word::zero(k); BLOCK_WORDS];
+    let mut weights = [1.0f64; BLOCK_WORDS];
     let mut done = 0u64;
     while done < trials {
         let n = usize::try_from((trials - done).min(BLOCK_WORDS as u64)).expect("n <= 64");
-        patterns.clear();
-        weights.clear();
-        for _ in 0..n {
-            let ((eps_t, flip_w, keep_w), state_w) = match burst {
-                None => (iid, 1.0),
-                Some((bad, qb, w_bad, w_good)) => {
-                    // One occupancy draw per word, mirroring the one
-                    // transition draw per word of `GilbertElliott::corrupt`.
-                    if flip_rng.gen::<f64>() < qb {
-                        (bad, w_bad)
-                    } else {
-                        (iid, w_good)
-                    }
-                }
-            };
-            let mut w = state_w;
-            let mut pattern = 0u128;
+        for w in &mut words[..n] {
+            *w = Word::from_bits(data_rng.gen::<u128>(), k);
+        }
+        let data = WordBlock::from_words(&words[..n]);
+        let mut received = enc.encode(&data);
+        for (j, weight) in weights[..n].iter_mut().enumerate() {
+            let mut w = 1.0;
             for i in 0..wires {
                 // Same draw shape as `BitFlipChannel::transmit`, so the
-                // zero-twist pattern stream is the plain channel's.
+                // zero-twist flips are the plain channel's.
                 if flip_rng.gen::<f64>() < eps_t {
-                    pattern |= 1u128 << i;
+                    received.flip_bit(i, j);
                     w *= flip_w;
                 } else {
                     w *= keep_w;
                 }
             }
-            patterns.push(pattern);
-            weights.push(w);
+            *weight = w;
         }
-        let fail_mask = stream.fails_with_patterns(&patterns);
-        for (j, &w) in weights.iter().enumerate() {
+        let out = dec.decode(&received);
+        let fail_mask = (0..k).fold(0u64, |acc, i| acc | (out.lane(i) ^ data.lane(i)));
+        for (j, &w) in weights[..n].iter().enumerate() {
             tally.record(w, fail_mask >> j & 1 == 1);
         }
         done += n as u64;
@@ -185,64 +118,24 @@ fn is_shard(
     tally
 }
 
-/// Importance-sampled word-error estimate of `scheme` at width `k`
-/// through `channel`, sampling under `twist`, over `trials` words.
-///
-/// With `Twist::NONE` on an i.i.d. channel this reproduces
-/// [`crate::montecarlo::word_error_rate`] byte for byte (same seeds,
-/// same RNG streams, weights exactly 1).
-#[must_use]
-pub fn is_word_error(
-    scheme: Scheme,
-    k: usize,
-    channel: RareChannel,
-    twist: Twist,
-    trials: u64,
-    seed: u64,
-) -> WeightedTally {
-    let occupancy = channel.occupancy(trials);
-    is_shard(scheme, k, channel, twist, occupancy, trials, seed)
-}
-
 /// [`is_word_error`] on the deterministic parallel engine: the run is
 /// cut by [`mc_shards`] into a thread-count-independent shard list, each
-/// shard sampled with its own split seed against the *whole-run* burst
-/// occupancy, and the per-shard tallies merged in shard order via
-/// [`WeightedTally::merged`] — byte-identical at any `threads >= 1`.
+/// shard sampled with its own split seed, and the per-shard tallies
+/// merged in shard order via [`WeightedTally::merged`] — byte-identical
+/// at any `threads >= 1`.
 #[must_use]
 pub fn is_word_error_parallel(
     scheme: Scheme,
     k: usize,
-    channel: RareChannel,
-    twist: Twist,
-    trials: u64,
-    root_seed: u64,
-    threads: usize,
-) -> WeightedTally {
-    let occupancy = channel.occupancy(trials);
-    is_parallel_occ(
-        scheme, k, channel, twist, occupancy, trials, root_seed, threads,
-    )
-}
-
-/// The occupancy-pinned core of [`is_word_error_parallel`]: callers
-/// that merge *multiple* parallel runs into one estimate (the adaptive
-/// driver's geometric batches) must pin one burst occupancy across
-/// every batch or the merged estimate would mix targets.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn is_parallel_occ(
-    scheme: Scheme,
-    k: usize,
-    channel: RareChannel,
-    twist: Twist,
-    occupancy: f64,
+    eps: f64,
+    theta: f64,
     trials: u64,
     root_seed: u64,
     threads: usize,
 ) -> WeightedTally {
     let shards = mc_shards(trials, root_seed);
     WeightedTally::merged(run_shards(threads, &shards, |_, &(shard_trials, seed)| {
-        is_shard(scheme, k, channel, twist, occupancy, shard_trials, seed)
+        is_word_error(scheme, k, eps, theta, shard_trials, seed)
     }))
 }
 
@@ -273,22 +166,8 @@ mod tests {
     }
 
     #[test]
-    fn boosted_occupancy_edges() {
-        assert_eq!(boosted_occupancy(0.125, 1.0).to_bits(), 0.125f64.to_bits());
-        assert!(boosted_occupancy(0.01, 50.0) > 0.3);
-        assert_eq!(boosted_occupancy(0.0, 50.0), 0.0);
-    }
-
-    #[test]
     fn zero_twist_weights_are_exactly_one() {
-        let t = is_word_error(
-            Scheme::Hamming,
-            8,
-            RareChannel::Iid { eps: 0.01 },
-            Twist::NONE,
-            5_000,
-            7,
-        );
+        let t = is_word_error(Scheme::Hamming, 8, 0.01, 0.0, 5_000, 7);
         assert_eq!(t.weighted_trials, 5_000.0);
         assert_eq!(t.mean_weight(), 1.0);
         assert_eq!(t.sum, t.failures as f64);
@@ -299,9 +178,8 @@ mod tests {
         // ε high enough for plain MC to see failures: the twisted
         // estimate must agree within joint CIs.
         let (k, eps) = (8, 0.02);
-        let ch = RareChannel::Iid { eps };
-        let plain = is_word_error(Scheme::Hamming, k, ch, Twist::NONE, 200_000, 11);
-        let twisted = is_word_error(Scheme::Hamming, k, ch, Twist::theta(1.5), 200_000, 13);
+        let plain = is_word_error(Scheme::Hamming, k, eps, 0.0, 200_000, 11);
+        let twisted = is_word_error(Scheme::Hamming, k, eps, 1.5, 200_000, 13);
         let gap = (plain.rate() - twisted.rate()).abs();
         let tol = 3.0 * (plain.confidence95() + twisted.confidence95());
         assert!(
@@ -317,37 +195,9 @@ mod tests {
     }
 
     #[test]
-    fn burst_occupancy_closed_form_matches_recurrence() {
-        let ch = RareChannel::Burst {
-            eps_good: 1e-4,
-            eps_bad: 0.1,
-            p_enter: 0.01,
-            p_exit: 0.2,
-        };
-        for trials in [1u64, 2, 17, 1000] {
-            let mut b = 0.0f64;
-            let mut acc = 0.0;
-            for _ in 0..trials {
-                // Transition happens before each word (GilbertElliott).
-                b = b * (1.0 - 0.2) + (1.0 - b) * 0.01;
-                acc += b;
-            }
-            let expect = acc / trials as f64;
-            let got = ch.occupancy(trials);
-            assert!(
-                (got - expect).abs() < 1e-12,
-                "trials={trials}: {got} vs {expect}"
-            );
-        }
-        assert_eq!(RareChannel::Iid { eps: 0.5 }.occupancy(100), 0.0);
-    }
-
-    #[test]
     fn parallel_matches_thread_counts() {
-        let ch = RareChannel::Iid { eps: 1e-3 };
-        let tw = Twist::theta(3.0);
-        let one = is_word_error_parallel(Scheme::Dap, 8, ch, tw, 100_000, 5, 1);
-        let eight = is_word_error_parallel(Scheme::Dap, 8, ch, tw, 100_000, 5, 8);
+        let one = is_word_error_parallel(Scheme::Dap, 8, 1e-3, 3.0, 100_000, 5, 1);
+        let eight = is_word_error_parallel(Scheme::Dap, 8, 1e-3, 3.0, 100_000, 5, 8);
         assert_eq!(one, eight);
         assert!(one.failures > 0, "twist must reach the failure set");
     }

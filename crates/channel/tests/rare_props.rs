@@ -7,23 +7,22 @@
 //!
 //! 1. **Oracle cross-checks** — for every catalog scheme narrow enough
 //!    to enumerate (`rare::exact::oracle_catalog`, all wires ≤ 12), the
-//!    adaptively-driven IS estimate and the multilevel-splitting
-//!    estimate must be statistically consistent with the *exact* WER
-//!    from exhaustive pattern enumeration.
+//!    adaptively-driven IS estimate must be statistically consistent
+//!    with the *exact* WER from exhaustive pattern enumeration.
 //! 2. **Coverage** — the claimed 95% CI must actually cover: across 100
 //!    independent estimator runs, the empirical coverage of the exact
 //!    rate is ≥ 90% (proptest over scheme, ε, and seed; the vendored
 //!    proptest is deterministic per test name, so green stays green).
 //! 3. **Exact degenerations** — zero twist reproduces the plain
-//!    Monte-Carlo estimator byte for byte, a level-free splitting
-//!    schedule is plain MC, weights self-normalize to 1, and every
-//!    estimator is byte-identical at any thread count, traced included.
+//!    Monte-Carlo estimator byte for byte (above 128 wires too), weights
+//!    self-normalize to 1, the planner falls back to θ = 0 only where the
+//!    true rate is 0, and every estimator is byte-identical at any
+//!    thread count, traced included.
 
 use proptest::prelude::*;
 use socbus_channel::montecarlo::{word_error_rate, word_error_rate_parallel};
 use socbus_channel::rare::{
     certify, failure_profile, is_word_error, is_word_error_parallel, oracle_catalog, plan,
-    split_word_error, split_word_error_parallel, Method, RareChannel, SplitConfig, Twist,
 };
 use socbus_codes::Scheme;
 use socbus_exec::shard_seed;
@@ -49,7 +48,7 @@ fn oracle_cross_check_importance_sampling_covers_exact() {
             let cert = certify(
                 scheme,
                 k,
-                RareChannel::Iid { eps },
+                eps,
                 0.3,
                 400_000,
                 1000 + i as u64,
@@ -73,82 +72,13 @@ fn oracle_cross_check_importance_sampling_covers_exact() {
     }
 }
 
-/// Splitting consistency: the weight-cascade estimator agrees with the
-/// oracle on a correcting-scheme sample (where its level schedule is
-/// nontrivial), within 3 replica-CI half-widths.
-#[test]
-fn oracle_cross_check_splitting_covers_exact() {
-    for (scheme, k) in [(Scheme::Dap, 4), (Scheme::Hamming, 6), (Scheme::BchDec, 4)] {
-        let exact = failure_profile(scheme, k).wer(1e-3);
-        let config = SplitConfig::for_scheme(scheme, k, 4_096, 16);
-        let est =
-            split_word_error_parallel(scheme, k, RareChannel::Iid { eps: 1e-3 }, &config, 42, 2);
-        assert!(
-            est.failures > 0,
-            "{}: cascade never reached the failure set",
-            scheme.name()
-        );
-        let gap = (est.rate() - exact).abs();
-        assert!(
-            gap <= 3.0 * est.confidence95(),
-            "{} k={k}: split {} (±{}) vs exact {exact}",
-            scheme.name(),
-            est.rate(),
-            est.confidence95()
-        );
-    }
-}
-
-/// The burst channel's estimator and oracle target the *same* quantity
-/// (chain-average WER over the run, transient included): cross-check
-/// through the Gilbert–Elliott marginalization path.
-#[test]
-fn oracle_cross_check_burst_channel() {
-    let (scheme, k) = (Scheme::Dap, 4);
-    let ch = RareChannel::Burst {
-        eps_good: 1e-4,
-        eps_bad: 2e-2,
-        p_enter: 0.02,
-        p_exit: 0.3,
-    };
-    let trials = 400_000u64;
-    let exact = failure_profile(scheme, k).wer_channel(ch, trials);
-    let tally = is_word_error_parallel(
-        scheme,
-        k,
-        ch,
-        Twist {
-            theta: 2.0,
-            burst_boost: 10.0,
-        },
-        trials,
-        9,
-        2,
-    );
-    assert!(tally.failures > 0);
-    let gap = (tally.rate() - exact).abs();
-    assert!(
-        gap <= 2.0 * tally.confidence95(),
-        "burst: {} (±{}) vs exact {exact}",
-        tally.rate(),
-        tally.confidence95()
-    );
-}
-
 /// ISSUE 9 satellite: likelihood-ratio weights are self-normalizing —
 /// under the twisted measure `E[w] = 1` exactly, so the mean weight
 /// over a long run must concentrate near 1 even at an aggressive tilt.
 #[test]
 fn likelihood_ratio_weights_sum_to_one_under_nominal() {
     for theta in [0.0, 1.5, 3.0] {
-        let tally = is_word_error(
-            Scheme::Hamming,
-            8,
-            RareChannel::Iid { eps: 5e-3 },
-            Twist::theta(theta),
-            200_000,
-            5,
-        );
+        let tally = is_word_error(Scheme::Hamming, 8, 5e-3, theta, 200_000, 5);
         let mw = tally.mean_weight();
         assert!(
             (mw - 1.0).abs() < 0.05,
@@ -160,72 +90,72 @@ fn likelihood_ratio_weights_sum_to_one_under_nominal() {
 
 /// ISSUE 9 satellite: zero-twist IS **is** the plain estimator — same
 /// RNG streams, same failure stream, weights exactly 1 — byte for byte,
-/// in both the single-stream and sharded forms.
+/// in both the single-stream and sharded forms. The rows after the
+/// first put the bus above 128 wires (130, 130, 136, 255 and 255), past
+/// what one `u128` error pattern can hold.
 #[test]
 fn zero_twist_reproduces_plain_estimator_byte_for_byte() {
-    let (scheme, k, eps, seed) = (Scheme::Dap, 8, 5e-3, 41);
-    let trials = 70_000u64;
-    let plain = word_error_rate(scheme, k, eps, trials, seed);
-    let is = is_word_error(
-        scheme,
-        k,
-        RareChannel::Iid { eps },
-        Twist::NONE,
-        trials,
-        seed,
-    );
-    assert_eq!(is, plain.weighted(), "single-stream zero-twist diverged");
-    assert_eq!(
-        is.rate().to_bits(),
-        plain.rate.to_bits(),
-        "rate bit-identical"
-    );
-    let plain_par = word_error_rate_parallel(scheme, k, eps, trials, seed, 4);
-    let is_par = is_word_error_parallel(
-        scheme,
-        k,
-        RareChannel::Iid { eps },
-        Twist::NONE,
-        trials,
-        seed,
-        4,
-    );
-    assert_eq!(is_par, plain_par.weighted(), "sharded zero-twist diverged");
+    let rows = [
+        (Scheme::Dap, 8, 5e-3, 41, 70_000u64),
+        (Scheme::ExtHamming, 121, 2e-3, 5, 20_000),
+        (Scheme::Dapx, 64, 2e-3, 5, 20_000),
+        (Scheme::BchDec, 120, 2e-3, 5, 20_000),
+        (Scheme::Shielding, 128, 2e-3, 5, 20_000),
+        (Scheme::Dapbi, 126, 2e-3, 5, 20_000),
+    ];
+    for (scheme, k, eps, seed, trials) in rows {
+        let name = scheme.name();
+        let plain = word_error_rate(scheme, k, eps, trials, seed);
+        let is = is_word_error(scheme, k, eps, 0.0, trials, seed);
+        assert_eq!(
+            is,
+            plain.weighted(),
+            "{name} k={k}: single-stream zero-twist diverged"
+        );
+        assert_eq!(
+            is.rate().to_bits(),
+            plain.rate.to_bits(),
+            "{name} k={k}: rate bit-identical"
+        );
+        let plain_par = word_error_rate_parallel(scheme, k, eps, trials, seed, 4);
+        let is_par = is_word_error_parallel(scheme, k, eps, 0.0, trials, seed, 4);
+        assert_eq!(
+            is_par,
+            plain_par.weighted(),
+            "{name} k={k}: sharded zero-twist diverged"
+        );
+    }
 }
 
-/// ISSUE 9 satellite: splitting with a trivial (level-free) schedule
-/// degrades to plain Monte-Carlo exactly — the replica at shard seed 0
-/// replays the plain estimator's streams.
-#[test]
-fn trivial_splitting_schedule_is_plain_monte_carlo() {
-    let (scheme, k, eps, seed) = (Scheme::Hamming, 8, 1e-2, 23);
-    let config = SplitConfig::direct(30_000, 1);
-    let split = split_word_error(scheme, k, RareChannel::Iid { eps }, &config, seed);
-    let plain = word_error_rate(scheme, k, eps, 30_000, shard_seed(seed, 0));
-    assert_eq!(split.failures, plain.failures);
-    assert_eq!(split.rate().to_bits(), plain.rate.to_bits());
-    // And zero-valued levels are the same trivial schedule.
-    let zeroed = SplitConfig::new(vec![0], 30_000, 1);
-    let split0 = split_word_error(scheme, k, RareChannel::Iid { eps }, &zeroed, seed);
-    assert_eq!(split0, split);
-}
-
-/// The pilot planner is deterministic and picks a failure-reaching
-/// method for every oracle cell at ε = 1e-3 (where plain MC at pilot
-/// effort often sees nothing).
+/// The pilot planner is deterministic, and for every oracle cell at
+/// every ε strictly between 0 and 1 on the grid (from 1e-12, where
+/// plain MC at pilot effort sees nothing, to 0.45) it picks a tilt
+/// whose pilot saw failures. At ε = 0 no candidate can fail: θ stays 0
+/// with pilot rate 0, and `certify` reports rate 0, not converged —
+/// the only kind of cell the planner leaves without evidence.
 #[test]
 fn planner_always_returns_a_viable_method() {
+    let off = Telemetry::off();
     for (scheme, k) in oracle_catalog() {
-        let p = plan(scheme, k, RareChannel::Iid { eps: 1e-3 }, 77);
-        let p2 = plan(scheme, k, RareChannel::Iid { eps: 1e-3 }, 77);
-        assert_eq!(p, p2, "{}: plan must be deterministic", scheme.name());
-        if let Method::Twist(t) = &p.method {
+        let name = scheme.name();
+        assert_eq!(
+            plan(scheme, k, 1e-3, 77),
+            plan(scheme, k, 1e-3, 77),
+            "{name}: plan must be deterministic"
+        );
+        for eps in [1e-12, 1e-6, 1e-3, 0.05, 0.45] {
+            let p = plan(scheme, k, eps, 77);
             assert!(
                 p.pilot_rate > 0.0,
-                "{}: twist {t:?} chosen without evidence",
-                scheme.name()
+                "{name} k={k} eps={eps}: theta {} chosen without evidence",
+                p.theta
             );
         }
+        let p = plan(scheme, k, 0.0, 77);
+        assert_eq!((p.theta, p.pilot_rate), (0.0, 0.0), "{name} k={k} eps=0");
+        let cert = certify(scheme, k, 0.0, 0.3, 4_096, 77, 1, &off);
+        assert_eq!(cert.rate, 0.0, "{name} k={k} eps=0");
+        assert!(!cert.converged, "{name} k={k} eps=0");
     }
 }
 
@@ -233,18 +163,12 @@ fn planner_always_returns_a_viable_method() {
 /// byte-identical at `--threads 1` vs `--threads 8`.
 #[test]
 fn estimators_are_thread_count_invariant_untraced() {
-    let ch = RareChannel::Iid { eps: 1e-3 };
-    let tw = Twist::theta(3.0);
-    let is1 = is_word_error_parallel(Scheme::Dapbi, 4, ch, tw, 150_000, 3, 1);
-    let is8 = is_word_error_parallel(Scheme::Dapbi, 4, ch, tw, 150_000, 3, 8);
+    let is1 = is_word_error_parallel(Scheme::Dapbi, 4, 1e-3, 3.0, 150_000, 3, 1);
+    let is8 = is_word_error_parallel(Scheme::Dapbi, 4, 1e-3, 3.0, 150_000, 3, 8);
     assert_eq!(is1, is8, "IS estimator diverged across thread counts");
-    let config = SplitConfig::for_scheme(Scheme::Dap, 8, 2_048, 8);
-    let sp1 = split_word_error_parallel(Scheme::Dap, 8, ch, &config, 3, 1);
-    let sp8 = split_word_error_parallel(Scheme::Dap, 8, ch, &config, 3, 8);
-    assert_eq!(sp1, sp8, "splitting diverged across thread counts");
     let off = Telemetry::off();
-    let c1 = certify(Scheme::Hamming, 8, ch, 0.3, 300_000, 3, 1, &off);
-    let c8 = certify(Scheme::Hamming, 8, ch, 0.3, 300_000, 3, 8, &off);
+    let c1 = certify(Scheme::Hamming, 8, 1e-3, 0.3, 300_000, 3, 1, &off);
+    let c8 = certify(Scheme::Hamming, 8, 1e-3, 0.3, 300_000, 3, 8, &off);
     assert_eq!(c1, c8, "certify diverged across thread counts");
 }
 
@@ -253,12 +177,11 @@ fn estimators_are_thread_count_invariant_untraced() {
 /// byte for byte — is thread-count invariant too.
 #[test]
 fn estimators_are_thread_count_invariant_traced() {
-    let ch = RareChannel::Iid { eps: 1e-3 };
     for scheme in [Scheme::Hamming, Scheme::Dap] {
         let run = |threads: usize| {
             let rec = Rc::new(Recorder::new());
             let tel = Telemetry::from_recorder(&rec);
-            let cert = certify(scheme, 8, ch, 0.3, 300_000, 7, threads, &tel);
+            let cert = certify(scheme, 8, 1e-3, 0.3, 300_000, 7, threads, &tel);
             drop(tel);
             (cert, rec.export_jsonl())
         };
@@ -294,8 +217,8 @@ proptest! {
             let tally = is_word_error_parallel(
                 scheme,
                 k,
-                RareChannel::Iid { eps },
-                Twist::theta(1.5),
+                eps,
+                1.5,
                 10_000,
                 shard_seed(base_seed, run),
                 2,
@@ -324,11 +247,9 @@ proptest! {
     ) {
         let catalog = oracle_catalog();
         let (scheme, k) = catalog[(scheme_pick % catalog.len() as u64) as usize];
-        let ch = RareChannel::Iid { eps };
-        let tw = Twist::theta(theta);
-        let one = is_word_error_parallel(scheme, k, ch, tw, trials, root_seed, 1);
-        let two = is_word_error_parallel(scheme, k, ch, tw, trials, root_seed, 2);
-        let seven = is_word_error_parallel(scheme, k, ch, tw, trials, root_seed, 7);
+        let one = is_word_error_parallel(scheme, k, eps, theta, trials, root_seed, 1);
+        let two = is_word_error_parallel(scheme, k, eps, theta, trials, root_seed, 2);
+        let seven = is_word_error_parallel(scheme, k, eps, theta, trials, root_seed, 7);
         prop_assert_eq!(one, two, "1 vs 2 threads diverged");
         prop_assert_eq!(one, seven, "1 vs 7 threads diverged");
         prop_assert_eq!(one.trials, trials);

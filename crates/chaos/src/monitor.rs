@@ -14,9 +14,9 @@
 //!   *measured* injected weight and never flags genuine
 //!   beyond-minimum-distance aliasing.
 //! * **conservation** — every transferred word lands in exactly one
-//!   [`FaultLedger`] bucket, the coarse [`LinkReport`] counters must
-//!   re-derive from the per-word traces, and path totals must equal the
-//!   sum over hops.
+//!   [`FaultLedger`](socbus_noc::FaultLedger) bucket, the coarse
+//!   [`LinkReport`](socbus_noc::LinkReport) counters must re-derive from
+//!   the per-word traces, and path totals must equal the sum over hops.
 //! * **latency-bound** — no word may consume more bus cycles at one hop
 //!   than [`Protocol::worst_case_word_cycles`] allows, no matter what the
 //!   fault schedule does.

@@ -191,6 +191,13 @@ impl ControlPolicy {
     /// target, a zero window or dwell, inverted thresholds, or a ladder
     /// whose detection guarantees increase with the index.
     pub fn validate(&self, data_bits: usize) -> Result<(), ControlError> {
+        self.checked_guarantees(data_bits).map(drop)
+    }
+
+    /// [`ControlPolicy::validate`], returning the
+    /// [`ControlPolicy::guarantees`] its monotonicity check computed, so
+    /// [`Controller::new`] builds each point's codec once.
+    fn checked_guarantees(&self, data_bits: usize) -> Result<Vec<u32>, ControlError> {
         if self.points.is_empty() {
             return Err(ControlError::NoOperatingPoints);
         }
@@ -228,7 +235,7 @@ impl ControlPolicy {
                 return Err(ControlError::GuaranteeNotMonotone { index: index + 1 });
             }
         }
-        Ok(())
+        Ok(guarantees)
     }
 }
 
@@ -317,8 +324,7 @@ impl Controller {
     /// Returns the policy's [`ControlError`] when it fails
     /// [`ControlPolicy::validate`].
     pub fn new(policy: ControlPolicy, data_bits: usize) -> Result<Self, ControlError> {
-        policy.validate(data_bits)?;
-        let guarantees = policy.guarantees(data_bits);
+        let guarantees = policy.checked_guarantees(data_bits)?;
         Ok(Controller {
             policy,
             guarantees,

@@ -23,7 +23,7 @@
 //! <https://ui.perfetto.dev>: spans become `ph:"X"` complete events and
 //! instants become `ph:"i"` thread-scoped events. One simulated cycle is
 //! rendered as one microsecond. Tracks: events labeled `hop=<n>` land on
-//! thread `n` ("hop <n>"); everything else lands on the "control"
+//! thread `n` (`"hop <n>"`); everything else lands on the "control"
 //! thread, tid 1000 — or, when some hop reaches 1000, the first tid
 //! above the highest hop, so a track never merges into "control". Each
 //! track owns its cycle clock (see the recorder docs).
@@ -361,17 +361,11 @@ fn chrome_event(e: &Event, key: &RenderedKey, tid: u64) -> String {
 ///
 /// # Errors
 ///
-/// Returns a line-tagged message on the first offending line, or a
-/// message describing a malformed schema.
+/// Returns a message describing a malformed schema, or a line-tagged
+/// message on the first offending line (a schema fault first met while
+/// checking a line carries that line's tag too).
 pub fn validate_jsonl(schema_text: &str, input: &str) -> Result<u64, String> {
-    let schema = json::parse(schema_text).map_err(|e| format!("schema: {e}"))?;
-    let types = schema
-        .get("types")
-        .ok_or("schema: missing \"types\"")?
-        .clone();
-    let Json::Obj(ref type_members) = types else {
-        return Err("schema: \"types\" must be an object".into());
-    };
+    let types = json::schema_types(schema_text)?;
     let mut validated = 0;
     for (lineno, line) in input.lines().enumerate() {
         if line.trim().is_empty() {
@@ -383,28 +377,7 @@ pub fn validate_jsonl(schema_text: &str, input: &str) -> Result<u64, String> {
             .get("type")
             .and_then(Json::as_str)
             .ok_or_else(|| at("missing string field \"type\"".into()))?;
-        let required = type_members
-            .iter()
-            .find(|(name, _)| name == ty)
-            .map(|(_, fields)| fields)
-            .ok_or_else(|| at(format!("unknown record type {ty:?}")))?;
-        let Json::Obj(fields) = required else {
-            return Err(format!("schema: type {ty:?} must map to an object"));
-        };
-        for (field, want) in fields {
-            let want = want
-                .as_str()
-                .ok_or_else(|| format!("schema: field {field:?} type must be a string"))?;
-            let got = record
-                .get(field)
-                .ok_or_else(|| at(format!("record type {ty:?} missing field {field:?}")))?;
-            if got.type_name() != want {
-                return Err(at(format!(
-                    "field {field:?} of {ty:?} is {}, schema requires {want}",
-                    got.type_name()
-                )));
-            }
-        }
+        json::check_record(&record, ty, &types).map_err(at)?;
         validated += 1;
     }
     Ok(validated)

@@ -18,7 +18,7 @@
 //! Perfetto counter samples (health scores, burn rates) ride on the
 //! in-memory [`ScopeReport`] but are deliberately *not* serialized here —
 //! they are an exporter concern
-//! ([`crate::export::Recorder::export_chrome_trace_with_counters`]).
+//! ([`crate::Recorder::export_chrome_trace_with_counters`]).
 
 use std::fmt::Write as _;
 
@@ -460,36 +460,6 @@ fn parse_scope(s: &Json) -> Result<ScopeReport, String> {
     Ok(scope)
 }
 
-fn type_matches(got: &Json, want: &str) -> bool {
-    want.split('|').any(|w| got.type_name() == w)
-}
-
-fn check_fields(record: &Json, kind: &str, types: &[(String, Json)]) -> Result<(), String> {
-    let fields = types
-        .iter()
-        .find(|(name, _)| name == kind)
-        .map(|(_, f)| f)
-        .ok_or_else(|| format!("schema: missing type {kind:?}"))?;
-    let Json::Obj(fields) = fields else {
-        return Err(format!("schema: type {kind:?} must map to an object"));
-    };
-    for (field, want) in fields {
-        let want = want
-            .as_str()
-            .ok_or_else(|| format!("schema: field {field:?} type must be a string"))?;
-        let got = record
-            .get(field)
-            .ok_or_else(|| format!("{kind} record missing field {field:?}"))?;
-        if !type_matches(got, want) {
-            return Err(format!(
-                "field {field:?} of {kind} is {}, schema requires {want}",
-                got.type_name()
-            ));
-        }
-    }
-    Ok(())
-}
-
 /// Validates a `socbus-incident v1` document against a schema of the
 /// checked-in shape (see [`incident_schema`]): the root must satisfy the
 /// `report` kind, every scope the `scope` kind, and every element of a
@@ -502,11 +472,7 @@ fn check_fields(record: &Json, kind: &str, types: &[(String, Json)]) -> Result<(
 /// Returns a message naming the first offending record or a malformed
 /// schema.
 pub fn validate_incident(schema_text: &str, input: &str) -> Result<u64, String> {
-    let schema = json::parse(schema_text).map_err(|e| format!("schema: {e}"))?;
-    let types = schema.get("types").ok_or("schema: missing \"types\"")?;
-    let Json::Obj(types) = types else {
-        return Err("schema: \"types\" must be an object".into());
-    };
+    let types = json::schema_types(schema_text)?;
     let doc = json::parse(input)?;
     if doc.get("format").and_then(Json::as_str) != Some("socbus-incident") {
         return Err("not a socbus-incident document".into());
@@ -514,7 +480,7 @@ pub fn validate_incident(schema_text: &str, input: &str) -> Result<u64, String> 
     if doc.get("version").and_then(Json::as_num) != Some(1.0) {
         return Err("unsupported socbus-incident version".into());
     }
-    check_fields(&doc, "report", types)?;
+    json::check_record(&doc, "report", &types)?;
     let mut validated = 1;
     let scopes = doc
         .get("scopes")
@@ -522,7 +488,7 @@ pub fn validate_incident(schema_text: &str, input: &str) -> Result<u64, String> 
         .ok_or("missing scopes")?;
     for (si, s) in scopes.iter().enumerate() {
         let at = |e: String| format!("scope {si}: {e}");
-        check_fields(s, "scope", types).map_err(at)?;
+        json::check_record(s, "scope", &types).map_err(at)?;
         validated += 1;
         for (key, kind) in [
             ("entities", "entity"),
@@ -535,7 +501,7 @@ pub fn validate_incident(schema_text: &str, input: &str) -> Result<u64, String> 
                 .and_then(Json::as_arr)
                 .ok_or_else(|| format!("scope {si}: missing array {key:?}"))?;
             for (i, record) in arr.iter().enumerate() {
-                check_fields(record, kind, types)
+                json::check_record(record, kind, &types)
                     .map_err(|e| format!("scope {si} {key}[{i}]: {e}"))?;
                 validated += 1;
             }

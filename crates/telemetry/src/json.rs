@@ -296,6 +296,50 @@ pub fn num(value: f64) -> String {
     }
 }
 
+/// The record kinds of a validation schema
+/// `{"types": {"<kind>": {"<field>": "<type>", ...}, ...}}`, where a
+/// type is a [`Json::type_name`] or several joined by `|`. The JSONL and
+/// incident validators both read their schema here.
+pub(crate) fn schema_types(schema_text: &str) -> Result<Vec<(String, Json)>, String> {
+    let schema = parse(schema_text).map_err(|e| format!("schema: {e}"))?;
+    match schema.get("types") {
+        Some(Json::Obj(types)) => Ok(types.clone()),
+        Some(_) => Err("schema: \"types\" must be an object".into()),
+        None => Err("schema: missing \"types\"".into()),
+    }
+}
+
+/// Checks `record` against the `kind` entry of [`schema_types`]: every
+/// field the entry lists must be present with one of the JSON types it
+/// names. The JSONL and incident validators both check records here.
+pub(crate) fn check_record(
+    record: &Json,
+    kind: &str,
+    types: &[(String, Json)],
+) -> Result<(), String> {
+    let Some((_, fields)) = types.iter().find(|(name, _)| name == kind) else {
+        return Err(format!("schema has no record type {kind:?}"));
+    };
+    let Json::Obj(fields) = fields else {
+        return Err(format!("schema: type {kind:?} must map to an object"));
+    };
+    for (field, want) in fields {
+        let want = want
+            .as_str()
+            .ok_or_else(|| format!("schema: field {field:?} type must be a string"))?;
+        let got = record
+            .get(field)
+            .ok_or_else(|| format!("{kind} record missing field {field:?}"))?;
+        if !want.split('|').any(|w| got.type_name() == w) {
+            return Err(format!(
+                "field {field:?} of {kind} is {}, schema requires {want}",
+                got.type_name()
+            ));
+        }
+    }
+    Ok(())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

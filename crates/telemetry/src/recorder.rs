@@ -28,7 +28,7 @@
 //! below `u32::MAX`, or that ends before it begins, stores `u32::MAX`
 //! and keeps its exact end in `long_ends`, a FIFO in ring order that is
 //! popped, drained and absorbed together with its records; every reader
-//! walks the two in step ([`Inner::events`]).
+//! walks the two in step (`Inner::events`).
 //!
 //! Recording under a held key copies 16 bytes and neither hashes nor
 //! allocates once the ring has grown; recording by name costs one hash
