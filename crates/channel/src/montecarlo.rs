@@ -15,7 +15,7 @@
 
 use crate::awgn::BitFlipChannel;
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
 use socbus_codes::{batch_build, Scheme, WordBlock, BLOCK_WORDS};
 use socbus_exec::{run_shards, shard_seed};
 use socbus_model::Word;
@@ -312,7 +312,7 @@ pub fn word_error_rate(
         // the channel draws (per word, wire-ascending): each stream is
         // its own RNG, so batching keeps both streams in scalar order.
         for w in &mut words[..n] {
-            *w = Word::from_bits(rng.gen::<u128>(), k);
+            *w = Word::random(&mut rng, k);
         }
         let data = WordBlock::from_words(&words[..n]);
         let sent = enc.encode(&data);
@@ -349,7 +349,7 @@ pub fn word_error_rate_scalar(
     let mut rng = StdRng::seed_from_u64(seed);
     let failures = (0..trials)
         .filter(|_| {
-            let d = Word::from_bits(rng.gen::<u128>(), k);
+            let d = Word::random(&mut rng, k);
             dec.decode(ch.transmit(enc.encode(d))) != d
         })
         .count() as u64;

@@ -90,7 +90,7 @@ pub fn is_word_error(
     while done < trials {
         let n = usize::try_from((trials - done).min(BLOCK_WORDS as u64)).expect("n <= 64");
         for w in &mut words[..n] {
-            *w = Word::from_bits(data_rng.gen::<u128>(), k);
+            *w = Word::random(&mut data_rng, k);
         }
         let data = WordBlock::from_words(&words[..n]);
         let mut received = enc.encode(&data);

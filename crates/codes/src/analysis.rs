@@ -52,7 +52,7 @@ pub fn min_distance(code: &mut dyn BusCode) -> u32 {
 
 /// A random uniform data word of width `k`.
 fn random_word(rng: &mut StdRng, k: usize) -> Word {
-    Word::from_bits(rng.gen::<u128>(), k)
+    Word::random(rng, k)
 }
 
 /// Worst-case bus delay factor observed over the code's transitions.

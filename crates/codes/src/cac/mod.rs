@@ -12,16 +12,12 @@
 //!   Satisfied trivially by [`Duplication`]; general FP codebooks are
 //!   provided by [`ForbiddenPatternCode`].
 //!
-//! [`HalfShielding`] is the weaker layout used by the paper's HammingX to
-//! cap parity-wire delay at `(1+3λ)τ0`.
-//!
 //! Appendix I of the paper proves no *linear* code beats shielding (FT) or
 //! duplication (FP); see [`crate::theory`] for the executable check.
 
 mod duplication;
 mod fpc;
 mod ftc;
-mod half_shielding;
 mod shielding;
 
 pub(crate) use duplication::duplicated;
@@ -32,5 +28,4 @@ pub use ftc::{
     ft_compatible, ftc_codebook, ftc_groups, ftc_wires_for_bits, ForbiddenTransitionCode,
 };
 pub(crate) use ftc::{ftc_info_bits, search_ft_book};
-pub use half_shielding::HalfShielding;
 pub use shielding::Shielding;

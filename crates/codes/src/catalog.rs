@@ -159,36 +159,32 @@ impl Scheme {
     /// Display name matching the paper's tables.
     #[must_use]
     pub fn name(self) -> String {
-        match self {
-            Scheme::BusInvert(i) => format!("BI({i})"),
-            other => other.build_name(),
-        }
-    }
-
-    fn build_name(self) -> String {
-        match self {
-            Scheme::Uncoded => "Uncoded".into(),
-            Scheme::BusInvert(_) => unreachable!("handled by name()"),
-            Scheme::Shielding => "Shielding".into(),
-            Scheme::Duplication => "Duplication".into(),
-            Scheme::Ftc => "FTC".into(),
-            Scheme::Parity => "Parity".into(),
-            Scheme::Hamming => "Hamming".into(),
-            Scheme::HammingX => "HammingX".into(),
-            Scheme::Bih => "BIH".into(),
-            Scheme::FtcHc => "FTC+HC".into(),
-            Scheme::Bsc => "BSC".into(),
-            Scheme::Dap => "DAP".into(),
-            Scheme::Dapx => "DAPX".into(),
-            Scheme::Dapbi => "DAPBI".into(),
-            Scheme::ExtHamming => "ExtHamming".into(),
-            Scheme::BchDec => "BCH-DEC".into(),
-            Scheme::Sabotaged => "Sabotaged".into(),
-        }
+        let name = match self {
+            Scheme::BusInvert(i) => return format!("BI({i})"),
+            Scheme::Uncoded => "Uncoded",
+            Scheme::Shielding => "Shielding",
+            Scheme::Duplication => "Duplication",
+            Scheme::Ftc => "FTC",
+            Scheme::Parity => "Parity",
+            Scheme::Hamming => "Hamming",
+            Scheme::HammingX => "HammingX",
+            Scheme::Bih => "BIH",
+            Scheme::FtcHc => "FTC+HC",
+            Scheme::Bsc => "BSC",
+            Scheme::Dap => "DAP",
+            Scheme::Dapx => "DAPX",
+            Scheme::Dapbi => "DAPBI",
+            Scheme::ExtHamming => "ExtHamming",
+            Scheme::BchDec => "BCH-DEC",
+            Scheme::Sabotaged => "Sabotaged",
+        };
+        name.into()
     }
 
     /// Parses a scheme from its [`Scheme::name`] rendering (the inverse
-    /// mapping, used by chaos replay files and CLI arguments).
+    /// mapping, used by chaos replay files and CLI arguments): `BI(i)`
+    /// for any `i`, else the [`Scheme::catalog`] member or `Sabotaged`
+    /// of that name.
     #[must_use]
     pub fn from_name(name: &str) -> Option<Scheme> {
         if let Some(i) = name
@@ -197,26 +193,10 @@ impl Scheme {
         {
             return i.parse().ok().map(Scheme::BusInvert);
         }
-        let scheme = match name {
-            "Uncoded" => Scheme::Uncoded,
-            "Shielding" => Scheme::Shielding,
-            "Duplication" => Scheme::Duplication,
-            "FTC" => Scheme::Ftc,
-            "Parity" => Scheme::Parity,
-            "Hamming" => Scheme::Hamming,
-            "HammingX" => Scheme::HammingX,
-            "BIH" => Scheme::Bih,
-            "FTC+HC" => Scheme::FtcHc,
-            "BSC" => Scheme::Bsc,
-            "DAP" => Scheme::Dap,
-            "DAPX" => Scheme::Dapx,
-            "DAPBI" => Scheme::Dapbi,
-            "ExtHamming" => Scheme::ExtHamming,
-            "BCH-DEC" => Scheme::BchDec,
-            "Sabotaged" => Scheme::Sabotaged,
-            _ => return None,
-        };
-        Some(scheme)
+        Scheme::catalog()
+            .into_iter()
+            .chain([Scheme::Sabotaged])
+            .find(|s| s.name() == name)
     }
 
     /// The reliable-bus comparison set of Table II (4-bit bus).

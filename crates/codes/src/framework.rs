@@ -21,13 +21,16 @@
 //! 4. ECC is systematic — all ECCs here are.
 //! 5. ECC parity bits go through a linear CAC (LXC2).
 //!
-//! The composer yields a working [`ComposedCode`], a word codec. The
-//! paper's named joint codes are hand-optimized instances of the same
-//! structure, written once per family in both word and bit-plane forms:
-//! [`crate::Dap`] (DAP, DAPX, DAPBI, BSC — DAPBI fuses the duplication
-//! into the DAP decoder) and [`crate::Hamming`] (Hamming, HammingX, BIH,
-//! ExtHamming). The composer reads the bus-invert sub-bus partition from
-//! [`BusInvert::subs`], the one statement of it.
+//! The composer yields a working [`ComposedCode`], a word codec that
+//! holds its CAC and ECC stages as the codec types themselves (a
+//! [`Shielding`], a [`Hamming`], …) and reads wires, parity counts,
+//! guarantees and delay class from them. The paper's named joint codes
+//! are hand-optimized instances of the same structure, written once per
+//! family in both word and bit-plane forms: [`crate::Dap`] (DAP, DAPX,
+//! DAPBI, BSC — DAPBI fuses the duplication into the DAP decoder) and
+//! [`crate::Hamming`] (Hamming, HammingX, BIH, ExtHamming). The composer
+//! reads the bus-invert sub-bus partition from [`BusInvert::subs`], the
+//! one statement of it.
 
 use crate::cac::{Duplication, ForbiddenPatternCode, ForbiddenTransitionCode, Shielding};
 use crate::ecc::{Hamming, ParityBit};
@@ -59,6 +62,17 @@ impl CacChoice {
             self,
             CacChoice::None | CacChoice::Duplication | CacChoice::Fpc
         )
+    }
+
+    /// The stage's part of a composed name (`"Dup"` in `"Dup+Parity"`).
+    fn label(self) -> Option<&'static str> {
+        match self {
+            CacChoice::None => None,
+            CacChoice::Shielding => Some("Shield"),
+            CacChoice::Duplication => Some("Dup"),
+            CacChoice::Ftc => Some("FTC"),
+            CacChoice::Fpc => Some("FPC"),
+        }
     }
 }
 
@@ -243,35 +257,47 @@ impl Framework {
             return Err(CompositionError::MissingLxc2);
         }
 
-        let cac = match self.cac {
-            CacChoice::None => CacStage::None(self.k),
-            CacChoice::Shielding => CacStage::Shielding(Shielding::new(self.k)),
-            CacChoice::Duplication => CacStage::Duplication(Duplication::new(self.k)),
-            CacChoice::Ftc => CacStage::Ftc(ForbiddenTransitionCode::new(self.k)),
-            CacChoice::Fpc => CacStage::Fpc(ForbiddenPatternCode::new(self.k)),
+        let k = self.k;
+        let cac: Option<Box<dyn BusCode>> = match self.cac {
+            CacChoice::None => None,
+            CacChoice::Shielding => Some(Box::new(Shielding::new(k))),
+            CacChoice::Duplication => Some(Box::new(Duplication::new(k))),
+            CacChoice::Ftc => Some(Box::new(ForbiddenTransitionCode::new(k))),
+            CacChoice::Fpc => Some(Box::new(ForbiddenPatternCode::new(k))),
         };
-        let n = cac.wires();
+        let n = cac.as_ref().map_or(k, |c| c.wires());
         let lpc = match self.lpc {
             LpcChoice::None => None,
             LpcChoice::BusInvert(i) => Some(BusInvert::new(n, i)),
         };
         let p = lpc.as_ref().map_or(0, BusInvert::sub_buses);
         let protected = n + p;
-        let ecc = match self.ecc {
-            EccChoice::None => EccStage::None,
-            EccChoice::Parity => EccStage::Parity(ParityBit::new(protected)),
-            EccChoice::Hamming => EccStage::Hamming(Hamming::new(protected)),
-            EccChoice::ExtendedHamming => EccStage::Hamming(Hamming::extended(protected)),
+        let ecc: Option<Box<dyn BusCode>> = match self.ecc {
+            EccChoice::None => None,
+            EccChoice::Parity => Some(Box::new(ParityBit::new(protected))),
+            EccChoice::Hamming => Some(Box::new(Hamming::new(protected))),
+            EccChoice::ExtendedHamming => Some(Box::new(Hamming::extended(protected))),
         };
-        let m = ecc.parity_bits();
+        let m = ecc.as_ref().map_or(0, |e| e.wires() - e.data_bits());
         let lxc1_wires = expanded_wires(self.lxc1, p);
         let lxc2_wires = expanded_wires(self.lxc2, m);
         let wires = n + lxc1_wires + lxc2_wires;
         if wires > socbus_model::word::MAX_WIDTH {
             return Err(CompositionError::TooWide { wires });
         }
+        let parts = [
+            self.cac.label().map(String::from),
+            lpc.as_ref().map(BusCode::name),
+            ecc.as_ref().map(|e| e.name()),
+        ];
+        let name = parts.into_iter().flatten().collect::<Vec<_>>().join("+");
         Ok(ComposedCode {
-            k: self.k,
+            name: if name.is_empty() {
+                "Uncoded".into()
+            } else {
+                name
+            },
+            k,
             n,
             p,
             m,
@@ -296,128 +322,22 @@ fn expanded_wires(lxc: Option<LxcChoice>, bits: usize) -> usize {
     }
 }
 
-#[derive(Clone, Debug)]
-enum CacStage {
-    None(usize),
-    Shielding(Shielding),
-    Duplication(Duplication),
-    Ftc(ForbiddenTransitionCode),
-    Fpc(ForbiddenPatternCode),
-}
-
-impl CacStage {
-    fn wires(&self) -> usize {
-        match self {
-            CacStage::None(k) => *k,
-            CacStage::Shielding(c) => c.wires(),
-            CacStage::Duplication(c) => c.wires(),
-            CacStage::Ftc(c) => c.wires(),
-            CacStage::Fpc(c) => c.wires(),
-        }
-    }
-
-    fn encode(&mut self, d: Word) -> Word {
-        match self {
-            CacStage::None(_) => d,
-            CacStage::Shielding(c) => c.encode(d),
-            CacStage::Duplication(c) => c.encode(d),
-            CacStage::Ftc(c) => c.encode(d),
-            CacStage::Fpc(c) => c.encode(d),
-        }
-    }
-
-    fn decode(&mut self, w: Word) -> Word {
-        match self {
-            CacStage::None(_) => w,
-            CacStage::Shielding(c) => c.decode(w),
-            CacStage::Duplication(c) => c.decode(w),
-            CacStage::Ftc(c) => c.decode(w),
-            CacStage::Fpc(c) => c.decode(w),
-        }
-    }
-
-    fn delay_class(&self) -> DelayClass {
-        match self {
-            CacStage::None(_) => DelayClass::WORST,
-            _ => DelayClass::CAC,
-        }
-    }
-
-    fn name(&self) -> &'static str {
-        match self {
-            CacStage::None(_) => "",
-            CacStage::Shielding(_) => "Shield",
-            CacStage::Duplication(_) => "Dup",
-            CacStage::Ftc(_) => "FTC",
-            CacStage::Fpc(_) => "FPC",
-        }
-    }
-}
-
-/// The ECC stage: parity, or a member of the Hamming family (plain or
-/// extended).
-#[derive(Clone, Debug)]
-enum EccStage {
-    None,
-    Parity(ParityBit),
-    Hamming(Hamming),
-}
-
-impl EccStage {
-    fn parity_bits(&self) -> usize {
-        match self {
-            EccStage::None => 0,
-            EccStage::Parity(_) => 1,
-            EccStage::Hamming(h) => h.parity_bits(),
-        }
-    }
-
-    fn encode(&mut self, payload: Word) -> Word {
-        match self {
-            EccStage::None => Word::zero(0),
-            EccStage::Parity(c) => {
-                let cw = c.encode(payload);
-                cw.slice(payload.width(), 1)
-            }
-            EccStage::Hamming(c) => {
-                let cw = c.encode(payload);
-                cw.slice(payload.width(), c.parity_bits())
-            }
-        }
-    }
-
-    fn decode(&mut self, payload: Word, parity: Word) -> (Word, DecodeStatus) {
-        match self {
-            EccStage::None => (payload, DecodeStatus::Unchecked),
-            EccStage::Parity(c) => c.decode_checked(payload.concat(parity)),
-            EccStage::Hamming(c) => c.decode_checked(payload.concat(parity)),
-        }
-    }
-
-    fn name(&self) -> String {
-        match self {
-            EccStage::None => String::new(),
-            EccStage::Parity(c) => c.name(),
-            EccStage::Hamming(c) => c.name(),
-        }
-    }
-}
-
 /// A code assembled by the [`Framework`] builder.
 ///
 /// Bus layout: `[n CAC/LPC code wires | LXC1(invert bits) | LXC2(parity)]`.
 /// Decoding runs ECC → LPC → CAC, the order condition 1 mandates.
 #[derive(Clone, Debug)]
 pub struct ComposedCode {
+    name: String,
     k: usize,
     n: usize,
     p: usize,
     m: usize,
     lxc1: Option<LxcChoice>,
     lxc2: Option<LxcChoice>,
-    cac: CacStage,
+    cac: Option<Box<dyn BusCode>>,
     lpc: Option<BusInvert>,
-    ecc: EccStage,
+    ecc: Option<Box<dyn BusCode>>,
     wires: usize,
 }
 
@@ -495,22 +415,7 @@ impl ComposedCode {
 
 impl BusCode for ComposedCode {
     fn name(&self) -> String {
-        let mut parts = Vec::new();
-        if !self.cac.name().is_empty() {
-            parts.push(self.cac.name().to_string());
-        }
-        if let Some(bi) = &self.lpc {
-            parts.push(bi.name());
-        }
-        let ecc = self.ecc.name();
-        if !ecc.is_empty() {
-            parts.push(ecc);
-        }
-        if parts.is_empty() {
-            "Uncoded".into()
-        } else {
-            parts.join("+")
-        }
+        self.name.clone()
     }
 
     fn data_bits(&self) -> usize {
@@ -523,7 +428,10 @@ impl BusCode for ComposedCode {
 
     fn encode(&mut self, data: Word) -> Word {
         assert_eq!(data.width(), self.k, "data width mismatch");
-        let code = self.cac.encode(data);
+        let code = match &mut self.cac {
+            None => data,
+            Some(c) => c.encode(data),
+        };
         let (code, inverts) = match &mut self.lpc {
             None => (code, Word::zero(0)),
             // BusInvert interleaves invert wires; extract them back out
@@ -534,7 +442,10 @@ impl BusCode for ComposedCode {
             }
         };
         let payload = code.concat(inverts);
-        let parity = self.ecc.encode(payload);
+        let parity = match &mut self.ecc {
+            None => Word::zero(0),
+            Some(e) => e.encode(payload).slice(payload.width(), self.m),
+        };
         let mut out = Word::zero(self.wires);
         for i in 0..self.n {
             out.set_bit(i, code.bit(i));
@@ -557,7 +468,11 @@ impl BusCode for ComposedCode {
         base += used;
         let (parity, _) = Self::read_side_bits(bus, base, self.m, self.lxc2);
         // ECC first (condition 1: correction precedes all other decoding).
-        let (payload, status) = self.ecc.decode(code.concat(inverts), parity);
+        let payload = code.concat(inverts);
+        let (payload, status) = match &mut self.ecc {
+            None => (payload, DecodeStatus::Unchecked),
+            Some(e) => e.decode_checked(payload.concat(parity)),
+        };
         let code = payload.slice(0, self.n);
         let inverts = payload.slice(self.n, self.p);
         let code = match &mut self.lpc {
@@ -567,7 +482,11 @@ impl BusCode for ComposedCode {
                 bi.decode(merged)
             }
         };
-        (self.cac.decode(code), status)
+        let data = match &mut self.cac {
+            None => code,
+            Some(c) => c.decode(code),
+        };
+        (data, status)
     }
 
     fn reset(&mut self) {
@@ -581,22 +500,17 @@ impl BusCode for ComposedCode {
     }
 
     fn correctable_errors(&self) -> usize {
-        match &self.ecc {
-            EccStage::Hamming(c) => c.correctable_errors(),
-            _ => 0,
-        }
+        self.ecc.as_ref().map_or(0, |e| e.correctable_errors())
     }
 
     fn detectable_errors(&self) -> usize {
-        match &self.ecc {
-            EccStage::None => 0,
-            EccStage::Parity(c) => c.detectable_errors(),
-            EccStage::Hamming(c) => c.detectable_errors(),
-        }
+        self.ecc.as_ref().map_or(0, |e| e.detectable_errors())
     }
 
     fn guaranteed_delay_class(&self) -> DelayClass {
-        self.cac.delay_class()
+        self.cac
+            .as_ref()
+            .map_or(DelayClass::WORST, |c| c.guaranteed_delay_class())
     }
 }
 

@@ -15,8 +15,7 @@
 //!   codec type per scheme ([`Scheme::codec`]) and one statement of the
 //!   widths it builds at ([`Scheme::check`]);
 //! * [`lpc`] — bus-invert `BI(i)` and its sub-bus partition;
-//! * [`cac`] — shielding, duplication, half-shielding, FTC (Fibonacci
-//!   codebooks), FPC;
+//! * [`cac`] — shielding, duplication, FTC (Fibonacci codebooks), FPC;
 //! * [`ecc`] — parity, the Hamming family ([`Hamming`]: Hamming,
 //!   HammingX, BIH, extended Hamming and the sabotaged self-test
 //!   decoder), BCH;
@@ -61,9 +60,7 @@ pub mod traits;
 pub use batch::{
     batch_build, batch_is_native, BatchCode, BlockStatus, Codec, WordBlock, BLOCK_WORDS,
 };
-pub use cac::{
-    Duplication, ForbiddenPatternCode, ForbiddenTransitionCode, HalfShielding, Shielding,
-};
+pub use cac::{Duplication, ForbiddenPatternCode, ForbiddenTransitionCode, Shielding};
 pub use catalog::Scheme;
 pub use ecc::{BchDec, Hamming, ParityBit};
 pub use framework::{ComposedCode, CompositionError, Framework};

@@ -9,6 +9,7 @@
 use crate::batch::{BlockStatus, Planes, WordBlock};
 use crate::catalog::Scheme;
 use socbus_model::{DelayClass, Word};
+use std::fmt;
 
 /// A bus coding scheme: encoder and decoder for one `k`-bit channel over
 /// `n` wires.
@@ -124,6 +125,13 @@ impl<T: BusCode + Clone + 'static> CloneBusCode for T {
 impl Clone for Box<dyn BusCode> {
     fn clone(&self) -> Self {
         self.clone_box()
+    }
+}
+
+/// A codec behind `dyn` shows as its name.
+impl fmt::Debug for dyn BusCode {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(&self.name())
     }
 }
 

@@ -18,6 +18,7 @@
 //! from — the software image of the paper's word-parallel XOR trees and
 //! wire permutations.
 
+use rand::Rng;
 use std::fmt;
 
 /// Maximum supported bus width in wires.
@@ -150,6 +151,27 @@ impl Word {
         w.limbs[1] = (bits >> 64) as u64;
         w.mask_off();
         w
+    }
+
+    /// A uniformly random `width`-wire word: one `u128` draw per 128
+    /// wires, low wires first. Up to 128 wires that is the single
+    /// `Word::from_bits(rng.gen::<u128>(), width)` draw.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `width > MAX_WIDTH`.
+    #[must_use]
+    #[inline]
+    pub fn random<R: Rng>(rng: &mut R, width: usize) -> Self {
+        let low = Word::from_bits(rng.gen::<u128>(), width);
+        if width <= 128 {
+            return low;
+        }
+        let high = rng.gen::<u128>();
+        let mut limbs = low.limbs;
+        limbs[2] = high as u64;
+        limbs[3] = (high >> 64) as u64;
+        Word::from_limbs(limbs, width)
     }
 
     /// Creates a word from a slice of booleans, one per wire.
@@ -676,6 +698,29 @@ impl fmt::LowerHex for Word {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
+
+    /// The uniform data draw of the estimators, traffic and netlist power
+    /// runs: every wire of a wide word is drawn, and up to 128 wires the
+    /// draw is the one `u128` it always was.
+    #[test]
+    fn random_words_draw_every_wire() {
+        let mut rng = StdRng::seed_from_u64(3);
+        let high: u32 = (0..500)
+            .map(|_| Word::random(&mut rng, 200).slice(128, 72).count_ones())
+            .sum();
+        let density = f64::from(high) / (500.0 * 72.0);
+        assert!((density - 0.5).abs() < 0.02, "density {density}");
+        let (mut a, mut b) = (StdRng::seed_from_u64(4), StdRng::seed_from_u64(4));
+        for width in [1, 63, 64, 100, 128] {
+            assert_eq!(
+                Word::random(&mut a, width),
+                Word::from_bits(b.gen::<u128>(), width)
+            );
+        }
+        assert_eq!(Word::random(&mut a, 256).width(), 256);
+    }
 
     #[test]
     fn zero_has_no_ones() {

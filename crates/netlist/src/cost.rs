@@ -11,7 +11,7 @@ use crate::codecs::{synthesize, CodecPair};
 use crate::power::simulate;
 use crate::sta::{analyze, area};
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
 use socbus_codes::Scheme;
 use socbus_model::Word;
 
@@ -66,7 +66,7 @@ pub fn cost_of_pair(
 
     let mut rng = StdRng::seed_from_u64(seed);
     let data: Vec<Word> = (0..transfers)
-        .map(|_| Word::from_bits(rng.gen::<u128>(), pair.data_bits))
+        .map(|_| Word::random(&mut rng, pair.data_bits))
         .collect();
     pair.encoder.reset();
     let bus_words: Vec<Word> = data.iter().map(|&d| pair.encoder.step(d)).collect();

@@ -9,8 +9,8 @@
 //!   DFF state (cycle-accurate for the sequential codecs);
 //! * [`builders`] — XOR trees, popcount, comparators;
 //! * [`codecs`] — encoder/decoder netlist generators for every scheme in
-//!   the catalog, each verified bit-exact against its golden model in
-//!   `socbus-codes`;
+//!   the catalog, read from the codecs in `socbus-codes`: linear encoders
+//!   probed from the word form, one decoder per codec family;
 //! * [`sta`] — static timing analysis (critical path) and area roll-up;
 //! * [`power`] — toggle-count power estimation over simulated traffic;
 //! * [`cost`] — the combined [`CodecCost`] measurement used by the

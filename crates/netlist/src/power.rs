@@ -9,7 +9,7 @@ use crate::cell::{CellKind, CellLibrary};
 use crate::graph::{Netlist, Node};
 use crate::sta::node_loads;
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
 use socbus_model::Word;
 
 /// Power-simulation result.
@@ -39,9 +39,7 @@ pub fn simulate_random(
 ) -> PowerReport {
     let mut rng = StdRng::seed_from_u64(seed);
     let k = nl.input_count();
-    let words: Vec<Word> = (0..transfers)
-        .map(|_| Word::from_bits(rng.gen::<u128>(), k))
-        .collect();
+    let words: Vec<Word> = (0..transfers).map(|_| Word::random(&mut rng, k)).collect();
     simulate(nl, lib, &words)
 }
 

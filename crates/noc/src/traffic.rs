@@ -8,6 +8,7 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use socbus_model::word::MAX_WIDTH;
 use socbus_model::Word;
 
 /// Uniform i.i.d. words — the paper's workload assumption.
@@ -22,11 +23,11 @@ impl UniformTraffic {
     ///
     /// # Panics
     ///
-    /// Panics unless `1 <= width <= 128` (a [`Word`] holds at most 128
-    /// bits, and a width-0 generator would emit empty words forever).
+    /// Panics unless `1 <= width <= MAX_WIDTH` (a width-0 generator
+    /// would emit empty words forever).
     #[must_use]
     pub fn new(width: usize, seed: u64) -> Self {
-        assert!((1..=128).contains(&width), "width out of range");
+        assert!((1..=MAX_WIDTH).contains(&width), "width out of range");
         UniformTraffic {
             width,
             rng: StdRng::seed_from_u64(seed),
@@ -38,7 +39,7 @@ impl Iterator for UniformTraffic {
     type Item = Word;
 
     fn next(&mut self) -> Option<Word> {
-        Some(Word::from_bits(self.rng.gen::<u128>(), self.width))
+        Some(Word::random(&mut self.rng, self.width))
     }
 }
 
@@ -57,13 +58,13 @@ impl CorrelatedTraffic {
     ///
     /// # Panics
     ///
-    /// Panics unless `0 <= alpha <= 1` and `1 <= width <= 128`.
+    /// Panics unless `0 <= alpha <= 1` and `1 <= width <= MAX_WIDTH`.
     #[must_use]
     pub fn new(width: usize, alpha: f64, seed: u64) -> Self {
-        assert!((1..=128).contains(&width), "width out of range");
+        assert!((1..=MAX_WIDTH).contains(&width), "width out of range");
         assert!((0.0..=1.0).contains(&alpha), "alpha out of range");
         let mut rng = StdRng::seed_from_u64(seed);
-        let state = Word::from_bits(rng.gen::<u128>(), width);
+        let state = Word::random(&mut rng, width);
         CorrelatedTraffic { state, alpha, rng }
     }
 }
@@ -173,6 +174,19 @@ mod tests {
         assert!((density - 0.5).abs() < 0.02, "density {density}");
     }
 
+    /// Every wire of a wide word is drawn, those above 128 included.
+    #[test]
+    fn uniform_traffic_draws_every_wire_above_128() {
+        let high: u32 = UniformTraffic::new(200, 1)
+            .take(500)
+            .map(|w| w.slice(128, 72).count_ones())
+            .sum();
+        let density = f64::from(high) / (500.0 * 72.0);
+        assert!((density - 0.5).abs() < 0.02, "density {density}");
+        let state = CorrelatedTraffic::new(200, 0.0, 1).next().unwrap();
+        assert_ne!(state.slice(128, 72).count_ones(), 0);
+    }
+
     #[test]
     fn correlated_traffic_switches_less() {
         let collect_activity = |mut it: Box<dyn Iterator<Item = Word>>| {
@@ -236,7 +250,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "width out of range")]
     fn uniform_rejects_width_beyond_word() {
-        let _ = UniformTraffic::new(129, 1);
+        let _ = UniformTraffic::new(MAX_WIDTH + 1, 1);
     }
 
     #[test]
@@ -248,7 +262,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "width out of range")]
     fn correlated_rejects_width_beyond_word() {
-        let _ = CorrelatedTraffic::new(129, 0.1, 1);
+        let _ = CorrelatedTraffic::new(MAX_WIDTH + 1, 0.1, 1);
     }
 
     #[test]
